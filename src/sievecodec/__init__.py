@@ -32,7 +32,6 @@ from .dynamics import (
     completeness_sufficient_condition,
     decode_orbit,
     encoder_fixed_points,
-    encoder_image,
     find_limit,
     is_encoder_fixed_point,
     split_limit,
@@ -44,8 +43,6 @@ from .operators import (
     apply_Ji,
     coprime,
     finite_sums,
-    forbids,
-    format_operator,
     is_member,
     norm_k,
     parse_operator,
@@ -86,13 +83,10 @@ __all__ = [
     "delete_stars",
     "encode",
     "encoder_fixed_points",
-    "encoder_image",
     "find_anchored_relation",
     "find_limit",
     "find_relation",
     "finite_sums",
-    "forbids",
-    "format_operator",
     "from_characteristic",
     "is_encoder_fixed_point",
     "is_member",

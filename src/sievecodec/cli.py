@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int)
     p.add_argument("--limit", type=int, help="freeze this many leading positions")
     p.add_argument("--split", action="store_true", help="split the stabilized limit")
-    add_format(p)
     add_prefix(p)
     p.set_defaults(func=cmd_dynamics)
 
@@ -209,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help=f"ground set [1, M]; at most {FIXED_POINT_ENUMERATION_BOUND}",
     )
-    add_format(p)
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("uc", help="windowed ultimate-completeness verdict")

@@ -23,13 +23,14 @@ from dataclasses import dataclass
 from .core import IntSetPrefix, check_word, delete_stars
 from .operators import OperatorKind, incremental_oracle
 
-#: Candidate search stops here by default; only a pathological operator that
-#: forbids cofinitely many integers could reach it.
+#: Candidate search stops here.  Under operators whose accepted elements grow
+#: geometrically (``normk`` with k >= 7, ``fs``) ordinary words of a few dozen
+#: bits reach it, since the scan visits every integer up to the last candidate.
 DEFAULT_CANDIDATE_CEILING = 1_000_000
 
 
 class CandidateCeilingExceeded(RuntimeError):
-    """The encoder scanned past its ceiling without finding a candidate."""
+    """The encoder's candidate scan passed ``DEFAULT_CANDIDATE_CEILING``."""
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,10 @@ class DecodeResult:
     violations: tuple[int, ...]
 
 
-def encode(
-    op: OperatorKind, word: str, *, ceiling: int = DEFAULT_CANDIDATE_CEILING
-) -> EncodeResult:
+def encode(op: OperatorKind, word: str) -> EncodeResult:
     """Run the greedy classifier over ``word`` and return both sides."""
     check_word(word)
-    oracle = incremental_oracle(op, limit_hint=max(64, 2 * len(word)))
+    oracle = incremental_oracle(op)
     accepted: list[int] = []
     rejected: list[int] = []
     consumed = 0
@@ -73,10 +72,11 @@ def encode(
         candidate = consumed + 1
         while oracle.forbids(candidate):
             candidate += 1
-            if candidate > ceiling:
+            if candidate > DEFAULT_CANDIDATE_CEILING:
                 raise CandidateCeilingExceeded(
-                    f"no admissible candidate below {ceiling}; operator {op} "
-                    "forbids every remaining integer in range"
+                    f"candidate scan passed the ceiling {DEFAULT_CANDIDATE_CEILING} under {op} "
+                    f"with {len(accepted) + len(rejected)} of {len(word)} bits classified; "
+                    f"largest accepted element {accepted[-1] if accepted else 'none'}"
                 )
         consumed = candidate
         if bit == "1":
@@ -100,7 +100,7 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     ternary word and are reported in ``violations``.
     """
     members = prefix.members()
-    oracle = incremental_oracle(op, limit_hint=max(1, prefix.horizon))
+    oracle = incremental_oracle(op)
     symbols: list[str] = []
     violations: list[int] = []
     for position in range(1, prefix.horizon + 1):
@@ -117,15 +117,6 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     return DecodeResult(ternary, delete_stars(ternary), tuple(violations))
 
 
-def roundtrip_ok(
-    op: OperatorKind, word: str, *, ceiling: int = DEFAULT_CANDIDATE_CEILING
-) -> bool:
-    """Encode, decode the accepted set, and compare with the input word.
-
-    The decoded word is certified for exactly the encoded length, so the
-    comparison is over the common certified prefix.
-    """
-    encoded = encode(op, word, ceiling=ceiling)
-    decoded = decode(op, encoded.accepted)
-    common = min(len(word), len(decoded.bits))
-    return decoded.bits[:common] == word[:common] and len(decoded.bits) == len(word)
+def roundtrip_ok(op: OperatorKind, word: str) -> bool:
+    """Encode, decode the accepted set, and compare with the input word."""
+    return decode(op, encode(op, word).accepted).bits == word

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import decode, encode
-from .core import IntSetPrefix, characteristic, from_characteristic
+from .codec import decode
+from .core import IntSetPrefix, from_characteristic
 from .operators import OperatorKind, incremental_oracle, is_member, norm_k
 from .relations import Relation, find_anchored_relation
 
@@ -119,7 +119,7 @@ def is_encoder_fixed_point(k: int, prefix: IntSetPrefix) -> bool:
     """
     horizon = prefix.horizon
     members = prefix.members()
-    oracle = incremental_oracle(norm_k(k), limit_hint=max(8, 2 * horizon))
+    oracle = incremental_oracle(norm_k(k))
     candidate = 0
     for step in range(1, horizon + 1):
         candidate += 1
@@ -138,21 +138,20 @@ def is_encoder_fixed_point(k: int, prefix: IntSetPrefix) -> bool:
     return True
 
 
-def encoder_fixed_points(
-    k: int, max_element: int, *, bound: int = FIXED_POINT_ENUMERATION_BOUND
-) -> list[IntSetPrefix]:
+def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
     """All subsets of [1, max_element] fixed by the encoder at norm bound k.
 
     Each subset is tested as a prefix with horizon ``max_element``, i.e. with
     an all-zero indicator tail, which is the only reading under which a finite
     set can be a fixed point at all.  Exhaustive; refuses ground sets beyond
-    ``bound``.
+    ``FIXED_POINT_ENUMERATION_BOUND``.
     """
     if max_element < 1:
         raise ValueError("max_element must be at least 1")
-    if max_element > bound:
+    if max_element > FIXED_POINT_ENUMERATION_BOUND:
         raise ValueError(
-            f"exhaustive enumeration over [1, {max_element}] exceeds the bound {bound}"
+            f"exhaustive enumeration over [1, {max_element}] exceeds the bound "
+            f"{FIXED_POINT_ENUMERATION_BOUND}"
         )
     found: list[IntSetPrefix] = []
     for mask in range(1 << max_element):
@@ -239,14 +238,11 @@ def ultimately_complete_on(
         raise ValueError("window_start must be at least 1")
     if window_start > prefix.horizon:
         return CompletenessVerdict("undecided")
-    members = prefix.members()
-    oracle = incremental_oracle(op, limit_hint=max(1, prefix.horizon))
-    for position in range(1, prefix.horizon + 1):
-        if position in members:
-            oracle.add(position)
-        elif position >= window_start and not oracle.forbids(position):
-            return CompletenessVerdict("incomplete", position)
-    return CompletenessVerdict("complete-on-window")
+    # A '0' in the ternary word is a non-member its predecessors do not forbid.
+    gap = decode(op, prefix).ternary.find("0", window_start - 1)
+    if gap < 0:
+        return CompletenessVerdict("complete-on-window")
+    return CompletenessVerdict("incomplete", gap + 1)
 
 
 @dataclass(frozen=True)
@@ -284,12 +280,3 @@ def completeness_sufficient_condition(
     witness = find_anchored_relation(prefix.elements, k)
     holds = in_family and augmented_escapes and witness is not None
     return SufficiencyEvidence(in_family, augmented_escapes, witness, holds)
-
-
-def encoder_image(k: int, prefix: IntSetPrefix):
-    """Encode the indicator word of a prefix at norm bound k.
-
-    Convenience for the completeness pipeline: the claim under test is about
-    the encoder image of a stabilized orbit limit.
-    """
-    return encode(norm_k(k), characteristic(prefix))

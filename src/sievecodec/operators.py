@@ -35,7 +35,8 @@ from math import isqrt
 from .core import IntSetPrefix
 from .relations import DEFAULT_MAX_NORM_BOUND, CostTable, min_relation_norm
 
-_KINDS = ("sumfree", "normk", "coprime", "fs")
+# Each operator kind and its command-line syntax.
+_KINDS = {"sumfree": "sumfree", "normk": "normk:<k>", "coprime": "coprime", "fs": "fs"}
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class OperatorKind:
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {_KINDS}")
+            raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {tuple(_KINDS)}")
         if self.kind == "normk":
             if not isinstance(self.k, int) or self.k < 2:
                 # k < 2 makes the relation condition unsatisfiable: a nonzero
@@ -62,7 +63,7 @@ class OperatorKind:
             raise ValueError(f"operator {self.kind!r} takes no parameter")
 
     def __str__(self) -> str:
-        return format_operator(self)
+        return f"normk:{self.k}" if self.kind == "normk" else self.kind
 
 
 def sum_free() -> OperatorKind:
@@ -81,13 +82,6 @@ def finite_sums() -> OperatorKind:
     return OperatorKind("fs")
 
 
-ALL_OPERATOR_NAMES = ("sumfree", "normk:<k>", "coprime", "fs")
-
-
-def format_operator(op: OperatorKind) -> str:
-    return f"normk:{op.k}" if op.kind == "normk" else op.kind
-
-
 def parse_operator(text: str) -> OperatorKind:
     """Parse ``sumfree | normk:<k> | coprime | fs``."""
     name, _, param = text.strip().partition(":")
@@ -99,7 +93,7 @@ def parse_operator(text: str) -> OperatorKind:
     if param:
         raise ValueError(f"operator {name!r} takes no parameter")
     if name not in _KINDS:
-        raise ValueError(f"unknown operator {text!r}; expected one of {ALL_OPERATOR_NAMES}")
+        raise ValueError(f"unknown operator {text!r}; expected one of {tuple(_KINDS.values())}")
     return OperatorKind(name)
 
 
@@ -172,9 +166,9 @@ class _SumFreeOracle:
 class _NormOracle:
     __slots__ = ("k", "_table")
 
-    def __init__(self, k: int, limit: int) -> None:
+    def __init__(self, k: int) -> None:
         self.k = k
-        self._table = CostTable(k - 1, limit)
+        self._table = CostTable(k - 1)
 
     def add(self, element: int) -> None:
         self._table.add(element)
@@ -218,36 +212,18 @@ class _SubsetSumOracle:
         return bool((self._mask >> value) & 1)
 
 
-def incremental_oracle(op: OperatorKind, limit_hint: int = 64):
+def incremental_oracle(op: OperatorKind):
     """Fresh oracle for one left-to-right sweep under ``op``."""
     if op.kind == "sumfree":
         return _SumFreeOracle()
     if op.kind == "normk":
-        return _NormOracle(op.k, max(1, limit_hint))
+        return _NormOracle(op.k)
     if op.kind == "coprime":
         return _CoprimeOracle()
     return _SubsetSumOracle()
 
 
 # --- the operator itself -----------------------------------------------------
-
-
-def forbids(op: OperatorKind, base, value: int) -> bool:
-    """Is ``value`` in J(base)?  Works whether or not value is in base."""
-    if value < 1:
-        raise ValueError("values below 1 are outside the domain")
-    elements = set(base)
-    if not elements:
-        return False
-    if op.kind == "normk":
-        # A nonzero coefficient on the value itself, with the rest of the set
-        # balancing it; valid for value inside or outside the set.
-        best = min_relation_norm(elements, value)
-        return best is not None and best < op.k
-    oracle = incremental_oracle(op, limit_hint=max(max(elements), value))
-    for b in sorted(elements):
-        oracle.add(b)
-    return oracle.forbids(value)
 
 
 def apply_J(op: OperatorKind, base, lo: int, hi: int) -> set[int]:
@@ -326,7 +302,7 @@ def is_member(op: OperatorKind, prefix: IntSetPrefix) -> bool:
     elements = prefix.elements
     if len(elements) < 2:
         return True
-    oracle = incremental_oracle(op, limit_hint=elements[-1])
+    oracle = incremental_oracle(op)
     oracle.add(elements[0])
     for a in elements[1:]:
         if oracle.forbids(a):

@@ -36,6 +36,9 @@ _TABLE_BUDGET = DEFAULT_MAX_NORM_BOUND - 2
 
 _INF = np.int16(999)
 
+# A new CostTable covers elements up to this; it doubles as elements arrive.
+_FIRST_LIMIT = 16
+
 
 @dataclass(frozen=True)
 class Relation:
@@ -90,35 +93,36 @@ class CostTable:
 
     Tracks, over the elements added so far, the cheapest integer vector y
     (cost sum(y**2), one coefficient per element) achieving every value of
-    sum(y_b * b).  Exact for costs up to ``budget``: any such vector over
-    elements <= ``limit`` keeps all its partial sums within
-    ``budget * limit``, so the bounded array loses nothing.  Adding an
-    element beyond ``limit`` rebuilds the table at a doubled limit.
+    sum(y_b * b).  The array covers the window [-budget * limit,
+    budget * limit], where ``limit`` is at least every element added.
+
+    Growth invariant: a vector of cost <= ``budget`` over elements <= ``limit``
+    has |sum(y_b * b)| <= sum(|y_b|) * limit <= budget * limit, and so do all
+    of its partial sums.  Every cost <= budget is therefore exact inside the
+    window, and every value outside it costs more than budget.  Doubling
+    ``limit`` keeps the old array exact as the centre of the new one, with
+    every new cell above budget; growing replays no element.
     """
 
     __slots__ = ("budget", "limit", "elements", "_cost", "_offset")
 
-    def __init__(self, budget: int, limit: int = 64) -> None:
+    def __init__(self, budget: int) -> None:
         if budget < 1:
             raise ValueError("budget must be at least 1")
         self.budget = budget
-        self.limit = max(1, limit)
+        self.limit = _FIRST_LIMIT
         self.elements: list[int] = []
-        self._alloc()
-
-    def _alloc(self) -> None:
-        self._offset = self.budget * self.limit
+        self._offset = budget * self.limit
         self._cost = np.full(2 * self._offset + 1, _INF, dtype=np.int16)
         self._cost[self._offset] = 0
 
     def _grow(self, need: int) -> None:
         while self.limit < need:
             self.limit *= 2
-        replay = self.elements
-        self.elements = []
-        self._alloc()
-        for b in replay:
-            self.add(b)
+        old, offset = self._cost, self._offset
+        self._offset = self.budget * self.limit
+        self._cost = np.full(2 * self._offset + 1, _INF, dtype=np.int16)
+        self._cost[self._offset - offset : self._offset + offset + 1] = old
 
     def add(self, element: int) -> None:
         """Admit one more element; relaxes every sum over its coefficients."""
@@ -149,7 +153,7 @@ class CostTable:
 
 @lru_cache(maxsize=2048)
 def _cached_table(elements: tuple[int, ...]) -> CostTable:
-    table = CostTable(_TABLE_BUDGET, limit=max(elements, default=1))
+    table = CostTable(_TABLE_BUDGET)
     for b in elements:
         table.add(b)
     return table
@@ -222,15 +226,11 @@ def _validated_elements(values, *, forbid: int | None = None, name: str = "set")
     return elements
 
 
-def _check_norm_bound(k: int, max_norm_bound: int) -> None:
-    if max_norm_bound > DEFAULT_MAX_NORM_BOUND:
-        raise ValueError(
-            f"norm bounds above {DEFAULT_MAX_NORM_BOUND} are not supported"
-        )
+def _check_norm_bound(k: int) -> None:
     if k < 2:
         raise ValueError("norm bound k must be at least 2")
-    if k > max_norm_bound:
-        raise ValueError(f"norm bound {k} exceeds the configured maximum {max_norm_bound}")
+    if k > DEFAULT_MAX_NORM_BOUND:
+        raise ValueError(f"norm bound {k} exceeds the supported maximum {DEFAULT_MAX_NORM_BOUND}")
 
 
 def _relation_from(variables: tuple[int, ...], vector: tuple[int, ...]) -> Relation:
@@ -238,16 +238,14 @@ def _relation_from(variables: tuple[int, ...], vector: tuple[int, ...]) -> Relat
     return Relation(coeffs, sum(c * c for c in vector))
 
 
-def find_relation(
-    base, anchor: int, k: int, *, max_norm_bound: int = DEFAULT_MAX_NORM_BOUND
-) -> Relation | None:
+def find_relation(base, anchor: int, k: int) -> Relation | None:
     """Minimal relation on base | {anchor} with y_anchor != 0 and norm < k.
 
     Returns None when no such relation exists.  The witness is deterministic:
     minimal norm, positive anchor coefficient, then lexicographically least
     coefficients along increasing elements.
     """
-    _check_norm_bound(k, max_norm_bound)
+    _check_norm_bound(k)
     elements = _validated_elements(base, forbid=anchor, name="base set")
     if not isinstance(anchor, int) or anchor < 1:
         raise ValueError(f"anchor must be a positive integer, got {anchor!r}")
@@ -260,13 +258,11 @@ def find_relation(
     return _relation_from(variables, vector)
 
 
-def find_anchored_relation(
-    base, k: int, *, max_norm_bound: int = DEFAULT_MAX_NORM_BOUND
-) -> Relation | None:
+def find_anchored_relation(base, k: int) -> Relation | None:
     """Minimal relation on base | {1} with the coefficient of 1 pinned to 1
     and norm at most k - 2, or None.
     """
-    _check_norm_bound(k, max_norm_bound)
+    _check_norm_bound(k)
     elements = _validated_elements(base, forbid=1, name="base set")
     rest = tuple(sorted(elements))
     cost = _cached_table(rest).min_cost(1)

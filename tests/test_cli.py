@@ -165,7 +165,7 @@ class TestRecordsFormat:
         assert decoded["bits"] == "001001"
 
     def test_dynamics_records_are_reproducible(self, capsys):
-        args = ["dynamics", "--k", "7", "--steps", "2", "--format", "records", "3,7 @ 12"]
+        args = ["dynamics", "--k", "7", "--steps", "2", "3,7 @ 12"]
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second

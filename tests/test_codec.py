@@ -18,6 +18,7 @@ from sievecodec import (
     roundtrip_ok,
     sum_free,
 )
+from sievecodec import codec
 from conftest import ALL_OPERATORS, bit_words, prefixes
 
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -71,9 +72,15 @@ class TestEncode:
     def test_output_is_a_member(self, op, word):
         assert is_member(op, encode(op, word).accepted)
 
-    def test_candidate_ceiling_guard(self):
-        with pytest.raises(CandidateCeilingExceeded):
-            encode(sum_free(), "1" * 5, ceiling=4)
+    def test_candidate_ceiling_guard(self, monkeypatch):
+        monkeypatch.setattr(codec, "DEFAULT_CANDIDATE_CEILING", 4)
+        # Accepts 1 and 3; the third bit's scan passes 4 (2 and 4 are sums).
+        with pytest.raises(
+            CandidateCeilingExceeded,
+            match=r"ceiling 4 under sumfree with 2 of 5 bits classified; "
+            r"largest accepted element 3$",
+        ):
+            encode(sum_free(), "1" * 5)
 
 
 class TestDecode:

@@ -11,7 +11,6 @@ from sievecodec import (
     decode_orbit,
     encode,
     encoder_fixed_points,
-    encoder_image,
     find_limit,
     is_encoder_fixed_point,
     is_member,
@@ -300,13 +299,13 @@ class TestEncoderImage:
         rng = random.Random(83)
         for _ in range(20):
             prefix = random_prefix(rng, rng.randint(1, 40), rng.random())
-            image = encoder_image(7, prefix)
+            image = encode(norm_k(7), characteristic(prefix))
             assert is_member(norm_k(7), image.accepted)
             assert decode(norm_k(7), image.accepted).bits == characteristic(prefix)
 
     def test_image_of_an_encoder_fixed_point_is_itself(self):
         for elements in [(3,), (3, 5), (2, 3), (4, 6, 7)]:
             prefix = IntSetPrefix(elements, max(elements))
-            image = encoder_image(7, prefix)
+            image = encode(norm_k(7), characteristic(prefix))
             kept = {a for a in image.accepted.elements if a <= prefix.horizon}
             assert kept == set(elements)

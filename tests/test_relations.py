@@ -64,8 +64,6 @@ class TestFindRelation:
             find_relation({3}, 6, 1)
         with pytest.raises(ValueError):
             find_relation({3}, 6, 17)
-        with pytest.raises(ValueError):
-            find_relation({3}, 6, 9, max_norm_bound=8)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -163,7 +161,7 @@ class TestProperties:
 
 class TestCostTable:
     def test_tracks_minimum_costs(self):
-        table = CostTable(6, limit=10)
+        table = CostTable(6)
         table.add(3)
         assert table.min_cost(3) == 1
         assert table.min_cost(-3) == 1
@@ -175,12 +173,34 @@ class TestCostTable:
         assert table.min_cost(5) == 5  # -3 + 2*4
 
     def test_growth_preserves_contents(self):
-        table = CostTable(6, limit=2)
-        table.add(3)  # triggers growth
-        table.add(40)  # triggers growth again
+        table = CostTable(6)
+        table.add(3)
+        table.add(40)  # beyond the first window: triggers growth
         assert table.min_cost(43) == 2
         assert table.min_cost(37) == 2
         assert table.elements == [3, 40]
+
+    def test_matches_brute_force_through_growth(self):
+        # Elements from a few units up to about 2000 take each table through
+        # several doublings of its window; after every add, each value must
+        # report exactly the cheapest coefficient vector within budget.
+        rng = random.Random(11)
+        for budget in range(1, 9):
+            bound = isqrt(budget)
+            elements = [rng.randint(1, 20), rng.randint(1, 2000), rng.randint(200, 2000),
+                        rng.randint(20, 200)]
+            table = CostTable(budget)
+            for n in range(1, len(elements) + 1):
+                table.add(elements[n - 1])
+                best: dict[int, int] = {}
+                for ys in itertools.product(range(-bound, bound + 1), repeat=n):
+                    cost = sum(y * y for y in ys)
+                    if cost <= budget:
+                        value = sum(y * b for y, b in zip(ys, elements))
+                        best[value] = min(cost, best.get(value, cost))
+                span = budget * max(elements[:n])
+                for value in range(-span - 2, span + 3):
+                    assert table.min_cost(value) == best.get(value), (budget, n, value)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -196,7 +216,7 @@ class TestCostTable:
             anchor = rng.randint(1, 80)
             base -= {anchor}
             k = rng.randint(2, 9)
-            table = CostTable(k - 1, limit=80)
+            table = CostTable(k - 1)
             for b in sorted(base):
                 table.add(b)
             exists = False
