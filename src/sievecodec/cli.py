@@ -2,7 +2,8 @@
 
 Subcommands mirror the library operations; see README for the record format.
 Exit codes: 0 success / true / complete, 1 false / incomplete / failures,
-2 malformed input, 3 horizon exhaustion, 4 undecided.
+2 malformed input, 3 horizon exhaustion, 4 undecided, 5 a resource limit
+was reached.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import random
 import sys
 
-from .codec import decode, encode, roundtrip_ok
+from .codec import CandidateCeilingExceeded, decode, encode, roundtrip_ok
 from .core import IntSetPrefix, from_characteristic
 from .dynamics import (
     FIXED_POINT_ENUMERATION_BOUND,
@@ -29,6 +30,7 @@ EXIT_FALSE = 1
 EXIT_MALFORMED = 2
 EXIT_HORIZON = 3
 EXIT_UNDECIDED = 4
+EXIT_LIMIT = 5
 
 
 def _parse_prefix(args) -> IntSetPrefix:
@@ -238,6 +240,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except CandidateCeilingExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

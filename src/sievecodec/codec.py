@@ -1,17 +1,20 @@
 """Encoder and decoder between bit words and family-member set prefixes.
 
-The encoder walks candidates upward: at each step the candidate is the least
-integer that is neither already classified nor forbidden by the accepted set,
-and the next input bit decides whether it is accepted or rejected.  Because
-every shipped operator is monotone (growing the set never un-forbids a value),
-candidates increase strictly and every integer up to the last candidate ends
-up permanently classified, which is what makes the output horizons sound.
+The encoder classifies one candidate per input bit: the candidate is the
+least integer above the last one that the accepted set does not forbid (the
+oracle's ``next_allowed``), and the bit decides whether it is accepted or
+rejected.  Because every shipped operator is monotone (growing the set never
+un-forbids a value), candidates increase strictly and every integer up to the
+last candidate ends up permanently classified, which is what makes the output
+horizons sound.  The cost follows the number of bits and of elements, not the
+size of the integers skipped.
 
 The decoder renders a prefix as a ternary word (member / forbidden-in-gap /
 neither) and deletes the forbidden marks; what remains is the bit word the
-encoder would have consumed.  Decoding accepts non-member prefixes too and
-reports where their elements violate the family condition, which the orbit
-machinery in :mod:`sievecodec.dynamics` relies on.
+encoder would have consumed.  Each gap between consecutive elements is marked
+with one ``forbidden_in`` call on the elements below it.  Decoding accepts
+non-member prefixes too and reports where their elements violate the family
+condition, which the orbit machinery in :mod:`sievecodec.dynamics` relies on.
 
 Pure functions throughout; every call is independent.
 """
@@ -20,17 +23,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import IntSetPrefix, check_word, delete_stars
 from .operators import OperatorKind, incremental_oracle
 
-#: Candidate search stops here.  Under operators whose accepted elements grow
-#: geometrically (``normk`` with k >= 7, ``fs``) ordinary words of a few dozen
-#: bits reach it, since the scan visits every integer up to the last candidate.
+#: The encoder refuses a candidate above this that lies past a forbidden
+#: integer.  It bounds the oracle's state, which grows with the largest
+#: accepted element e: 2(k-1)*limit ``CostTable`` cells for ``normk:<k>``
+#: (``limit`` doubles from 16 until it reaches e), big-int masks of about 2e
+#: bits (A + A) for ``sumfree`` and of sum(A) bits (the subset sums) for
+#: ``fs``, and about one ``coprime`` mark per integer scanned.  Under
+#: operators whose accepted elements grow geometrically (``normk`` with
+#: k >= 7, ``fs``) ordinary words of a few dozen bits reach it.
 DEFAULT_CANDIDATE_CEILING = 1_000_000
+
+# Decoder marks to ternary symbols.
+_SYMBOLS = bytes.maketrans(b"\x00\x01\x02", b"0*1")
 
 
 class CandidateCeilingExceeded(RuntimeError):
-    """The encoder's candidate scan passed ``DEFAULT_CANDIDATE_CEILING``."""
+    """The next candidate lies past a forbidden integer and above
+    ``DEFAULT_CANDIDATE_CEILING``; nothing is accepted or rejected for it."""
 
 
 @dataclass(frozen=True)
@@ -69,15 +83,13 @@ def encode(op: OperatorKind, word: str) -> EncodeResult:
     rejected: list[int] = []
     consumed = 0
     for bit in word:
-        candidate = consumed + 1
-        while oracle.forbids(candidate):
-            candidate += 1
-            if candidate > DEFAULT_CANDIDATE_CEILING:
-                raise CandidateCeilingExceeded(
-                    f"candidate scan passed the ceiling {DEFAULT_CANDIDATE_CEILING} under {op} "
-                    f"with {len(accepted) + len(rejected)} of {len(word)} bits classified; "
-                    f"largest accepted element {accepted[-1] if accepted else 'none'}"
-                )
+        candidate = oracle.next_allowed(consumed + 1)
+        if candidate > consumed + 1 and candidate > DEFAULT_CANDIDATE_CEILING:
+            raise CandidateCeilingExceeded(
+                f"candidate scan passed the ceiling {DEFAULT_CANDIDATE_CEILING} under {op} "
+                f"with {len(accepted) + len(rejected)} of {len(word)} bits classified; "
+                f"largest accepted element {accepted[-1] if accepted else 'none'}"
+            )
         consumed = candidate
         if bit == "1":
             accepted.append(candidate)
@@ -99,21 +111,22 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     that are themselves forbidden by their predecessors stay '1' in the
     ternary word and are reported in ``violations``.
     """
-    members = prefix.members()
     oracle = incremental_oracle(op)
-    symbols: list[str] = []
+    # One byte per position: 0 neither, 1 forbidden, 2 element.
+    marks = np.zeros(prefix.horizon, dtype=np.uint8)
     violations: list[int] = []
-    for position in range(1, prefix.horizon + 1):
-        if position in members:
-            if oracle.forbids(position):
-                violations.append(position)
-            oracle.add(position)
-            symbols.append("1")
-        elif oracle.forbids(position):
-            symbols.append("*")
-        else:
-            symbols.append("0")
-    ternary = "".join(symbols)
+    lo = 1
+    for element in prefix.elements:
+        if element > lo:
+            marks[lo - 1 : element - 1] = oracle.forbidden_in(lo, element - 1)
+        if oracle.forbids(element):
+            violations.append(element)
+        oracle.add(element)
+        lo = element + 1
+    if prefix.horizon >= lo:
+        marks[lo - 1 :] = oracle.forbidden_in(lo, prefix.horizon)
+    marks[np.array(prefix.elements, dtype=np.intp) - 1] = 2
+    ternary = marks.tobytes().translate(_SYMBOLS).decode("ascii")
     return DecodeResult(ternary, delete_stars(ternary), tuple(violations))
 
 

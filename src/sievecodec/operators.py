@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+import numpy as np
+
 from .core import IntSetPrefix
 from .relations import DEFAULT_MAX_NORM_BOUND, CostTable, min_relation_norm
 
@@ -135,48 +137,99 @@ def prime_factors(n: int) -> frozenset[int]:
 
 # --- incremental oracles -----------------------------------------------------
 #
-# Each oracle ingests the elements of a growing set (in any order) and answers
-# "does the current set forbid this value?".  The encoder, decoder and the
-# membership test all walk a prefix left to right, so an incremental structure
-# avoids recomputing J from scratch at every position.
+# An oracle holds a growing set and answers four calls about it:
+#
+# * ``add(e)`` admits one more element (in any order),
+# * ``forbids(v)`` says whether the current set forbids v,
+# * ``next_allowed(c)`` is the least v >= c that the current set does not
+#   forbid,
+# * ``forbidden_in(lo, hi)`` is a numpy bool array whose i-th entry says
+#   whether lo + i is forbidden (empty when hi < lo).
+#
+# Every query is about a value outside the set: the encoder, the decoder and
+# the membership test walk a prefix left to right and only ask about values
+# above the elements added so far.  Every operator is monotone (adding an
+# element never un-forbids a value), so a value skipped as forbidden stays
+# forbidden for good: the encoder can jump straight to ``next_allowed``, and
+# the decoder can mark a whole gap between consecutive elements with one
+# ``forbidden_in``.
 
 
-class _SumFreeOracle:
-    __slots__ = ("_members", "_sorted")
+class _MaskOracle:
+    """Bit v of one big int is set when the current set forbids v."""
+
+    __slots__ = ("_mask",)
 
     def __init__(self) -> None:
-        self._members: set[int] = set()
-        self._sorted: list[int] = []
-
-    def add(self, element: int) -> None:
-        self._members.add(element)
-        self._sorted.append(element)
-        self._sorted.sort()
+        self._mask = 0
 
     def forbids(self, value: int) -> bool:
-        members = self._members
-        for b in self._sorted:
-            if 2 * b > value:
-                return False
-            if value - b in members:
-                return True
-        return False
+        return bool((self._mask >> value) & 1)
+
+    def next_allowed(self, c: int) -> int:
+        run = self._mask >> c
+        # run ^ (run + 1) sets the trailing ones of run and its lowest zero bit.
+        return c + (run ^ (run + 1)).bit_length() - 1
+
+    def forbidden_in(self, lo: int, hi: int) -> np.ndarray:
+        n = max(0, hi - lo + 1)
+        window = (self._mask >> lo) & ((1 << n) - 1)
+        raw = np.frombuffer(window.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+class _SumFreeOracle(_MaskOracle):
+    """The mask holds A + A; ``_members`` holds A."""
+
+    __slots__ = ("_members",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._members = 0
+
+    def add(self, element: int) -> None:
+        self._members |= 1 << element
+        self._mask |= self._members << element
+
+
+class _SubsetSumOracle(_MaskOracle):
+    """The mask holds the nonempty subset sums."""
+
+    __slots__ = ()
+
+    def add(self, element: int) -> None:
+        self._mask |= (self._mask << element) | (1 << element)
+
+
+# Width of the first window a windowed ``next_allowed`` search scans; each
+# further window of the same call is twice as wide.
+_FIRST_WINDOW = 64
 
 
 class _NormOracle:
-    __slots__ = ("k", "_table")
+    """A value v is forbidden when some y in 1..isqrt(k-1) has
+    cost(y * v) + y**2 < k in the ``CostTable`` of the set.
+
+    ``next_allowed`` keeps the free values of the windows it searched,
+    ``_free`` over [``_free_lo``, ``_free_hi``], until the next ``add``, so
+    the rejected bits of a run of zeros reuse them.
+    """
+
+    __slots__ = ("k", "_table", "_free", "_free_lo", "_free_hi")
 
     def __init__(self, k: int) -> None:
         self.k = k
         self._table = CostTable(k - 1)
+        self._free = None
+        self._free_lo = self._free_hi = 0
 
     def add(self, element: int) -> None:
         self._table.add(element)
+        self._free = None
 
     def forbids(self, value: int) -> bool:
         # Exists y != 0 on the value with the rest of the set making up the
-        # difference: min_cost(y * value) + y**2 < k.  The value must not be
-        # one of the added elements (callers only probe outside the set).
+        # difference: min_cost(y * value) + y**2 < k.
         y = 1
         while y * y < self.k:
             c = self._table.min_cost(y * value)
@@ -185,31 +238,86 @@ class _NormOracle:
             y += 1
         return False
 
+    def forbidden_in(self, lo: int, hi: int) -> np.ndarray:
+        out = np.zeros(max(0, hi - lo + 1), dtype=bool)
+        y = 1
+        while y * y < self.k:
+            costs = self._table.multiples(y, lo, hi)
+            out[: len(costs)] |= costs < self.k - y * y
+            y += 1
+        return out
+
+    def next_allowed(self, c: int) -> int:
+        lo = c
+        if self._free is not None and self._free_lo <= c <= self._free_hi:
+            i = int(np.searchsorted(self._free, c))
+            if i < len(self._free):
+                return int(self._free[i])
+            lo = self._free_hi + 1
+        # Above the table's window every cost exceeds the budget.
+        edge = self._table.reach
+        width = _FIRST_WINDOW
+        while lo <= edge:
+            hi = min(lo + width - 1, edge)
+            free = np.flatnonzero(~self.forbidden_in(lo, hi))
+            if free.size:
+                self._free, self._free_lo, self._free_hi = free + lo, c, hi
+                return lo + int(free[0])
+            lo = hi + 1
+            width *= 2
+        return lo
+
+
+# Length of a fresh coprime oracle's marks; they double as queries reach past.
+_FIRST_MARKS = 1024
+
 
 class _CoprimeOracle:
-    __slots__ = ("_primes",)
+    """``_marks[v]`` is set when a prime factor of some element divides v."""
+
+    __slots__ = ("_primes", "_marks")
 
     def __init__(self) -> None:
         self._primes: set[int] = set()
+        self._marks = np.zeros(_FIRST_MARKS, dtype=bool)
+
+    def _cover(self, hi: int) -> None:
+        old = self._marks
+        n = len(old)
+        if hi < n:
+            return
+        size = 2 * n
+        while size <= hi:
+            size *= 2
+        marks = np.zeros(size, dtype=bool)
+        marks[:n] = old
+        for p in self._primes:
+            marks[n + (-n) % p :: p] = True
+        self._marks = marks
 
     def add(self, element: int) -> None:
-        self._primes |= prime_factors(element)
+        for p in prime_factors(element) - self._primes:
+            self._primes.add(p)
+            self._marks[p::p] = True
 
     def forbids(self, value: int) -> bool:
-        return any(value % p == 0 for p in self._primes)
+        self._cover(value)
+        return bool(self._marks[value])
 
+    def forbidden_in(self, lo: int, hi: int) -> np.ndarray:
+        self._cover(hi)
+        return self._marks[lo : hi + 1].copy()
 
-class _SubsetSumOracle:
-    __slots__ = ("_mask",)
-
-    def __init__(self) -> None:
-        self._mask = 0  # bit s set <=> s is a nonempty subset sum
-
-    def add(self, element: int) -> None:
-        self._mask |= (self._mask << element) | (1 << element)
-
-    def forbids(self, value: int) -> bool:
-        return bool((self._mask >> value) & 1)
+    def next_allowed(self, c: int) -> int:
+        width = _FIRST_WINDOW
+        while True:
+            self._cover(c + width - 1)
+            window = self._marks[c : c + width]
+            i = int(window.argmin())
+            if not window[i]:
+                return c + i
+            c += width
+            width *= 2
 
 
 def incremental_oracle(op: OperatorKind):

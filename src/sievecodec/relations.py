@@ -142,6 +142,22 @@ class CostTable:
         self.elements.append(element)
         self._cost = out
 
+    @property
+    def reach(self) -> int:
+        """Largest value inside the window; every larger one costs more than budget."""
+        return self._offset
+
+    def multiples(self, y: int, lo: int, hi: int) -> np.ndarray:
+        """Costs of y * v for v = lo, lo + 1, ..., as a read-only view.
+
+        The view stops at hi or where y * v leaves the window, whichever
+        comes first; every value beyond the window costs more than budget.
+        """
+        top = min(hi, self._offset // y)
+        view = self._cost[self._offset + y * lo : self._offset + y * top + 1 : y]
+        view.flags.writeable = False
+        return view
+
     def min_cost(self, value: int) -> int | None:
         """Cheapest cost achieving ``value``, or None if above budget."""
         v = abs(value)

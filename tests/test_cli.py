@@ -1,5 +1,6 @@
 import pytest
 
+from sievecodec import codec
 from sievecodec.cli import main
 
 
@@ -33,6 +34,13 @@ class TestEncodeCommand:
     def test_malformed_operator(self, capsys):
         code, _, err = run(capsys, "encode", "--op", "nope", "01")
         assert code == 2
+
+    def test_candidate_ceiling_is_a_resource_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(codec, "DEFAULT_CANDIDATE_CEILING", 4)
+        code, out, err = run(capsys, "encode", "--op", "sumfree", "11111")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: candidate scan passed the ceiling 4 under sumfree ")
 
 
 class TestDecodeCommand:

@@ -185,3 +185,54 @@ class TestPrefixStability:
         a = decode(op, prefix)
         b = decode(op, IntSetPrefix.of(low | extra, horizon))
         assert a.ternary[:cut] == b.ternary[:cut]
+
+
+class _CountingOracle:
+    """Forwards every oracle call and counts it by name."""
+
+    def __init__(self, inner, counts):
+        self._inner = inner
+        self._counts = counts
+
+    def __getattr__(self, name):
+        method = getattr(self._inner, name)
+
+        def counted(*args):
+            self._counts[name] = self._counts.get(name, 0) + 1
+            return method(*args)
+
+        return counted
+
+
+class TestOracleCallCounts:
+    """Encode and decode cost one oracle call per bit, gap or element, never
+    one per integer scanned."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts: dict[str, int] = {}
+        make = codec.incremental_oracle
+        monkeypatch.setattr(
+            codec, "incremental_oracle", lambda op: _CountingOracle(make(op), counts)
+        )
+        return counts
+
+    @pytest.mark.parametrize("op", ALL_OPERATORS, ids=str)
+    def test_encode_and_decode(self, op, counts):
+        rng = random.Random(str(op))
+        for length in (0, 1, 7, 20):
+            word = "".join(rng.choice("01") for _ in range(length))
+            counts.clear()
+            accepted = encode(op, word).accepted
+            assert counts.get("next_allowed", 0) == len(word)
+            assert counts.get("forbids", 0) == 0
+            counts.clear()
+            decode(op, accepted)
+            n = len(accepted.elements)
+            assert counts.get("forbidden_in", 0) <= n + 1
+            assert counts.get("forbids", 0) == n
+            assert counts.get("add", 0) == n
+        # A non-member with adjacent elements: no call for an empty gap.
+        counts.clear()
+        decode(op, IntSetPrefix((1, 2, 3, 5, 8), 12))
+        assert counts == {"forbidden_in": 3, "forbids": 5, "add": 5}

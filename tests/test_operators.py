@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -17,6 +18,7 @@ from sievecodec import (
     prime_factors,
     sum_free,
 )
+from sievecodec.operators import incremental_oracle
 from conftest import ALL_OPERATORS, CLOSED_OPERATORS
 
 
@@ -198,3 +200,100 @@ class TestIsMember:
             f"{counterexamples} counterexamples"
         )
         assert trials > 0
+
+
+def _window_edges(op, oracle, elements):
+    """Values where an oracle's state changes how it answers."""
+    edges = [1, max(elements, default=0) + 1]
+    if op.kind == "normk":
+        y = 1
+        while y * y < op.k:
+            edges.append(oracle._table.reach // y)  # above it, y forbids nothing
+            y += 1
+    elif op.kind == "coprime":
+        edges.append(len(oracle._marks))
+    elif op.kind == "fs":
+        edges.append(sum(elements))
+    else:
+        edges.append(2 * max(elements, default=0))
+    return edges
+
+
+def _first_allowed(oracle, c):
+    while oracle.forbids(c):
+        c += 1
+    return c
+
+
+def _reference(op, oracle, elements, lo, hi):
+    """The values in [lo, hi] outside ``elements`` that ``elements`` forbid,
+    computed apart from ``forbidden_in`` and ``next_allowed``."""
+    if op.kind == "normk" and max(elements, default=0) > 1000:
+        # apply_J would build a relation table per set; the oracle's per-value
+        # lookup shares only the CostTable with the vectorised paths.
+        found = {v for v in range(lo, hi + 1) if oracle.forbids(v)}
+    else:
+        found = apply_J(op, elements, lo, hi)
+    return found - elements
+
+
+class TestOracleProtocol:
+    """``forbidden_in`` and ``next_allowed`` agree with ``forbids`` and with
+    ``apply_J``."""
+
+    def check(self, op, elements, data):
+        oracle = incremental_oracle(op)
+        for e in sorted(elements):
+            oracle.add(e)
+        edge = data.draw(st.sampled_from(_window_edges(op, oracle, elements)))
+        lo = max(1, edge + data.draw(st.integers(-70, 3)))
+        hi = lo + data.draw(st.integers(-1, 140))
+        window = oracle.forbidden_in(lo, hi)
+        assert window.dtype == bool
+        assert window.tolist() == [oracle.forbids(v) for v in range(lo, hi + 1)]
+        marked = {lo + int(i) for i in np.flatnonzero(window)}
+        assert marked - elements == _reference(op, oracle, elements, lo, hi)
+        # An encoder-like walk from near the edge: runs of rejected bits reuse
+        # what the last search found, and every accepted one changes the set.
+        c = max(1, edge + data.draw(st.integers(-70, 70)))
+        for bit in data.draw(st.lists(st.booleans(), min_size=1, max_size=6)):
+            found = oracle.next_allowed(c)
+            assert found == _first_allowed(oracle, c)
+            if c > max(elements, default=0):
+                assert _reference(op, oracle, elements, c, found) == set(range(c, found))
+            if bit:
+                oracle.add(found)
+                elements = elements | {found}
+            c = found + 1
+
+    @given(
+        st.sampled_from(ALL_OPERATORS),
+        st.sets(st.integers(1, 60), max_size=12),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dense_sets(self, op, elements, data):
+        self.check(op, elements, data)
+
+    @given(
+        st.sampled_from([finite_sums(), norm_k(9)]),
+        st.sets(st.integers(1, 10**5), max_size=6),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lacunary_sets(self, op, elements, data):
+        self.check(op, elements, data)
+
+    @pytest.mark.parametrize("op", ALL_OPERATORS, ids=str)
+    def test_long_runs_of_rejections(self, op):
+        # Many rejected bits in a row walk through several cached windows.
+        rng = random.Random(str(op))
+        for _ in range(5):
+            oracle = incremental_oracle(op)
+            for e in sorted(rng.sample(range(1, 200), rng.randint(1, 5))):
+                oracle.add(e)
+            c = 200
+            for _ in range(300):
+                found = oracle.next_allowed(c)
+                assert found == _first_allowed(oracle, c)
+                c = found + 1
