@@ -31,7 +31,8 @@ from .operators import OperatorKind, incremental_oracle
 #: The encoder refuses a candidate above this that lies past a forbidden
 #: integer.  It bounds the oracle's state, which grows with the largest
 #: accepted element e: 2(k-1)*limit ``CostTable`` cells for ``normk:<k>``
-#: (``limit`` doubles from 16 until it reaches e), big-int masks of about 2e
+#: (``limit`` doubles from 16 until it reaches e) and a per-thread work space
+#: of at most as many for ``CostTable.add``, big-int masks of about 2e
 #: bits (A + A) for ``sumfree`` and of sum(A) bits (the subset sums) for
 #: ``fs``, and about one ``coprime`` mark per integer scanned.  Under
 #: operators whose accepted elements grow geometrically (``normk`` with

@@ -14,12 +14,13 @@ and repeated calls return the identical object contents.
 
 The incremental :class:`CostTable` answers existence queries in O(1) after a
 vectorised update per added element; it backs the hot paths elsewhere in the
-package.  Module-level caches are grow-only and idempotent, so concurrent use
-is safe.
+package.  Module-level caches are grow-only and idempotent, and the table's
+work space is kept per thread, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -38,6 +39,19 @@ _INF = np.int16(999)
 
 # A new CostTable covers elements up to this; it doubles as elements arrive.
 _FIRST_LIMIT = 16
+
+# Work space of CostTable.add, one per thread.  It is reused from add to add,
+# so an update allocates no memory and takes no page faults; it is replaced by
+# a larger one only when a table outgrows it.
+_local = threading.local()
+
+
+def _scratch(n: int, capacity: int) -> np.ndarray:
+    """``n`` cells of this thread's work space, which then holds at least ``capacity``."""
+    cells = getattr(_local, "cells", None)
+    if cells is None or len(cells) < n:
+        cells = _local.cells = np.empty(max(n, capacity), dtype=np.int16)
+    return cells[:n]
 
 
 @dataclass(frozen=True)
@@ -102,9 +116,14 @@ class CostTable:
     window, and every value outside it costs more than budget.  Doubling
     ``limit`` keeps the old array exact as the centre of the new one, with
     every new cell above budget; growing replays no element.
+
+    By the same bound every cost <= budget lies within ``budget * max(elements)``
+    of the centre.  ``add`` copies that span into a per-thread work space and
+    relaxes the table in place from the copy, so its work follows the largest
+    element, not the doubled window, and it allocates nothing.
     """
 
-    __slots__ = ("budget", "limit", "elements", "_cost", "_offset")
+    __slots__ = ("budget", "limit", "elements", "_cost", "_offset", "_span")
 
     def __init__(self, budget: int) -> None:
         if budget < 1:
@@ -115,6 +134,8 @@ class CostTable:
         self._offset = budget * self.limit
         self._cost = np.full(2 * self._offset + 1, _INF, dtype=np.int16)
         self._cost[self._offset] = 0
+        # Every cost <= budget lies within _span of the centre: budget * max(elements).
+        self._span = 0
 
     def _grow(self, need: int) -> None:
         while self.limit < need:
@@ -130,17 +151,27 @@ class CostTable:
             raise ValueError("elements must be positive")
         if element > self.limit:
             self._grow(element)
-        base = self._cost
-        out = base.copy()
-        j = 1
+        cost, end = self._cost, len(self._cost)
+        n = 2 * self._span + 1
+        lo = self._offset - self._span
+        step = _scratch(n, end)
+        step[:] = cost[lo : lo + n]
+        j, weight = 1, 0
         while j * j <= self.budget:
-            w = np.int16(j * j)
-            shift = j * element
-            np.minimum(out[shift:], base[:-shift] + w, out=out[shift:])
-            np.minimum(out[:-shift], base[shift:] + w, out=out[:-shift])
+            step += j * j - weight  # the old costs plus j**2
+            weight = j * j
+            # The cells j * element above and below the span, clipped to the array.
+            up = lo + j * element
+            if up < end:
+                cells = cost[up : up + n]
+                np.minimum(cells, step[: len(cells)], out=cells)
+            down = lo - j * element
+            if down + n > 0:
+                cells = cost[max(down, 0) : down + n]
+                np.minimum(cells, step[n - len(cells) :], out=cells)
             j += 1
         self.elements.append(element)
-        self._cost = out
+        self._span = max(self._span, self.budget * element)
 
     @property
     def reach(self) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 
 import pytest
@@ -201,6 +202,22 @@ class TestCostTable:
                 span = budget * max(elements[:n])
                 for value in range(-span - 2, span + 3):
                     assert table.min_cost(value) == best.get(value), (budget, n, value)
+
+    def test_tables_built_in_threads_match_serial_ones(self):
+        # add works in a space kept per thread; tables built side by side in
+        # threads must equal the ones built one after another.
+        rng = random.Random(5)
+        sets = [[rng.randint(1, 3000) for _ in range(40)] for _ in range(8)]
+
+        def build(elements):
+            table = CostTable(8)
+            for e in elements:
+                table.add(e)
+            return [table.min_cost(v) for v in range(-24_000, 24_001, 7)]
+
+        serial = [build(s) for s in sets]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(build, sets)) == serial
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
