@@ -55,7 +55,6 @@ from .relations import (
     Relation,
     find_anchored_relation,
     find_relation,
-    min_relation_norm,
 )
 
 __all__ = [
@@ -90,7 +89,6 @@ __all__ = [
     "from_characteristic",
     "is_encoder_fixed_point",
     "is_member",
-    "min_relation_norm",
     "norm_k",
     "parse_operator",
     "prefix_distance",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntSetPrefix, check_word, delete_stars
+from .core import IntSetPrefix, check_word
 from .operators import OperatorKind, incremental_oracle
 
 #: The encoder refuses a candidate above this that lies past a forbidden
@@ -128,7 +128,7 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
         marks[lo - 1 :] = oracle.forbidden_in(lo, prefix.horizon)
     marks[np.array(prefix.elements, dtype=np.intp) - 1] = 2
     ternary = marks.tobytes().translate(_SYMBOLS).decode("ascii")
-    return DecodeResult(ternary, delete_stars(ternary), tuple(violations))
+    return DecodeResult(ternary, ternary.replace("*", ""), tuple(violations))
 
 
 def roundtrip_ok(op: OperatorKind, word: str) -> bool:

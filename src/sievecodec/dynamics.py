@@ -170,17 +170,11 @@ class SplitResult:
     ``fixed`` is the longest leading run of elements that the decoder maps to
     itself (verified by re-applying the decoder); ``residual`` is whatever
     remains.  ``nontrivial`` is False when only the empty head is fixed.
-    ``head_is_encoder_fixed`` reports whether the part of the head below
-    twice the least element is also an encoder fixed point, and
-    ``residual_above_double_min`` whether the residual starts at or above
-    twice the least element; both are observations, not guarantees.
     """
 
     fixed: IntSetPrefix
     residual: IntSetPrefix
     nontrivial: bool
-    head_is_encoder_fixed: bool
-    residual_above_double_min: bool
 
 
 def _is_decoder_fixed(k: int, prefix: IntSetPrefix) -> bool:
@@ -204,15 +198,7 @@ def split_limit(k: int, limit_prefix: IntSetPrefix) -> SplitResult:
             break
     fixed = IntSetPrefix(elements[:fixed_count], limit_prefix.horizon)
     residual = IntSetPrefix(elements[fixed_count:], limit_prefix.horizon)
-    nontrivial = fixed_count > 0 or not elements
-    head_fixed = True
-    residual_high = True
-    if fixed_count:
-        least = elements[0]
-        head_bound = min(2 * least - 1, limit_prefix.horizon)
-        head_fixed = is_encoder_fixed_point(k, fixed.truncate(head_bound))
-        residual_high = all(a >= 2 * least for a in residual.elements)
-    return SplitResult(fixed, residual, nontrivial, head_fixed, residual_high)
+    return SplitResult(fixed, residual, fixed_count > 0 or not elements)
 
 
 @dataclass(frozen=True)

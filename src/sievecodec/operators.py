@@ -35,7 +35,7 @@ from math import isqrt
 import numpy as np
 
 from .core import IntSetPrefix
-from .relations import DEFAULT_MAX_NORM_BOUND, CostTable, min_relation_norm
+from .relations import CostTable, _check_norm_bound, _table_of
 
 # Each operator kind and its command-line syntax.
 _KINDS = {"sumfree": "sumfree", "normk": "normk:<k>", "coprime": "coprime", "fs": "fs"}
@@ -52,15 +52,9 @@ class OperatorKind:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {tuple(_KINDS)}")
         if self.kind == "normk":
-            if not isinstance(self.k, int) or self.k < 2:
-                # k < 2 makes the relation condition unsatisfiable: a nonzero
-                # coefficient already contributes norm >= 1.
-                raise ValueError("normk requires an integer norm bound k >= 2")
-            if self.k > DEFAULT_MAX_NORM_BOUND:
-                raise ValueError(
-                    f"norm bound {self.k} exceeds the supported maximum "
-                    f"{DEFAULT_MAX_NORM_BOUND}"
-                )
+            if not isinstance(self.k, int):
+                raise ValueError("normk requires an integer norm bound k")
+            _check_norm_bound(self.k)
         elif self.k is not None:
             raise ValueError(f"operator {self.kind!r} takes no parameter")
 
@@ -359,9 +353,11 @@ def apply_J(op: OperatorKind, base, lo: int, hi: int) -> set[int]:
                     out.add(s)
         return out
     if op.kind == "normk":
+        # A member is tested against the other members: its table leaves it out.
+        whole = _table_of(elements, op.k)
         for value in range(lo, hi + 1):
-            best = min_relation_norm(elements, value)
-            if best is not None and best < op.k:
+            table = _table_of(elements - {value}, op.k) if value in elements else whole
+            if table.relation_norm(value) is not None:
                 out.add(value)
         return out
     if op.kind == "coprime":

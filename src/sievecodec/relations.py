@@ -14,15 +14,15 @@ and repeated calls return the identical object contents.
 
 The incremental :class:`CostTable` answers existence queries in O(1) after a
 vectorised update per added element; it backs the hot paths elsewhere in the
-package.  Module-level caches are grow-only and idempotent, and the table's
-work space is kept per thread, so concurrent use is safe.
+package.  Every query here builds one table sized to its own bound and keeps
+nothing once it returns; the table's work space is kept per thread, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -30,10 +30,6 @@ import numpy as np
 #: Largest norm bound the search machinery accepts; beyond it we refuse loudly
 #: instead of silently truncating the search space.
 DEFAULT_MAX_NORM_BOUND = 16
-
-# A relation of norm < 16 splits into an anchor part (coefficient magnitude
-# <= 3) and a rest of norm <= 14, so one table budget serves every bound.
-_TABLE_BUDGET = DEFAULT_MAX_NORM_BOUND - 2
 
 _INF = np.int16(999)
 
@@ -197,34 +193,19 @@ class CostTable:
         c = int(self._cost[self._offset + v])
         return c if c <= self.budget else None
 
+    def relation_norm(self, value: int) -> int | None:
+        """Least y**2 + cost(y * value) over y >= 1, or None if above budget.
 
-@lru_cache(maxsize=2048)
-def _cached_table(elements: tuple[int, ...]) -> CostTable:
-    table = CostTable(_TABLE_BUDGET)
-    for b in elements:
-        table.add(b)
-    return table
-
-
-def min_relation_norm(base: frozenset[int] | set[int], anchor: int) -> int | None:
-    """Smallest norm of a relation on base | {anchor} with a nonzero anchor
-    coefficient, or None when every candidate exceeds the table budget.
-
-    Valid for deciding "norm < k" for any k up to DEFAULT_MAX_NORM_BOUND.
-    """
-    rest = tuple(sorted(set(base) - {anchor}))
-    table = _cached_table(rest)
-    best: int | None = None
-    for y in (1, 2, 3):
-        c = table.min_cost(y * anchor)
-        if c is not None:
-            total = c + y * y
-            if best is None or total < best:
-                best = total
-    return best
+        That is the least norm of a relation between the elements and
+        ``value``, taken as one more variable, with a nonzero coefficient on
+        ``value`` (positive, by the +/- symmetry of relations).
+        """
+        norms = [y * y + c for y in range(1, isqrt(self.budget) + 1)
+                 if (c := self.min_cost(y * value)) is not None]
+        best = min(norms, default=self.budget + 1)
+        return best if best <= self.budget else None
 
 
-@lru_cache(maxsize=65536)
 def _lex_min_witness(
     variables: tuple[int, ...], anchor: int, target: int, pinned_unit: bool
 ) -> tuple[int, ...] | None:
@@ -274,15 +255,28 @@ def _validated_elements(values, *, forbid: int | None = None, name: str = "set")
 
 
 def _check_norm_bound(k: int) -> None:
+    # k < 2 makes the relation condition unsatisfiable: a nonzero coefficient
+    # already contributes norm >= 1.
     if k < 2:
         raise ValueError("norm bound k must be at least 2")
     if k > DEFAULT_MAX_NORM_BOUND:
         raise ValueError(f"norm bound {k} exceeds the supported maximum {DEFAULT_MAX_NORM_BOUND}")
 
 
-def _relation_from(variables: tuple[int, ...], vector: tuple[int, ...]) -> Relation:
-    coeffs = tuple((e, c) for e, c in zip(variables, vector) if c != 0)
-    return Relation(coeffs, sum(c * c for c in vector))
+def _table_of(elements: set[int] | frozenset[int], k: int) -> CostTable:
+    """The costs of every sum over ``elements`` within norm bound k."""
+    table = CostTable(k - 1)
+    for b in sorted(elements):
+        table.add(b)
+    return table
+
+
+def _witness(elements: frozenset[int], anchor: int, norm: int, pinned_unit: bool) -> Relation:
+    """The lexicographically least relation of the given norm on elements | {anchor}."""
+    variables = tuple(sorted(elements | {anchor}))
+    vector = _lex_min_witness(variables, anchor, norm, pinned_unit)
+    assert vector is not None, "existence and witness search disagree"
+    return Relation(tuple((e, c) for e, c in zip(variables, vector) if c != 0), norm)
 
 
 def find_relation(base, anchor: int, k: int) -> Relation | None:
@@ -296,13 +290,8 @@ def find_relation(base, anchor: int, k: int) -> Relation | None:
     elements = _validated_elements(base, forbid=anchor, name="base set")
     if not isinstance(anchor, int) or anchor < 1:
         raise ValueError(f"anchor must be a positive integer, got {anchor!r}")
-    best = min_relation_norm(elements, anchor)
-    if best is None or best >= k:
-        return None
-    variables = tuple(sorted(elements | {anchor}))
-    vector = _lex_min_witness(variables, anchor, best, False)
-    assert vector is not None, "existence and witness search disagree"
-    return _relation_from(variables, vector)
+    best = _table_of(elements, k).relation_norm(anchor)
+    return None if best is None else _witness(elements, anchor, best, False)
 
 
 def find_anchored_relation(base, k: int) -> Relation | None:
@@ -311,11 +300,7 @@ def find_anchored_relation(base, k: int) -> Relation | None:
     """
     _check_norm_bound(k)
     elements = _validated_elements(base, forbid=1, name="base set")
-    rest = tuple(sorted(elements))
-    cost = _cached_table(rest).min_cost(1)
+    cost = _table_of(elements, k).min_cost(1)
     if cost is None or cost + 1 > k - 2:
         return None
-    variables = tuple(sorted(elements | {1}))
-    vector = _lex_min_witness(variables, 1, cost + 1, True)
-    assert vector is not None, "existence and witness search disagree"
-    return _relation_from(variables, vector)
+    return _witness(elements, 1, cost + 1, True)

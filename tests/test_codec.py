@@ -59,13 +59,12 @@ class TestEncode:
         assert len(accepted.elements) + len(rejected.elements) == len(word)
         assert not (accepted.members() & rejected.members())
         # Everything up to the last candidate is classified: accepted,
-        # rejected, or forbidden by the accepted elements below it.
-        classified = accepted.members() | rejected.members()
-        for value in range(1, result.consumed + 1):
-            if value in classified:
-                continue
-            below = {a for a in accepted.elements if a < value}
-            assert value in apply_J(op, below, value, value)
+        # rejected, or forbidden by the accepted elements below it.  Those
+        # are the same across a gap between consecutive candidates.
+        classified = sorted(accepted.members() | rejected.members())
+        for lo, hi in zip([0] + classified, classified):
+            below = [a for a in accepted.elements if a <= lo]
+            assert apply_J(op, below, lo + 1, hi - 1) == set(range(lo + 1, hi))
 
     @given(st.sampled_from(ALL_OPERATORS), bit_words)
     @settings(max_examples=150, deadline=None)

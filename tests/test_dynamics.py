@@ -191,7 +191,8 @@ class TestSplitLimit:
         assert result.fixed == IntSetPrefix((3, 6), 6)
         assert result.residual.elements == ()
         assert result.nontrivial
-        assert result.head_is_encoder_fixed
+        # The head below twice the least element is an encoder fixed point too.
+        assert is_encoder_fixed_point(7, result.fixed.truncate(2 * 3 - 1))
 
     def test_empty_input(self):
         result = split_limit(7, IntSetPrefix((), 8))

@@ -225,16 +225,10 @@ def _first_allowed(oracle, c):
     return c
 
 
-def _reference(op, oracle, elements, lo, hi):
+def _reference(op, elements, lo, hi):
     """The values in [lo, hi] outside ``elements`` that ``elements`` forbid,
-    computed apart from ``forbidden_in`` and ``next_allowed``."""
-    if op.kind == "normk" and max(elements, default=0) > 1000:
-        # apply_J would build a relation table per set; the oracle's per-value
-        # lookup shares only the CostTable with the vectorised paths.
-        found = {v for v in range(lo, hi + 1) if oracle.forbids(v)}
-    else:
-        found = apply_J(op, elements, lo, hi)
-    return found - elements
+    computed apart from the oracle."""
+    return apply_J(op, elements, lo, hi) - elements
 
 
 class TestOracleProtocol:
@@ -252,7 +246,7 @@ class TestOracleProtocol:
         assert window.dtype == bool
         assert window.tolist() == [oracle.forbids(v) for v in range(lo, hi + 1)]
         marked = {lo + int(i) for i in np.flatnonzero(window)}
-        assert marked - elements == _reference(op, oracle, elements, lo, hi)
+        assert marked - elements == _reference(op, elements, lo, hi)
         # An encoder-like walk from near the edge: runs of rejected bits reuse
         # what the last search found, and every accepted one changes the set.
         c = max(1, edge + data.draw(st.integers(-70, 70)))
@@ -260,7 +254,7 @@ class TestOracleProtocol:
             found = oracle.next_allowed(c)
             assert found == _first_allowed(oracle, c)
             if c > max(elements, default=0):
-                assert _reference(op, oracle, elements, c, found) == set(range(c, found))
+                assert _reference(op, elements, c, found) == set(range(c, found))
             if bit:
                 oracle.add(found)
                 elements = elements | {found}

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 
@@ -12,7 +13,6 @@ from sievecodec import (
     Relation,
     find_anchored_relation,
     find_relation,
-    min_relation_norm,
 )
 
 
@@ -246,9 +246,32 @@ class TestCostTable:
                 y += 1
             assert exists == (find_relation(base, anchor, k) is not None)
 
-    def test_min_relation_norm_symmetric_in_sign(self):
-        assert min_relation_norm({3}, 6) == 5
-        assert min_relation_norm({6}, 3) == 5
+    def test_relation_norm_symmetric_in_sign(self):
+        for element, value in [(3, 6), (6, 3)]:
+            table = CostTable(6)
+            table.add(element)
+            assert table.relation_norm(value) == 5
+            assert table.relation_norm(value + 1) is None
+
+
+class TestMemory:
+    def test_queries_retain_nothing(self):
+        # Each query builds its own table and keeps nothing once it returns.
+        # The warm-up grows this thread's CostTable work space to the widest
+        # span below, 15 * 19,999 cells either side, and the thread keeps it.
+        find_anchored_relation({19_999, 20_000}, 16)
+        rng = random.Random(17)
+        draws = [rng.sample(range(2, 20_001), 5) for _ in range(40)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for anchor, *base in draws:
+                find_relation(base, anchor, 16)
+                find_anchored_relation(base + [anchor], 16)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
 
 
 class TestRelationValidation:
