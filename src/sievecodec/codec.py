@@ -45,15 +45,7 @@ _SYMBOLS = bytes.maketrans(b"\x00\x01\x02", b"0*1")
 
 class CandidateCeilingExceeded(RuntimeError):
     """The next candidate lies past a forbidden integer and above
-    ``DEFAULT_CANDIDATE_CEILING``; nothing is accepted or rejected for it.
-
-    ``classified`` is the number of bits classified before it: the encoder
-    accepts ``word[:classified]``.
-    """
-
-    def __init__(self, message: str, classified: int) -> None:
-        super().__init__(message)
-        self.classified = classified
+    ``DEFAULT_CANDIDATE_CEILING``; nothing is accepted or rejected for it."""
 
 
 @dataclass(frozen=True)
@@ -94,12 +86,10 @@ def encode(op: OperatorKind, word: str) -> EncodeResult:
     for bit in word:
         candidate = oracle.next_allowed(consumed + 1)
         if candidate > consumed + 1 and candidate > DEFAULT_CANDIDATE_CEILING:
-            classified = len(accepted) + len(rejected)
             raise CandidateCeilingExceeded(
                 f"candidate scan passed the ceiling {DEFAULT_CANDIDATE_CEILING} under {op} "
-                f"with {classified} of {len(word)} bits classified; "
-                f"largest accepted element {accepted[-1] if accepted else 'none'}",
-                classified,
+                f"with {len(accepted) + len(rejected)} of {len(word)} bits classified; "
+                f"largest accepted element {accepted[-1] if accepted else 'none'}"
             )
         consumed = candidate
         if bit == "1":

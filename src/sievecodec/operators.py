@@ -375,9 +375,10 @@ def apply_J(op: OperatorKind, base, lo: int, hi: int) -> set[int]:
         if b > hi:
             break
         mask = (mask | (mask << b) | (1 << b)) & cutoff
-    # Bit i of the window is value lo + i; one pass over its binary digits.
-    window = bin(mask >> lo)[:1:-1]
-    return {lo + i for i, digit in enumerate(window) if digit == "1"}
+    for value in range(lo, hi + 1):
+        if (mask >> value) & 1:
+            out.add(value)
+    return out
 
 
 def apply_Ji(op: OperatorKind, prefix: IntSetPrefix, i: int) -> set[int]:

@@ -1,14 +1,6 @@
 import hypothesis.strategies as st
 
-from sievecodec import (
-    CandidateCeilingExceeded,
-    IntSetPrefix,
-    coprime,
-    encode,
-    finite_sums,
-    norm_k,
-    sum_free,
-)
+from sievecodec import IntSetPrefix, coprime, finite_sums, norm_k, sum_free
 
 CLOSED_OPERATORS = [sum_free(), norm_k(7), coprime()]
 ALL_OPERATORS = CLOSED_OPERATORS + [finite_sums(), norm_k(4), norm_k(9)]
@@ -25,19 +17,3 @@ def prefixes(draw, max_horizon=40, min_horizon=0):
 
 bit_words = st.text(alphabet="01", max_size=64)
 ternary_words = st.text(alphabet="01*", max_size=80)
-
-
-def encode_admitted(op, word):
-    """The longest prefix of ``word`` that the encoder classifies under
-    ``op``, and its encoding.
-
-    Under ``fs`` and ``normk`` with k >= 7 accepted elements grow
-    geometrically, so a drawn word of a few dozen bits can need a horizon of
-    10**9 or more, past the candidate ceiling; the properties are then
-    checked on the bits the encoder classified before refusing.
-    """
-    try:
-        return word, encode(op, word)
-    except CandidateCeilingExceeded as exc:
-        word = word[: exc.classified]
-        return word, encode(op, word)

@@ -19,7 +19,7 @@ from sievecodec import (
     sum_free,
 )
 from sievecodec import codec
-from conftest import ALL_OPERATORS, bit_words, encode_admitted, prefixes
+from conftest import ALL_OPERATORS, bit_words, prefixes
 
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -53,7 +53,7 @@ class TestEncode:
     @given(st.sampled_from(ALL_OPERATORS), bit_words)
     @settings(max_examples=200, deadline=None)
     def test_classification_invariants(self, op, word):
-        word, result = encode_admitted(op, word)
+        result = encode(op, word)
         accepted, rejected = result.accepted, result.rejected
         assert accepted.horizon == rejected.horizon == result.consumed
         assert len(accepted.elements) + len(rejected.elements) == len(word)
@@ -69,7 +69,7 @@ class TestEncode:
     @given(st.sampled_from(ALL_OPERATORS), bit_words)
     @settings(max_examples=150, deadline=None)
     def test_output_is_a_member(self, op, word):
-        assert is_member(op, encode_admitted(op, word)[1].accepted)
+        assert is_member(op, encode(op, word).accepted)
 
     def test_candidate_ceiling_guard(self, monkeypatch):
         monkeypatch.setattr(codec, "DEFAULT_CANDIDATE_CEILING", 4)
@@ -80,17 +80,6 @@ class TestEncode:
             r"largest accepted element 3$",
         ):
             encode(sum_free(), "1" * 5)
-
-    def test_refusal_keeps_the_classified_bits(self):
-        # A Hypothesis example: fs accepts 1, 2, 4, ..., 2**19, and the next
-        # candidate, 2**20, lies past the ceiling.
-        word = "111111111111111111110"
-        with pytest.raises(CandidateCeilingExceeded) as refused:
-            encode(finite_sums(), word)
-        assert refused.value.classified == 20
-        head = encode(finite_sums(), word[:20])
-        assert head.accepted.elements[-1] == 2**19
-        assert decode(finite_sums(), head.accepted).bits == word[:20]
 
 
 class TestDecode:
@@ -150,14 +139,14 @@ class TestRoundTrip:
     @given(st.sampled_from(ALL_OPERATORS), bit_words)
     @settings(max_examples=250, deadline=None)
     def test_decode_inverts_encode(self, op, word):
-        word, result = encode_admitted(op, word)
+        result = encode(op, word)
         decoded = decode(op, result.accepted)
         assert decoded.bits == word
 
     @given(st.sampled_from(ALL_OPERATORS), bit_words)
     @settings(max_examples=100, deadline=None)
     def test_encode_inverts_decode_on_members(self, op, word):
-        member = encode_admitted(op, word)[1].accepted
+        member = encode(op, word).accepted
         decoded = decode(op, member)
         rebuilt = encode(op, decoded.bits).accepted
         common = min(member.horizon, rebuilt.horizon)
@@ -170,9 +159,9 @@ class TestPrefixStability:
     def test_encode_depends_only_on_the_prefix(self, op, word, data):
         cut = data.draw(st.integers(0, len(word)))
         suffix = data.draw(st.text(alphabet="01", max_size=16))
-        word_a, a = encode_admitted(op, word)
-        word_b, b = encode_admitted(op, word[:cut] + suffix)
-        steps = min(cut, len(word_a), len(word_b))
+        a = encode(op, word)
+        b = encode(op, word[:cut] + suffix)
+        steps = min(cut, len(word[:cut] + suffix))
         if steps == 0:
             return
         consumed_a = sorted(a.accepted.members() | a.rejected.members())[:steps]
