@@ -20,7 +20,6 @@ from .core import (
     IntSetPrefix,
     RhoVerdict,
     characteristic,
-    delete_stars,
     from_characteristic,
     prefix_distance,
 )
@@ -39,7 +38,6 @@ from .dynamics import (
 )
 from .operators import (
     OperatorKind,
-    apply_J,
     apply_Ji,
     coprime,
     finite_sums,
@@ -72,14 +70,12 @@ __all__ = [
     "RhoVerdict",
     "SplitResult",
     "SufficiencyEvidence",
-    "apply_J",
     "apply_Ji",
     "characteristic",
     "completeness_sufficient_condition",
     "coprime",
     "decode",
     "decode_orbit",
-    "delete_stars",
     "encode",
     "encoder_fixed_points",
     "find_anchored_relation",

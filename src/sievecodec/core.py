@@ -18,15 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 BIT_ALPHABET = frozenset("01")
-TERNARY_ALPHABET = frozenset("01*")
 
 
-def check_word(word: str, alphabet: frozenset[str] = BIT_ALPHABET) -> str:
-    """Validate a word against an alphabet and return it unchanged."""
-    bad = set(word) - alphabet
+def check_word(word: str) -> str:
+    """Validate a bit word and return it unchanged."""
+    bad = set(word) - BIT_ALPHABET
     if bad:
         raise ValueError(
-            f"word contains symbols {sorted(bad)} outside alphabet {sorted(alphabet)}"
+            f"word contains symbols {sorted(bad)} outside alphabet {sorted(BIT_ALPHABET)}"
         )
     return word
 
@@ -109,12 +108,6 @@ def from_characteristic(word: str) -> IntSetPrefix:
     check_word(word)
     elements = tuple(i for i, bit in enumerate(word, start=1) if bit == "1")
     return IntSetPrefix(elements, len(word))
-
-
-def delete_stars(word: str) -> str:
-    """Drop every '*' from a ternary word, keeping the 0/1 subsequence."""
-    check_word(word, TERNARY_ALPHABET)
-    return word.replace("*", "")
 
 
 @dataclass(frozen=True)

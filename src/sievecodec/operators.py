@@ -35,10 +35,7 @@ from math import isqrt
 import numpy as np
 
 from .core import IntSetPrefix
-from .relations import CostTable, _check_norm_bound, _table_of
-
-# Each operator kind and its command-line syntax.
-_KINDS = {"sumfree": "sumfree", "normk": "normk:<k>", "coprime": "coprime", "fs": "fs"}
+from .relations import CostTable, _check_norm_bound
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,8 @@ def parse_operator(text: str) -> OperatorKind:
     if param:
         raise ValueError(f"operator {name!r} takes no parameter")
     if name not in _KINDS:
-        raise ValueError(f"unknown operator {text!r}; expected one of {tuple(_KINDS.values())}")
+        syntaxes = tuple(syntax for syntax, _ in _KINDS.values())
+        raise ValueError(f"unknown operator {text!r}; expected one of {syntaxes}")
     return OperatorKind(name)
 
 
@@ -140,13 +138,13 @@ def prime_factors(n: int) -> frozenset[int]:
 # * ``forbidden_in(lo, hi)`` is a numpy bool array whose i-th entry says
 #   whether lo + i is forbidden (empty when hi < lo).
 #
-# Every query is about a value outside the set: the encoder, the decoder and
-# the membership test walk a prefix left to right and only ask about values
-# above the elements added so far.  Every operator is monotone (adding an
-# element never un-forbids a value), so a value skipped as forbidden stays
-# forbidden for good: the encoder can jump straight to ``next_allowed``, and
-# the decoder can mark a whole gap between consecutive elements with one
-# ``forbidden_in``.
+# Every query is about a value outside the set: the encoder, the decoder,
+# ``apply_Ji`` and the membership test walk a prefix left to right and only
+# ask about values above the elements added so far.  Every operator is
+# monotone (adding an element never un-forbids a value), so a value skipped as
+# forbidden stays forbidden for good: the encoder can jump straight to
+# ``next_allowed``, and the decoder can mark a whole gap between consecutive
+# elements with one ``forbidden_in``.
 
 
 class _MaskOracle:
@@ -314,71 +312,22 @@ class _CoprimeOracle:
             width *= 2
 
 
+# Each operator kind, its command-line syntax and its oracle class.
+_KINDS = {
+    "sumfree": ("sumfree", _SumFreeOracle),
+    "normk": ("normk:<k>", _NormOracle),
+    "coprime": ("coprime", _CoprimeOracle),
+    "fs": ("fs", _SubsetSumOracle),
+}
+
+
 def incremental_oracle(op: OperatorKind):
     """Fresh oracle for one left-to-right sweep under ``op``."""
-    if op.kind == "sumfree":
-        return _SumFreeOracle()
-    if op.kind == "normk":
-        return _NormOracle(op.k)
-    if op.kind == "coprime":
-        return _CoprimeOracle()
-    return _SubsetSumOracle()
+    _, oracle = _KINDS[op.kind]
+    return oracle() if op.k is None else oracle(op.k)
 
 
-# --- the operator itself -----------------------------------------------------
-
-
-def apply_J(op: OperatorKind, base, lo: int, hi: int) -> set[int]:
-    """J(base) intersected with the interval [lo, hi].
-
-    ``lo`` must be at least 1; an empty interval (hi < lo) yields the empty
-    set.  J(empty) is empty for every operator.
-    """
-    if lo < 1:
-        raise ValueError(f"interval must start at 1 or later, got lo={lo}")
-    elements = set(base)
-    out: set[int] = set()
-    if hi < lo or not elements:
-        return out
-    if op.kind == "sumfree":
-        ordered = sorted(elements)
-        for i, a in enumerate(ordered):
-            if 2 * a > hi:
-                break
-            for b in ordered[i:]:
-                s = a + b
-                if s > hi:
-                    break
-                if s >= lo:
-                    out.add(s)
-        return out
-    if op.kind == "normk":
-        # A member is tested against the other members: its table leaves it out.
-        whole = _table_of(elements, op.k)
-        for value in range(lo, hi + 1):
-            table = _table_of(elements - {value}, op.k) if value in elements else whole
-            if table.relation_norm(value) is not None:
-                out.add(value)
-        return out
-    if op.kind == "coprime":
-        primes: set[int] = set()
-        for a in elements:
-            primes |= prime_factors(a)
-        for p in primes:
-            first = lo + (-lo) % p
-            out.update(range(first, hi + 1, p))
-        return out
-    # fs: subset sums with a cutoff at hi keep the enumeration exact and finite.
-    mask = 0
-    cutoff = (1 << (hi + 1)) - 1
-    for b in sorted(elements):
-        if b > hi:
-            break
-        mask = (mask | (mask << b) | (1 << b)) & cutoff
-    for value in range(lo, hi + 1):
-        if (mask >> value) & 1:
-            out.add(value)
-    return out
+# --- the operator on a prefix ------------------------------------------------
 
 
 def apply_Ji(op: OperatorKind, prefix: IntSetPrefix, i: int) -> set[int]:
@@ -391,10 +340,12 @@ def apply_Ji(op: OperatorKind, prefix: IntSetPrefix, i: int) -> set[int]:
     n = len(prefix.elements)
     if i < 1 or i > n:
         raise ValueError(f"gap index must be in [1, {n}], got {i}")
-    head = prefix.elements[:i]
-    lo = head[-1] + 1
+    oracle = incremental_oracle(op)
+    for a in prefix.elements[:i]:
+        oracle.add(a)
+    lo = prefix.elements[i - 1] + 1
     hi = prefix.elements[i] - 1 if i < n else prefix.horizon
-    return apply_J(op, head, lo, hi)
+    return {lo + int(j) for j in np.flatnonzero(oracle.forbidden_in(lo, hi))}
 
 
 def is_member(op: OperatorKind, prefix: IntSetPrefix) -> bool:

@@ -16,4 +16,3 @@ def prefixes(draw, max_horizon=40, min_horizon=0):
 
 
 bit_words = st.text(alphabet="01", max_size=64)
-ternary_words = st.text(alphabet="01*", max_size=80)

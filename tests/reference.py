@@ -1,0 +1,78 @@
+"""Brute-force J, the reference the tests compare the library's oracles with.
+
+``apply_J`` computes each operator from its definition, one branch per
+operator, apart from the incremental oracles of :mod:`sievecodec.operators`:
+it factors by trial division instead of the library's sieve, enumerates pair
+and subset sums directly, and asks ``CostTable.relation_norm`` about every
+value, from a table of the set or, for a member, of the other members.
+"""
+
+from sievecodec.relations import _table_of
+
+
+def prime_factors(n: int) -> set[int]:
+    """Distinct prime factors of a positive integer, by trial division."""
+    out = set()
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def apply_J(op, base, lo: int, hi: int) -> set[int]:
+    """J(base) intersected with the interval [lo, hi].
+
+    ``lo`` must be at least 1; an empty interval (hi < lo) yields the empty
+    set.  J(empty) is empty for every operator.
+    """
+    if lo < 1:
+        raise ValueError(f"interval must start at 1 or later, got lo={lo}")
+    elements = set(base)
+    out: set[int] = set()
+    if hi < lo or not elements:
+        return out
+    if op.kind == "sumfree":
+        ordered = sorted(elements)
+        for i, a in enumerate(ordered):
+            if 2 * a > hi:
+                break
+            for b in ordered[i:]:
+                s = a + b
+                if s > hi:
+                    break
+                if s >= lo:
+                    out.add(s)
+        return out
+    if op.kind == "normk":
+        # A member is tested against the other members: its table leaves it out.
+        whole = _table_of(elements, op.k)
+        for value in range(lo, hi + 1):
+            table = _table_of(elements - {value}, op.k) if value in elements else whole
+            if table.relation_norm(value) is not None:
+                out.add(value)
+        return out
+    if op.kind == "coprime":
+        primes: set[int] = set()
+        for a in elements:
+            primes |= prime_factors(a)
+        for p in primes:
+            first = lo + (-lo) % p
+            out.update(range(first, hi + 1, p))
+        return out
+    # fs: subset sums with a cutoff at hi keep the enumeration exact and finite.
+    mask = 0
+    cutoff = (1 << (hi + 1)) - 1
+    for b in sorted(elements):
+        if b > hi:
+            break
+        mask = (mask | (mask << b) | (1 << b)) & cutoff
+    for value in range(lo, hi + 1):
+        if (mask >> value) & 1:
+            out.add(value)
+    return out

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 from sievecodec import (
     CandidateCeilingExceeded,
     IntSetPrefix,
-    apply_J,
     coprime,
     decode,
     encode,
@@ -20,6 +19,7 @@ from sievecodec import (
 )
 from sievecodec import codec
 from conftest import ALL_OPERATORS, bit_words, prefixes
+from reference import apply_J
 
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 

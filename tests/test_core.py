@@ -7,11 +7,10 @@ import hypothesis.strategies as st
 from sievecodec import (
     IntSetPrefix,
     characteristic,
-    delete_stars,
     from_characteristic,
     prefix_distance,
 )
-from conftest import bit_words, prefixes, ternary_words
+from conftest import bit_words, prefixes
 
 
 class TestIntSetPrefix:
@@ -87,23 +86,6 @@ class TestCharacteristic:
     @given(bit_words)
     def test_roundtrip_from_word(self, word):
         assert characteristic(from_characteristic(word)) == word
-
-
-class TestDeleteStars:
-    @pytest.mark.parametrize(
-        "word,expected",
-        [("0*1*0", "010"), ("*****", ""), ("1*01*1", "1011"), ("", "")],
-    )
-    def test_examples(self, word, expected):
-        assert delete_stars(word) == expected
-
-    @given(ternary_words)
-    def test_length_accounting(self, word):
-        assert len(delete_stars(word)) + word.count("*") == len(word)
-
-    def test_rejects_bad_alphabet(self):
-        with pytest.raises(ValueError):
-            delete_stars("0x1")
 
 
 class TestPrefixDistance:

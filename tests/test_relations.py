@@ -204,8 +204,8 @@ class TestCostTable:
                     assert table.min_cost(value) == best.get(value), (budget, n, value)
 
     def test_tables_built_in_threads_match_serial_ones(self):
-        # add works in a space kept per thread; tables built side by side in
-        # threads must equal the ones built one after another.
+        # Tables built side by side in threads must equal the ones built one
+        # after another.
         rng = random.Random(5)
         sets = [[rng.randint(1, 3000) for _ in range(40)] for _ in range(8)]
 
@@ -257,8 +257,7 @@ class TestCostTable:
 class TestMemory:
     def test_queries_retain_nothing(self):
         # Each query builds its own table and keeps nothing once it returns.
-        # The warm-up grows this thread's CostTable work space to the widest
-        # span below, 15 * 19,999 cells either side, and the thread keeps it.
+        # The warm-up keeps the first call's one-time costs out of the count.
         find_anchored_relation({19_999, 20_000}, 16)
         rng = random.Random(17)
         draws = [rng.sample(range(2, 20_001), 5) for _ in range(40)]
@@ -268,6 +267,21 @@ class TestMemory:
             for anchor, *base in draws:
                 find_relation(base, anchor, 16)
                 find_anchored_relation(base + [anchor], 16)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
+
+    def test_dropped_table_retains_nothing(self):
+        # An element past 2^19 grows the table to 15 * 2^20 cells either side;
+        # its work space is freed with it.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = CostTable(15)
+            for e in (3, 2**19 + 1, 5):
+                table.add(e)
+            del table
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
