@@ -18,10 +18,8 @@ from .codec import (
 )
 from .core import (
     IntSetPrefix,
-    RhoVerdict,
     characteristic,
     from_characteristic,
-    prefix_distance,
 )
 from .dynamics import (
     CompletenessVerdict,
@@ -52,7 +50,6 @@ from .relations import (
     CostTable,
     Relation,
     find_anchored_relation,
-    find_relation,
 )
 
 __all__ = [
@@ -67,7 +64,6 @@ __all__ = [
     "OperatorKind",
     "OrbitRecord",
     "Relation",
-    "RhoVerdict",
     "SplitResult",
     "SufficiencyEvidence",
     "apply_Ji",
@@ -80,14 +76,12 @@ __all__ = [
     "encoder_fixed_points",
     "find_anchored_relation",
     "find_limit",
-    "find_relation",
     "finite_sums",
     "from_characteristic",
     "is_encoder_fixed_point",
     "is_member",
     "norm_k",
     "parse_operator",
-    "prefix_distance",
     "prime_factors",
     "roundtrip_ok",
     "split_limit",

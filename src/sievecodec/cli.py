@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_prefix(p)
     p.set_defaults(func=cmd_dynamics)
 
-    p = sub.add_parser("fixed-points", help="enumerate encoder fixed points")
+    p = sub.add_parser("fixed-points", help="encoder fixed points, by forced-step search")
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--max-element",

@@ -23,7 +23,9 @@ from .core import IntSetPrefix, from_characteristic
 from .operators import OperatorKind, incremental_oracle, is_member, norm_k
 from .relations import Relation, find_anchored_relation
 
-#: Exhaustive fixed-point enumeration refuses ground sets larger than this.
+#: ``encoder_fixed_points`` refuses ground sets [1, M] larger than this.  Its
+#: search does work in proportion to the fixed points it finds, whose number
+#: still grows exponentially with M, and it keeps no node budget.
 FIXED_POINT_ENUMERATION_BOUND = 32
 
 
@@ -139,11 +141,17 @@ def is_encoder_fixed_point(k: int, prefix: IntSetPrefix) -> bool:
 
 
 def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
-    """All subsets of [1, max_element] fixed by the encoder at norm bound k.
+    """All subsets S of [1, max_element] fixed by the encoder at norm bound k.
 
-    Each subset is tested as a prefix with horizon ``max_element``, i.e. with
-    an all-zero indicator tail, which is the only reading under which a finite
-    set can be a fixed point at all.  Exhaustive; refuses ground sets beyond
+    A fixed point is a prefix with horizon ``max_element``, i.e. with an
+    all-zero indicator tail, which is the only reading under which a finite
+    set can be a fixed point at all.  The search decides 1..max_element in
+    order while replaying the encoder on the indicator word of S: an integer
+    the oracle forbids is outside S, and candidate number i is in S exactly
+    when i is.  Only a candidate equal to its own step number leaves a
+    choice, and every choice completes to a fixed point, so the search
+    builds one oracle per fixed point found.  The result is ordered by the
+    mask sum of 2**(e - 1) over the elements e.  Refuses ground sets beyond
     ``FIXED_POINT_ENUMERATION_BOUND``.
     """
     if max_element < 1:
@@ -153,13 +161,35 @@ def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
             f"exhaustive enumeration over [1, {max_element}] exceeds the bound "
             f"{FIXED_POINT_ENUMERATION_BOUND}"
         )
-    found: list[IntSetPrefix] = []
-    for mask in range(1 << max_element):
-        elements = tuple(i + 1 for i in range(max_element) if (mask >> i) & 1)
-        candidate = IntSetPrefix(elements, max_element)
-        if is_encoder_fixed_point(k, candidate):
-            found.append(candidate)
-    return found
+    op = norm_k(k)
+    found: list[int] = []
+    # Open branches: step, candidate, the mask of S below the candidate, and
+    # an oracle holding exactly that set.
+    branches = [(1, 1, 0, incremental_oracle(op))]
+    while branches:
+        step, candidate, mask, oracle = branches.pop()
+        while candidate <= max_element:
+            if oracle.forbids(candidate):
+                candidate += 1  # skipped by the encoder, so outside S
+                continue
+            bit = 1 << (candidate - 1)
+            if step == candidate:
+                # This oracle follows the candidate outside S, a fresh one inside.
+                chosen, inside = mask | bit, incremental_oracle(op)
+                for i in range(candidate):
+                    if chosen >> i & 1:
+                        inside.add(i + 1)
+                branches.append((step + 1, candidate + 1, chosen, inside))
+            elif mask >> (step - 1) & 1:
+                mask |= bit
+                oracle.add(candidate)
+            step += 1
+            candidate += 1
+        found.append(mask)
+    return [
+        IntSetPrefix(tuple(i + 1 for i in range(max_element) if mask >> i & 1), max_element)
+        for mask in sorted(found)
+    ]
 
 
 @dataclass(frozen=True)

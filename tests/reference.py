@@ -1,12 +1,16 @@
-"""Brute-force J, the reference the tests compare the library's oracles with.
+"""Brute-force references the tests compare the library with.
 
 ``apply_J`` computes each operator from its definition, one branch per
 operator, apart from the incremental oracles of :mod:`sievecodec.operators`:
 it factors by trial division instead of the library's sieve, enumerates pair
 and subset sums directly, and asks ``CostTable.relation_norm`` about every
 value, from a table of the set or, for a member, of the other members.
+
+``encoder_fixed_points`` tests every one of the 2^M subsets of [1, M] with
+``is_encoder_fixed_point``, where the library searches by forced steps.
 """
 
+from sievecodec import IntSetPrefix, is_encoder_fixed_point
 from sievecodec.relations import _table_of
 
 
@@ -76,3 +80,15 @@ def apply_J(op, base, lo: int, hi: int) -> set[int]:
         if (mask >> value) & 1:
             out.add(value)
     return out
+
+
+def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
+    """All subsets of [1, max_element] fixed by the encoder at norm bound k,
+    ascending by the mask sum of 2**(e - 1), one test per subset."""
+    found: list[IntSetPrefix] = []
+    for mask in range(1 << max_element):
+        elements = tuple(i + 1 for i in range(max_element) if (mask >> i) & 1)
+        candidate = IntSetPrefix(elements, max_element)
+        if is_encoder_fixed_point(k, candidate):
+            found.append(candidate)
+    return found

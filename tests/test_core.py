@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from sievecodec import (
-    IntSetPrefix,
-    characteristic,
-    from_characteristic,
-    prefix_distance,
-)
+from sievecodec import IntSetPrefix, characteristic, from_characteristic
+from sievecodec.core import prefix_distance
 from conftest import bit_words, prefixes
 
 

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import sievecodec.dynamics as dynamics
 from sievecodec import (
     IntSetPrefix,
     characteristic,
@@ -19,6 +20,7 @@ from sievecodec import (
     sum_free,
     ultimately_complete_on,
 )
+from reference import encoder_fixed_points as brute_force_fixed_points
 
 # Exhaustive full-encode sweep over [1, 8] at norm bound 7; recomputed below
 # by the oracle, frozen here as a regression anchor.
@@ -164,6 +166,32 @@ class TestEncoderFixedPoints:
         for prefix in encoder_fixed_points(7, 10):
             if prefix.elements:
                 assert max(prefix.elements) < 2 * min(prefix.elements)
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_search_matches_brute_force(self, k):
+        for m in range(1, 11):
+            assert encoder_fixed_points(k, m) == brute_force_fixed_points(k, m)
+
+    @pytest.mark.parametrize("k", (3, 5, 7, 9, 16))
+    def test_search_matches_brute_force_over_13(self, k):
+        assert encoder_fixed_points(k, 13) == brute_force_fixed_points(k, 13)
+
+    def test_search_builds_one_oracle_per_fixed_point(self, monkeypatch):
+        built = []
+        make = dynamics.incremental_oracle
+        monkeypatch.setattr(
+            dynamics, "incremental_oracle", lambda op: built.append(op) or make(op)
+        )
+        assert len(encoder_fixed_points(7, 18)) == len(built) == 165
+
+    def test_search_reaches_the_bound(self):
+        # The 1,015 sets at k = 7 over [1, 32] were confirmed by an independent
+        # search; one test per subset would take about a day here.
+        found = encoder_fixed_points(7, 32)
+        masks = [sum(1 << (e - 1) for e in p.elements) for p in found]
+        assert len(found) == 1015
+        assert masks == sorted(set(masks))
+        assert all(p.horizon == 32 and is_encoder_fixed_point(7, p) for p in found)
 
     def test_enumeration_bound_is_enforced(self):
         with pytest.raises(ValueError):

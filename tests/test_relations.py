@@ -8,12 +8,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from sievecodec import (
-    CostTable,
-    Relation,
-    find_anchored_relation,
-    find_relation,
-)
+from sievecodec import CostTable, Relation, find_anchored_relation
+from sievecodec.relations import find_relation
 
 
 def naive_min_norm(base, anchor, coeff_bound):
