@@ -9,6 +9,7 @@ was reached.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -160,6 +161,7 @@ def cmd_roundtrip(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FALSE
 
 
+@functools.cache  # one build per process; each takes about 1.5 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sievecodec",

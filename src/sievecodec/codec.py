@@ -30,9 +30,9 @@ from .operators import OperatorKind, incremental_oracle
 
 #: The encoder refuses a candidate above this that lies past a forbidden
 #: integer.  It bounds the oracle's state, which grows with the largest
-#: accepted element e: 2(k-1)*limit ``CostTable`` cells for ``normk:<k>``
-#: (``limit`` doubles from 16 until it reaches e) and as many again for the
-#: work space of ``CostTable.add``, big-int masks of about 2e
+#: accepted element e: 2(k-1)*limit one-byte ``CostTable`` cells for
+#: ``normk:<k>`` (``limit`` doubles from 16 until it reaches e) and as many
+#: again for the work space of ``CostTable.add``, big-int masks of about 2e
 #: bits (A + A) for ``sumfree`` and of sum(A) bits (the subset sums) for
 #: ``fs``, and about one ``coprime`` mark per integer scanned.  Under
 #: operators whose accepted elements grow geometrically (``normk`` with

@@ -30,21 +30,24 @@ import numpy as np
 #: instead of silently truncating the search space.
 DEFAULT_MAX_NORM_BOUND = 16
 
-_INF = np.int16(999)
+# Above every cost: costs never exceed DEFAULT_MAX_NORM_BOUND - 1 = 15, and
+# ``CostTable.add`` adds at most 3**2 (coefficients |j| <= isqrt(15)) to a
+# cell, so _INF + 9 still fits a one-byte cell.
+_INF = np.uint8(200)
 
 # A new CostTable covers elements up to this; it doubles as elements arrive.
 _FIRST_LIMIT = 16
 
 
 def _cells(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` cost cells, all above budget, and ``n`` cells of work space.
+    """``n`` one-byte cost cells, all above budget, and ``n`` cells of work space.
 
     They are two halves of one allocation.  With two arrays per table the
     allocator handed most tables fresh pages (14k page faults per pass over
     114 lacunary codec words, codec calls 10-25 % slower); one block is
     recycled as the cost array alone was.
     """
-    both = np.empty(2 * n, dtype=np.int16)
+    both = np.empty(2 * n, dtype=np.uint8)
     both[:n] = _INF
     return both[:n], both[n:]
 
@@ -112,14 +115,15 @@ class CostTable:
     ``limit`` keeps the old array exact as the centre of the new one, with
     every new cell above budget; growing replays no element.
 
-    By the same bound every cost <= budget lies within ``budget * max(elements)``
-    of the centre.  ``add`` copies that span into the table's work space, as
-    long as the table and freed with it, and relaxes the table in place from
-    the copy, so its work follows the largest element, not the doubled window,
-    and it allocates nothing.
+    By the same bound a cost c lies within ``c * top`` of the centre (``top``
+    the largest element), and coefficient j keeps a sum within budget only
+    from a cost <= budget - j**2.  So ``add`` relaxes the one-byte cells in
+    place from the ``(budget - j**2) * top`` span alone, whose targets all lie
+    in the window, copied into the table's work space (as long as the table,
+    freed with it).  Its work follows ``top``, not the window; it allocates nothing.
     """
 
-    __slots__ = ("budget", "limit", "elements", "_cost", "_work", "_offset", "_span")
+    __slots__ = ("budget", "limit", "elements", "_cost", "_work", "_offset", "_top")
 
     def __init__(self, budget: int) -> None:
         if budget < 1:
@@ -130,8 +134,7 @@ class CostTable:
         self._offset = budget * self.limit
         self._cost, self._work = _cells(2 * self._offset + 1)
         self._cost[self._offset] = 0
-        # Every cost <= budget lies within _span of the centre: budget * max(elements).
-        self._span = 0
+        self._top = 0  # the largest element
 
     def _grow(self, need: int) -> None:
         while self.limit < need:
@@ -147,27 +150,23 @@ class CostTable:
             raise ValueError("elements must be positive")
         if element > self.limit:
             self._grow(element)
-        cost, end = self._cost, len(self._cost)
-        n = 2 * self._span + 1
-        lo = self._offset - self._span
-        step = self._work[:n]
-        step[:] = cost[lo : lo + n]
-        j, weight = 1, 0
+        cost, centre, top = self._cost, self._offset, self._top
+        r = (self.budget - 1) * top
+        step = self._work[: 2 * r + 1]
+        np.add(cost[centre - r : centre + r + 1], 1, out=step)  # the old costs + 1
+        j = 1
         while j * j <= self.budget:
-            step += j * j - weight  # the old costs plus j**2
-            weight = j * j
-            # The cells j * element above and below the span, clipped to the array.
-            up = lo + j * element
-            if up < end:
-                cells = cost[up : up + n]
-                np.minimum(cells, step[: len(cells)], out=cells)
-            down = lo - j * element
-            if down + n > 0:
-                cells = cost[max(down, 0) : down + n]
-                np.minimum(cells, step[n - len(cells) :], out=cells)
+            # Coefficient j relaxes from the costs <= budget - j**2: a centre slice.
+            s = (self.budget - j * j) * top
+            src = step[r - s : r + s + 1]
+            if j > 1:
+                src += 2 * j - 1  # now the old costs + j**2
+            for lo in (centre - s + j * element, centre - s - j * element):
+                cells = cost[lo : lo + 2 * s + 1]
+                np.minimum(cells, src, out=cells)
             j += 1
         self.elements.append(element)
-        self._span = max(self._span, self.budget * element)
+        self._top = max(top, element)
 
     @property
     def reach(self) -> int:

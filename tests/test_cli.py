@@ -178,6 +178,25 @@ class TestRecordsFormat:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_consecutive_calls_share_no_state(self, capsys):
+        # One parser serves every call in a process; no flag or subcommand of
+        # one call may carry into the next.
+        code, out, _ = run(
+            capsys, "dynamics", "--k", "7", "--limit", "6", "--split", "--horizon", "30", "3,7"
+        )
+        assert code == 0
+        assert "fixed=3,6 @ 6" in out
+        code, _, err = run(capsys, "decode", "--op", "coprime", "2,3")
+        assert code == 2
+        assert "lacks a horizon" in err
+        code, out, _ = run(capsys, "dynamics", "--k", "7", "--limit", "6", "3,7 @ 30")
+        assert code == 0
+        assert "fixed=" not in out
+        _, out, _ = run(capsys, "decode", "--op", "normk:7", "--format", "records", "3,7 @ 7")
+        assert out.startswith("ternary=")
+        _, out, _ = run(capsys, "decode", "--op", "normk:7", "3,7 @ 7")
+        assert out.startswith("ternary = ")
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["encode", "--op", "sumfree", "--bogus", "01"])

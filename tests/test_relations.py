@@ -180,9 +180,11 @@ class TestCostTable:
     def test_matches_brute_force_through_growth(self):
         # Elements from a few units up to about 2000 take each table through
         # several doublings of its window; after every add, each value must
-        # report exactly the cheapest coefficient vector within budget.
+        # report exactly the cheapest coefficient vector within budget.  Every
+        # budget the tables take is covered, so coefficients up to 3 (budget
+        # >= 9) are too.
         rng = random.Random(11)
-        for budget in range(1, 9):
+        for budget in range(1, 16):
             bound = isqrt(budget)
             elements = [rng.randint(1, 20), rng.randint(1, 2000), rng.randint(200, 2000),
                         rng.randint(20, 200)]
