@@ -10,6 +10,11 @@ because from then on every later pass sees the identical prefix below that
 boundary.  Frozen prefixes are the finite certificates of orbit limits used
 throughout this module.
 
+Fixed points are read off the first forbidden integer.  A set S is an
+encoder fixed point exactly when no integer up to max S is forbidden by the
+elements of S below it, and a head of a prefix is decoder-fixed exactly when
+no star lies below its last element.
+
 Orbit computation is sequential per orbit; distinct orbits are independent
 and all records are immutable once returned.
 """
@@ -115,28 +120,22 @@ def find_limit(k: int, start: IntSetPrefix, prefix_len: int) -> OrbitRecord:
 def is_encoder_fixed_point(k: int, prefix: IntSetPrefix) -> bool:
     """Does encoding the indicator word of ``prefix`` reproduce it?
 
-    Equivalent to running the encoder on ``characteristic(prefix)`` and
-    comparing on the common certified horizon, but classified position by
-    position so a mismatch stops the scan early.
+    Exactly when no integer up to max S is forbidden by the elements of S
+    below it, so the walk stops at the first forbidden integer p.  If p is in
+    S, the encoder skips it.  Otherwise take the next element a > p: steps
+    p..a-1 read zeros, so they see the same oracle, and at most a - p
+    integers in (p, a] are allowed.  So a is skipped or is the candidate of
+    one of those steps, and is rejected either way.  With no forbidden
+    integer, candidate i is i up to max S and the encoder accepts S; beyond
+    max S the word is all zeros, so the horizon plays no part.
     """
-    horizon = prefix.horizon
     members = prefix.members()
     oracle = incremental_oracle(norm_k(k))
-    candidate = 0
-    for step in range(1, horizon + 1):
-        candidate += 1
-        while oracle.forbids(candidate):
-            if candidate <= horizon and candidate in members:
-                return False  # claimed member, but skipped as forbidden
-            candidate += 1
-        accept = step in members
-        inside = candidate <= horizon and candidate in members
-        if accept:
-            if candidate <= horizon and not inside:
-                return False  # encoder admits an integer the prefix excludes
-            oracle.add(candidate)
-        elif inside:
-            return False  # encoder rejects an element of the prefix
+    for value in range(1, max(prefix.elements, default=0) + 1):
+        if oracle.forbids(value):
+            return False
+        if value in members:
+            oracle.add(value)
     return True
 
 
@@ -145,12 +144,11 @@ def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
 
     A fixed point is a prefix with horizon ``max_element``, i.e. with an
     all-zero indicator tail, which is the only reading under which a finite
-    set can be a fixed point at all.  The search decides 1..max_element in
-    order while replaying the encoder on the indicator word of S: an integer
-    the oracle forbids is outside S, and candidate number i is in S exactly
-    when i is.  Only a candidate equal to its own step number leaves a
-    choice, and every choice completes to a fixed point, so the search
-    builds one oracle per fixed point found.  The result is ordered by the
+    set can be a fixed point at all.  By :func:`is_encoder_fixed_point` the
+    search decides 1..max_element in order: S may take or leave out an
+    integer its elements below allow, and the first integer they forbid ends
+    the branch with a fixed point.  Every branch builds one oracle, so the
+    search builds one per fixed point found.  The result is ordered by the
     mask sum of 2**(e - 1) over the elements e.  Refuses ground sets beyond
     ``FIXED_POINT_ENUMERATION_BOUND``.
     """
@@ -163,28 +161,19 @@ def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
         )
     op = norm_k(k)
     found: list[int] = []
-    # Open branches: step, candidate, the mask of S below the candidate, and
+    # Open branches: the next integer to decide, the mask of S below it, and
     # an oracle holding exactly that set.
-    branches = [(1, 1, 0, incremental_oracle(op))]
+    branches = [(1, 0, incremental_oracle(op))]
     while branches:
-        step, candidate, mask, oracle = branches.pop()
-        while candidate <= max_element:
-            if oracle.forbids(candidate):
-                candidate += 1  # skipped by the encoder, so outside S
-                continue
-            bit = 1 << (candidate - 1)
-            if step == candidate:
-                # This oracle follows the candidate outside S, a fresh one inside.
-                chosen, inside = mask | bit, incremental_oracle(op)
-                for i in range(candidate):
-                    if chosen >> i & 1:
-                        inside.add(i + 1)
-                branches.append((step + 1, candidate + 1, chosen, inside))
-            elif mask >> (step - 1) & 1:
-                mask |= bit
-                oracle.add(candidate)
-            step += 1
-            candidate += 1
+        value, mask, oracle = branches.pop()
+        while value <= max_element and not oracle.forbids(value):
+            # This oracle leaves the value out of S, a fresh one takes it.
+            chosen, inside = mask | 1 << (value - 1), incremental_oracle(op)
+            for i in range(value):
+                if chosen >> i & 1:
+                    inside.add(i + 1)
+            branches.append((value + 1, chosen, inside))
+            value += 1
         found.append(mask)
     return [
         IntSetPrefix(tuple(i + 1 for i in range(max_element) if mask >> i & 1), max_element)
@@ -198,8 +187,9 @@ class SplitResult:
     the rest.
 
     ``fixed`` is the longest leading run of elements that the decoder maps to
-    itself (verified by re-applying the decoder); ``residual`` is whatever
-    remains.  ``nontrivial`` is False when only the empty head is fixed.
+    itself: the elements below the first star of one decode pass.
+    ``residual`` is whatever remains.  ``nontrivial`` is False when only the
+    empty head is fixed.
     """
 
     fixed: IntSetPrefix
@@ -207,25 +197,19 @@ class SplitResult:
     nontrivial: bool
 
 
-def _is_decoder_fixed(k: int, prefix: IntSetPrefix) -> bool:
-    """Re-apply the decoder and compare on the certified horizon."""
-    result = decode(norm_k(k), prefix)
-    certified = len(result.bits)
-    if prefix.elements and prefix.elements[-1] > certified:
-        return False  # too many stars to certify the elements themselves
-    return from_characteristic(result.bits).elements == tuple(
-        a for a in prefix.elements if a <= certified
-    )
-
-
 def split_limit(k: int, limit_prefix: IntSetPrefix) -> SplitResult:
-    """Split a stabilized limit into its decoder-fixed head and residual."""
+    """Split a stabilized limit into its decoder-fixed head and residual.
+
+    A head is decoder-fixed exactly when no star lies below its last
+    element.  Position a of a decode pass depends only on the elements below
+    a, so the head and the whole prefix share their stars below that
+    element; a star there moves it down, and stars above it only shorten the
+    certified horizon.  So one decode gives the head: the elements below the
+    first star, all of them for a limit that ``find_limit`` stabilized.
+    """
     elements = limit_prefix.elements
-    fixed_count = 0
-    for m in range(len(elements), -1, -1):
-        if _is_decoder_fixed(k, IntSetPrefix(elements[:m], limit_prefix.horizon)):
-            fixed_count = m
-            break
+    ternary = decode(norm_k(k), limit_prefix).ternary
+    fixed_count = ternary.split("*", 1)[0].count("1")
     fixed = IntSetPrefix(elements[:fixed_count], limit_prefix.horizon)
     residual = IntSetPrefix(elements[fixed_count:], limit_prefix.horizon)
     return SplitResult(fixed, residual, fixed_count > 0 or not elements)

@@ -123,14 +123,13 @@ class CostTable:
     freed with it).  Its work follows ``top``, not the window; it allocates nothing.
     """
 
-    __slots__ = ("budget", "limit", "elements", "_cost", "_work", "_offset", "_top")
+    __slots__ = ("budget", "limit", "_cost", "_work", "_offset", "_top")
 
     def __init__(self, budget: int) -> None:
         if budget < 1:
             raise ValueError("budget must be at least 1")
         self.budget = budget
         self.limit = _FIRST_LIMIT
-        self.elements: list[int] = []
         self._offset = budget * self.limit
         self._cost, self._work = _cells(2 * self._offset + 1)
         self._cost[self._offset] = 0
@@ -165,7 +164,6 @@ class CostTable:
                 cells = cost[lo : lo + 2 * s + 1]
                 np.minimum(cells, src, out=cells)
             j += 1
-        self.elements.append(element)
         self._top = max(top, element)
 
     @property
@@ -243,13 +241,13 @@ def _lex_min_witness(
     return tuple(out) if descend(0, 0, 0) else None
 
 
-def _validated_elements(values, *, forbid: int | None = None, name: str = "set") -> frozenset[int]:
+def _validated_elements(values, forbid: int) -> frozenset[int]:
     elements = frozenset(values)
     for b in elements:
         if not isinstance(b, int) or b < 1:
-            raise ValueError(f"{name} must contain positive integers, got {b!r}")
-    if forbid is not None and forbid in elements:
-        raise ValueError(f"{name} must not contain {forbid}")
+            raise ValueError(f"base set must contain positive integers, got {b!r}")
+    if forbid in elements:
+        raise ValueError(f"base set must not contain {forbid}")
     return elements
 
 
@@ -286,7 +284,7 @@ def find_relation(base, anchor: int, k: int) -> Relation | None:
     coefficients along increasing elements.
     """
     _check_norm_bound(k)
-    elements = _validated_elements(base, forbid=anchor, name="base set")
+    elements = _validated_elements(base, anchor)
     if not isinstance(anchor, int) or anchor < 1:
         raise ValueError(f"anchor must be a positive integer, got {anchor!r}")
     best = _table_of(elements, k).relation_norm(anchor)
@@ -298,7 +296,7 @@ def find_anchored_relation(base, k: int) -> Relation | None:
     and norm at most k - 2, or None.
     """
     _check_norm_bound(k)
-    elements = _validated_elements(base, forbid=1, name="base set")
+    elements = _validated_elements(base, 1)
     cost = _table_of(elements, k).min_cost(1)
     if cost is None or cost + 1 > k - 2:
         return None

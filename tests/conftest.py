@@ -16,3 +16,20 @@ def prefixes(draw, max_horizon=40, min_horizon=0):
 
 
 bit_words = st.text(alphabet="01", max_size=64)
+
+
+class CountingOracle:
+    """Forwards every oracle call and counts it by name."""
+
+    def __init__(self, inner, counts):
+        self._inner = inner
+        self._counts = counts
+
+    def __getattr__(self, name):
+        method = getattr(self._inner, name)
+
+        def counted(*args):
+            self._counts[name] = self._counts.get(name, 0) + 1
+            return method(*args)
+
+        return counted

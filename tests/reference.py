@@ -6,11 +6,17 @@ it factors by trial division instead of the library's sieve, enumerates pair
 and subset sums directly, and asks ``CostTable.relation_norm`` about every
 value, from a table of the set or, for a member, of the other members.
 
-``encoder_fixed_points`` tests every one of the 2^M subsets of [1, M] with
-``is_encoder_fixed_point``, where the library searches by forced steps.
+``is_encoder_fixed_point`` replays the encoder on the indicator word, step
+by step, where the library stops at the first integer the elements below it
+forbid.  ``encoder_fixed_points`` tests every one of the 2^M subsets of
+[1, M] with that replay, where the library searches two ways over 1..M.
+``split_limit`` re-decodes every head of the elements, longest first, where
+the library reads the head off the first star of one decode.
 """
 
-from sievecodec import IntSetPrefix, is_encoder_fixed_point
+from sievecodec import IntSetPrefix, decode, from_characteristic, norm_k
+from sievecodec.dynamics import SplitResult
+from sievecodec.operators import incremental_oracle
 from sievecodec.relations import _table_of
 
 
@@ -92,3 +98,53 @@ def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
         if is_encoder_fixed_point(k, candidate):
             found.append(candidate)
     return found
+
+
+def is_encoder_fixed_point(k: int, prefix: IntSetPrefix) -> bool:
+    """Does encoding the indicator word of ``prefix`` reproduce it on the
+    common certified horizon?  Replays the encoder position by position, so
+    a mismatch stops the scan early."""
+    horizon = prefix.horizon
+    members = prefix.members()
+    oracle = incremental_oracle(norm_k(k))
+    candidate = 0
+    for step in range(1, horizon + 1):
+        candidate += 1
+        while oracle.forbids(candidate):
+            if candidate <= horizon and candidate in members:
+                return False  # claimed member, but skipped as forbidden
+            candidate += 1
+        accept = step in members
+        inside = candidate <= horizon and candidate in members
+        if accept:
+            if candidate <= horizon and not inside:
+                return False  # encoder admits an integer the prefix excludes
+            oracle.add(candidate)
+        elif inside:
+            return False  # encoder rejects an element of the prefix
+    return True
+
+
+def _is_decoder_fixed(k: int, prefix: IntSetPrefix) -> bool:
+    """Re-apply the decoder and compare on the certified horizon."""
+    result = decode(norm_k(k), prefix)
+    certified = len(result.bits)
+    if prefix.elements and prefix.elements[-1] > certified:
+        return False  # too many stars to certify the elements themselves
+    return from_characteristic(result.bits).elements == tuple(
+        a for a in prefix.elements if a <= certified
+    )
+
+
+def split_limit(k: int, limit_prefix: IntSetPrefix) -> SplitResult:
+    """The longest head of the elements that one more decode reproduces,
+    tried longest first, and the rest."""
+    elements = limit_prefix.elements
+    fixed_count = 0
+    for m in range(len(elements), -1, -1):
+        if _is_decoder_fixed(k, IntSetPrefix(elements[:m], limit_prefix.horizon)):
+            fixed_count = m
+            break
+    fixed = IntSetPrefix(elements[:fixed_count], limit_prefix.horizon)
+    residual = IntSetPrefix(elements[fixed_count:], limit_prefix.horizon)
+    return SplitResult(fixed, residual, fixed_count > 0 or not elements)

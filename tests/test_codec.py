@@ -18,7 +18,7 @@ from sievecodec import (
     sum_free,
 )
 from sievecodec import codec
-from conftest import ALL_OPERATORS, bit_words, prefixes
+from conftest import ALL_OPERATORS, CountingOracle, bit_words, prefixes
 from reference import apply_J
 
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -186,23 +186,6 @@ class TestPrefixStability:
         assert a.ternary[:cut] == b.ternary[:cut]
 
 
-class _CountingOracle:
-    """Forwards every oracle call and counts it by name."""
-
-    def __init__(self, inner, counts):
-        self._inner = inner
-        self._counts = counts
-
-    def __getattr__(self, name):
-        method = getattr(self._inner, name)
-
-        def counted(*args):
-            self._counts[name] = self._counts.get(name, 0) + 1
-            return method(*args)
-
-        return counted
-
-
 class TestOracleCallCounts:
     """Encode and decode cost one oracle call per bit, gap or element, never
     one per integer scanned."""
@@ -212,7 +195,7 @@ class TestOracleCallCounts:
         counts: dict[str, int] = {}
         make = codec.incremental_oracle
         monkeypatch.setattr(
-            codec, "incremental_oracle", lambda op: _CountingOracle(make(op), counts)
+            codec, "incremental_oracle", lambda op: CountingOracle(make(op), counts)
         )
         return counts
 

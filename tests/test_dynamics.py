@@ -5,6 +5,7 @@ import pytest
 
 import sievecodec.dynamics as dynamics
 from sievecodec import (
+    CandidateCeilingExceeded,
     IntSetPrefix,
     characteristic,
     completeness_sufficient_condition,
@@ -20,7 +21,10 @@ from sievecodec import (
     sum_free,
     ultimately_complete_on,
 )
+from conftest import CountingOracle
 from reference import encoder_fixed_points as brute_force_fixed_points
+from reference import is_encoder_fixed_point as replayed_is_fixed
+from reference import split_limit as redecoded_split
 
 # Exhaustive full-encode sweep over [1, 8] at norm bound 7; recomputed below
 # by the oracle, frozen here as a regression anchor.
@@ -144,6 +148,37 @@ class TestEncoderFixedPoints:
             prefix = random_prefix(rng, rng.randint(1, 24), rng.random())
             assert is_encoder_fixed_point(7, prefix) == oracle_is_fixed(7, prefix)
 
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_agrees_with_full_encode_oracle_past_the_largest_element(self, k):
+        # The fixed points over [1, 8] and random sets, each read on a
+        # horizon well past its largest element.
+        rng = random.Random(k)
+        sets = [p.elements for p in encoder_fixed_points(k, 8)]
+        sets += [random_prefix(rng, rng.randint(1, 16), rng.random()).elements for _ in range(60)]
+        refused = 0
+        for elements in sets:
+            top = max(elements, default=0)
+            prefix = IntSetPrefix(elements, top + rng.randint(top + 1, 3 * top + 5))
+            expected = replayed_is_fixed(k, prefix)
+            try:
+                assert oracle_is_fixed(k, prefix) == expected
+            except CandidateCeilingExceeded:
+                # The image of a dense word grows past the encoder's ceiling
+                # (ROADMAP item 1); the replay still rules on it.
+                refused += 1
+            assert is_encoder_fixed_point(k, prefix) == expected
+        assert refused <= len(sets) // 10
+
+    def test_walk_stops_at_the_largest_element(self, monkeypatch):
+        counts = {}
+        make = dynamics.incremental_oracle
+        monkeypatch.setattr(
+            dynamics, "incremental_oracle", lambda op: CountingOracle(make(op), counts)
+        )
+        assert is_encoder_fixed_point(7, IntSetPrefix((3, 5), 10**7))
+        assert set(counts) <= {"forbids", "add"}
+        assert counts["forbids"] <= 5
+
     def test_exhaustive_enumeration_matches_frozen_list(self):
         found = [p.elements for p in encoder_fixed_points(7, 8)]
         assert found == sorted(FIXED_POINTS_K7_M8, key=lambda t: tuple(reversed(t)))
@@ -240,6 +275,30 @@ class TestSplitLimit:
             kept = tuple(a for a in result.fixed.elements if a <= len(again.bits))
             decoded = tuple(a for a, bit in enumerate(again.bits, 1) if bit == "1")
             assert decoded == kept
+
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_matches_redecoding_every_head(self, k):
+        # Prefixes no limit search froze, so the residual need not be empty.
+        # Bounds 2 and 3 forbid nothing: there every head is fixed.
+        rng = random.Random(100 + k)
+        residuals = 0
+        for _ in range(25):
+            prefix = random_prefix(rng, rng.randint(1, 80), rng.random())
+            result = split_limit(k, prefix)
+            assert result == redecoded_split(k, prefix)
+            residuals += bool(result.residual.elements)
+        assert (residuals > 0) == (k >= 4)
+
+    def test_decodes_once(self, monkeypatch):
+        calls = []
+        run = dynamics.decode
+        monkeypatch.setattr(
+            dynamics, "decode", lambda op, prefix: calls.append(prefix) or run(op, prefix)
+        )
+        prefix = random_prefix(random.Random(7), 200)
+        split_limit(7, prefix)
+        assert calls == [prefix]
 
 
 class TestUltimateCompleteness:
