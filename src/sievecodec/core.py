@@ -14,6 +14,7 @@ Text formats used repo-wide:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,7 +92,7 @@ class IntSetPrefix:
                 f"cannot extend horizon {self.horizon} to {new_horizon}: membership "
                 "beyond the horizon is unknown"
             )
-        return IntSetPrefix(tuple(a for a in self.elements if a <= new_horizon), new_horizon)
+        return IntSetPrefix(self.elements[: bisect_right(self.elements, new_horizon)], new_horizon)
 
     def __str__(self) -> str:
         return f"{','.join(str(a) for a in self.elements)} @ {self.horizon}".lstrip()

@@ -21,6 +21,7 @@ and all records are immutable once returned.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .codec import decode
@@ -54,12 +55,28 @@ class OrbitRecord:
     verdict: str
 
 
+def _ternary(op: OperatorKind, prefix: IntSetPrefix) -> str:
+    """The ternary word of ``prefix``, decoded only below its top run.
+
+    The top run is the run of consecutive elements that ends at the horizon.
+    An element's position always reads '1', and position a of a decode pass
+    depends only on the elements below a, so the word is the decode of the
+    prefix cut just below the run followed by one '1' per run element.
+    """
+    elements, horizon = prefix.elements, prefix.horizon
+    n = len(elements)
+    # elements[i] - i never decreases; the top run is where it reaches
+    # horizon - n + 1, the most it can be.
+    run = n - bisect_left(range(n), horizon - n + 1, key=lambda i: elements[i] - i)
+    return decode(op, prefix.truncate(horizon - run)).ternary + "1" * run
+
+
 def _step(k: int, prefix: IntSetPrefix) -> tuple[IntSetPrefix, int, int]:
     """One decode pass: next iterate, star count, leading star-free length."""
-    result = decode(norm_k(k), prefix)
-    first_star = result.ternary.find("*")
+    ternary = _ternary(norm_k(k), prefix)
+    first_star = ternary.find("*")
     frozen_len = prefix.horizon if first_star < 0 else first_star
-    return from_characteristic(result.bits), result.ternary.count("*"), frozen_len
+    return from_characteristic(ternary.replace("*", "")), ternary.count("*"), frozen_len
 
 
 def decode_orbit(k: int, start: IntSetPrefix, steps: int) -> OrbitRecord:
@@ -208,7 +225,7 @@ def split_limit(k: int, limit_prefix: IntSetPrefix) -> SplitResult:
     first star, all of them for a limit that ``find_limit`` stabilized.
     """
     elements = limit_prefix.elements
-    ternary = decode(norm_k(k), limit_prefix).ternary
+    ternary = _ternary(norm_k(k), limit_prefix)
     fixed_count = ternary.split("*", 1)[0].count("1")
     fixed = IntSetPrefix(elements[:fixed_count], limit_prefix.horizon)
     residual = IntSetPrefix(elements[fixed_count:], limit_prefix.horizon)
@@ -239,7 +256,7 @@ def ultimately_complete_on(
     if window_start > prefix.horizon:
         return CompletenessVerdict("undecided")
     # A '0' in the ternary word is a non-member its predecessors do not forbid.
-    gap = decode(op, prefix).ternary.find("0", window_start - 1)
+    gap = _ternary(op, prefix).find("0", window_start - 1)
     if gap < 0:
         return CompletenessVerdict("complete-on-window")
     return CompletenessVerdict("incomplete", gap + 1)

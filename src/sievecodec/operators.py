@@ -200,7 +200,8 @@ _FIRST_WINDOW = 64
 
 class _NormOracle:
     """A value v is forbidden when some y in 1..isqrt(k-1) has
-    cost(y * v) + y**2 < k in the ``CostTable`` of the set.
+    cost(y * v) + y**2 < k in the ``CostTable`` of the set.  Such a cost is
+    at most k - 2, so the table's budget stops there.
 
     ``next_allowed`` keeps the free values of the windows it searched,
     ``_free`` over [``_free_lo``, ``_free_hi``], until the next ``add``, so
@@ -211,7 +212,7 @@ class _NormOracle:
 
     def __init__(self, k: int) -> None:
         self.k = k
-        self._table = CostTable(k - 1)
+        self._table = CostTable(max(1, k - 2))
         self._free = None
         self._free_lo = self._free_hi = 0
 

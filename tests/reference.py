@@ -11,7 +11,9 @@ by step, where the library stops at the first integer the elements below it
 forbid.  ``encoder_fixed_points`` tests every one of the 2^M subsets of
 [1, M] with that replay, where the library searches two ways over 1..M.
 ``split_limit`` re-decodes every head of the elements, longest first, where
-the library reads the head off the first star of one decode.
+the library reads the head off the first star of one decode.  ``step``
+decodes the whole prefix for one orbit pass, where the library decodes only
+below the run of elements that ends at the horizon.
 """
 
 from sievecodec import IntSetPrefix, decode, from_characteristic, norm_k
@@ -148,3 +150,12 @@ def split_limit(k: int, limit_prefix: IntSetPrefix) -> SplitResult:
     fixed = IntSetPrefix(elements[:fixed_count], limit_prefix.horizon)
     residual = IntSetPrefix(elements[fixed_count:], limit_prefix.horizon)
     return SplitResult(fixed, residual, fixed_count > 0 or not elements)
+
+
+def step(k: int, prefix: IntSetPrefix) -> tuple[IntSetPrefix, int, int]:
+    """One orbit pass decoded over the whole prefix: next iterate, star
+    count, leading star-free length."""
+    result = decode(norm_k(k), prefix)
+    first_star = result.ternary.find("*")
+    frozen_len = prefix.horizon if first_star < 0 else first_star
+    return from_characteristic(result.bits), result.ternary.count("*"), frozen_len

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import sievecodec.codec as codec
 import sievecodec.dynamics as dynamics
 from sievecodec import (
     CandidateCeilingExceeded,
@@ -25,6 +26,7 @@ from conftest import CountingOracle
 from reference import encoder_fixed_points as brute_force_fixed_points
 from reference import is_encoder_fixed_point as replayed_is_fixed
 from reference import split_limit as redecoded_split
+from reference import step as full_decode_step
 
 # Exhaustive full-encode sweep over [1, 8] at norm bound 7; recomputed below
 # by the oracle, frozen here as a regression anchor.
@@ -97,6 +99,65 @@ class TestDecodeOrbit:
         record = decode_orbit(7, IntSetPrefix((4, 9, 14), 20), 3)
         first = [g for g in (gaps(p) for p in record.iterates)]
         assert first[0][0] >= first[-1].get(0, 1)
+
+
+def top_run(prefix):
+    """The number of consecutive elements that end at the horizon."""
+    run = 0
+    while run < len(prefix.elements) and prefix.elements[-1 - run] == prefix.horizon - run:
+        run += 1
+    return run
+
+
+class TestStep:
+    """One orbit pass decodes only below the top run, which reads all '1'."""
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_matches_a_full_decode(self, k):
+        rng = random.Random(300 + k)
+        starts = [IntSetPrefix((), 0), IntSetPrefix((), 30), IntSetPrefix(tuple(range(1, 41)), 40)]
+        for _ in range(8):
+            starts.append(random_prefix(rng, rng.randint(1, 300), 0.1))
+            starts.append(random_prefix(rng, rng.randint(1, 120), rng.uniform(0.6, 1.0)))
+        passes = runs = 0
+        for prefix in starts:
+            for _ in range(6):
+                expected = full_decode_step(k, prefix)
+                assert dynamics._step(k, prefix) == expected
+                passes += 1
+                runs += top_run(prefix) > 0
+                if prefix.horizon == 0:
+                    break
+                prefix = expected[0]
+        # Later iterates of the dense starts carry a top run.
+        assert runs >= passes // 4
+
+    def test_all_element_prefix_decodes_nothing(self, monkeypatch):
+        calls = []
+        run = dynamics.decode
+        monkeypatch.setattr(
+            dynamics, "decode", lambda op, prefix: calls.append(prefix) or run(op, prefix)
+        )
+        prefix = IntSetPrefix(tuple(range(1, 51)), 50)
+        assert dynamics._step(7, prefix) == (prefix, 0, 50)
+        assert calls == [IntSetPrefix((), 0)]
+
+    def test_a_pass_makes_one_add_below_the_top_run(self, monkeypatch):
+        counts = {}
+        make = codec.incremental_oracle
+        monkeypatch.setattr(
+            codec, "incremental_oracle", lambda op: CountingOracle(make(op), counts)
+        )
+        prefix = IntSetPrefix((3, *range(10, 201)), 200)
+        passes = [
+            lambda: dynamics._step(7, prefix),
+            lambda: split_limit(7, prefix),
+            lambda: ultimately_complete_on(norm_k(7), prefix, 1),
+        ]
+        for run_pass in passes:
+            counts.clear()
+            run_pass()
+            assert counts.get("add", 0) <= 1
 
 
 class TestFindLimit:

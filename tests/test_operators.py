@@ -289,6 +289,26 @@ class TestOracleProtocol:
     def test_lacunary_sets(self, op, elements, data):
         self.check(op, elements, data)
 
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_every_norm_bound(self, k):
+        # A value is forbidden through a relation of norm up to k - 1, so
+        # every cost up to k - 2 of the oracle's table is read; nothing is
+        # forbidden past (k - 2) times the largest element.
+        rng = random.Random(k)
+        op = norm_k(k)
+        for _ in range(20):
+            elements = set(rng.sample(range(1, 40), rng.randint(1, 6)))
+            oracle = incremental_oracle(op)
+            for e in sorted(elements):
+                oracle.add(e)
+            hi = k * max(elements)
+            window = oracle.forbidden_in(1, hi)
+            assert window.tolist() == [oracle.forbids(v) for v in range(1, hi + 1)]
+            marked = {1 + int(i) for i in np.flatnonzero(window)}
+            assert marked - elements == _reference(op, elements, 1, hi)
+            c = max(elements) + 1
+            assert oracle.next_allowed(c) == _first_allowed(oracle, c)
+
     @pytest.mark.parametrize("op", ALL_OPERATORS, ids=str)
     def test_long_runs_of_rejections(self, op):
         # Many rejected bits in a row walk through several cached windows.
