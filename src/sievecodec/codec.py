@@ -12,9 +12,11 @@ size of the integers skipped.
 The decoder renders a prefix as a ternary word (member / forbidden-in-gap /
 neither) and deletes the forbidden marks; what remains is the bit word the
 encoder would have consumed.  Each gap between consecutive elements is marked
-with one ``forbidden_in`` call on the elements below it.  Decoding accepts
-non-member prefixes too and reports where their elements violate the family
-condition, which the orbit machinery in :mod:`sievecodec.dynamics` relies on.
+with one ``forbidden_in`` call on the elements below it, run through the next
+element so that its last entry says whether that element is forbidden too.
+Decoding accepts non-member prefixes and reports where their elements violate
+the family condition, which the orbit machinery in :mod:`sievecodec.dynamics`
+relies on.
 
 Pure functions throughout; every call is independent.
 """
@@ -119,8 +121,13 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     lo = 1
     for element in prefix.elements:
         if element > lo:
-            marks[lo - 1 : element - 1] = oracle.forbidden_in(lo, element - 1)
-        if oracle.forbids(element):
+            # The element's own mark, the window's last, is overwritten below.
+            window = oracle.forbidden_in(lo, element)
+            marks[lo - 1 : element] = window
+            violated = window[-1]
+        else:
+            violated = oracle.forbids(element)
+        if violated:
             violations.append(element)
         oracle.add(element)
         lo = element + 1

@@ -164,9 +164,11 @@ def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
     set can be a fixed point at all.  By :func:`is_encoder_fixed_point` the
     search decides 1..max_element in order: S may take or leave out an
     integer its elements below allow, and the first integer they forbid ends
-    the branch with a fixed point.  Every branch builds one oracle, so the
-    search builds one per fixed point found.  The result is ordered by the
-    mask sum of 2**(e - 1) over the elements e.  Refuses ground sets beyond
+    the branch with a fixed point.  A branch that takes an integer extends a
+    copy of its parent's oracle, and only once an integer is left to decide,
+    so the search builds one oracle and makes at most one ``add`` per fixed
+    point found.  The result is ordered by the mask sum of 2**(e - 1) over
+    the elements e.  Refuses ground sets beyond
     ``FIXED_POINT_ENUMERATION_BOUND``.
     """
     if max_element < 1:
@@ -178,18 +180,19 @@ def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
         )
     op = norm_k(k)
     found: list[int] = []
-    # Open branches: the next integer to decide, the mask of S below it, and
-    # an oracle holding exactly that set.
-    branches = [(1, 0, incremental_oracle(op))]
+    # Open branches: the next integer to decide, the mask of S below it, an
+    # oracle holding S without its last element, and that element (0 for
+    # none).  Branches only ever call ``forbids`` on the oracle they hold, so
+    # siblings share their parent's.
+    branches = [(1, 0, incremental_oracle(op), 0)]
     while branches:
-        value, mask, oracle = branches.pop()
+        value, mask, oracle, taken = branches.pop()
+        if taken and value <= max_element:
+            oracle = oracle.copy()
+            oracle.add(taken)
         while value <= max_element and not oracle.forbids(value):
-            # This oracle leaves the value out of S, a fresh one takes it.
-            chosen, inside = mask | 1 << (value - 1), incremental_oracle(op)
-            for i in range(value):
-                if chosen >> i & 1:
-                    inside.add(i + 1)
-            branches.append((value + 1, chosen, inside))
+            # This branch leaves the value out of S; the pushed one takes it.
+            branches.append((value + 1, mask | 1 << (value - 1), oracle, value))
             value += 1
         found.append(mask)
     return [

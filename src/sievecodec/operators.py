@@ -136,7 +136,9 @@ def prime_factors(n: int) -> frozenset[int]:
 # * ``next_allowed(c)`` is the least v >= c that the current set does not
 #   forbid,
 # * ``forbidden_in(lo, hi)`` is a numpy bool array whose i-th entry says
-#   whether lo + i is forbidden (empty when hi < lo).
+#   whether lo + i is forbidden (empty when hi < lo),
+# * ``copy()`` is an independent oracle over the same set, so that a search
+#   can extend one set two ways without replaying it.
 #
 # Every query is about a value outside the set: the encoder, the decoder,
 # ``apply_Ji`` and the membership test walk a prefix left to right and only
@@ -154,6 +156,12 @@ class _MaskOracle:
 
     def __init__(self) -> None:
         self._mask = 0
+
+    def copy(self) -> _MaskOracle:
+        # Big ints are immutable, so the twin shares them.
+        twin = object.__new__(type(self))
+        twin._mask = self._mask
+        return twin
 
     def forbids(self, value: int) -> bool:
         return bool((self._mask >> value) & 1)
@@ -178,6 +186,11 @@ class _SumFreeOracle(_MaskOracle):
     def __init__(self) -> None:
         super().__init__()
         self._members = 0
+
+    def copy(self) -> _SumFreeOracle:
+        twin = super().copy()
+        twin._members = self._members
+        return twin
 
     def add(self, element: int) -> None:
         self._members |= 1 << element
@@ -205,7 +218,8 @@ class _NormOracle:
 
     ``next_allowed`` keeps the free values of the windows it searched,
     ``_free`` over [``_free_lo``, ``_free_hi``], until the next ``add``, so
-    the rejected bits of a run of zeros reuse them.
+    the rejected bits of a run of zeros reuse them.  A copy starts without
+    them.
     """
 
     __slots__ = ("k", "_table", "_free", "_free_lo", "_free_hi")
@@ -215,6 +229,12 @@ class _NormOracle:
         self._table = CostTable(max(1, k - 2))
         self._free = None
         self._free_lo = self._free_hi = 0
+
+    def copy(self) -> _NormOracle:
+        twin = object.__new__(_NormOracle)
+        twin.k, twin._table, twin._free = self.k, self._table.copy(), None
+        twin._free_lo = twin._free_hi = 0
+        return twin
 
     def add(self, element: int) -> None:
         self._table.add(element)
@@ -273,6 +293,11 @@ class _CoprimeOracle:
     def __init__(self) -> None:
         self._primes: set[int] = set()
         self._marks = np.zeros(_FIRST_MARKS, dtype=bool)
+
+    def copy(self) -> _CoprimeOracle:
+        twin = object.__new__(_CoprimeOracle)
+        twin._primes, twin._marks = set(self._primes), self._marks.copy()
+        return twin
 
     def _cover(self, hi: int) -> None:
         old = self._marks

@@ -143,6 +143,15 @@ class CostTable:
         self._cost, self._work = _cells(2 * self._offset + 1)
         self._cost[self._offset - offset : self._offset + offset + 1] = old
 
+    def copy(self) -> CostTable:
+        """An independent table over the same elements, with its own work space."""
+        twin = object.__new__(type(self))
+        twin.budget, twin.limit, twin._offset, twin._top = (
+            self.budget, self.limit, self._offset, self._top)
+        twin._cost, twin._work = _cells(len(self._cost))
+        twin._cost[:] = self._cost
+        return twin
+
     def add(self, element: int) -> None:
         """Admit one more element; relaxes every sum over its coefficients."""
         if element < 1:

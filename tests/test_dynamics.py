@@ -7,6 +7,7 @@ import sievecodec.codec as codec
 import sievecodec.dynamics as dynamics
 from sievecodec import (
     CandidateCeilingExceeded,
+    CostTable,
     IntSetPrefix,
     characteristic,
     completeness_sufficient_condition,
@@ -272,13 +273,20 @@ class TestEncoderFixedPoints:
     def test_search_matches_brute_force_over_13(self, k):
         assert encoder_fixed_points(k, 13) == brute_force_fixed_points(k, 13)
 
-    def test_search_builds_one_oracle_per_fixed_point(self, monkeypatch):
-        built = []
-        make = dynamics.incremental_oracle
+    @pytest.mark.parametrize("k, m, fixed, added", [(7, 18, 165, 141), (5, 32, 11777, 10115)])
+    def test_search_builds_one_oracle_and_extends_copies(self, monkeypatch, k, m, fixed, added):
+        # Every other oracle is a copy of a parent's with one element added,
+        # made only when an integer is left to decide: fewer adds than fixed
+        # points.
+        built, adds = [], []
+        make, add = dynamics.incremental_oracle, CostTable.add
         monkeypatch.setattr(
             dynamics, "incremental_oracle", lambda op: built.append(op) or make(op)
         )
-        assert len(encoder_fixed_points(7, 18)) == len(built) == 165
+        monkeypatch.setattr(CostTable, "add", lambda table, e: adds.append(e) or add(table, e))
+        assert len(encoder_fixed_points(k, m)) == fixed
+        assert len(built) == 1
+        assert len(adds) == added
 
     def test_search_reaches_the_bound(self):
         # The 1,015 sets at k = 7 over [1, 32] were confirmed by an independent

@@ -213,6 +213,13 @@ class TestIsMember:
         assert trials > 0
 
 
+def _built(op, elements):
+    oracle = incremental_oracle(op)
+    for e in sorted(elements):
+        oracle.add(e)
+    return oracle
+
+
 def _window_edges(op, oracle, elements):
     """Values where an oracle's state changes how it answers."""
     edges = [1, max(elements, default=0) + 1]
@@ -247,9 +254,7 @@ class TestOracleProtocol:
     the reference ``apply_J``."""
 
     def check(self, op, elements, data):
-        oracle = incremental_oracle(op)
-        for e in sorted(elements):
-            oracle.add(e)
+        oracle = _built(op, elements)
         edge = data.draw(st.sampled_from(_window_edges(op, oracle, elements)))
         lo = max(1, edge + data.draw(st.integers(-70, 3)))
         hi = lo + data.draw(st.integers(-1, 140))
@@ -298,9 +303,7 @@ class TestOracleProtocol:
         op = norm_k(k)
         for _ in range(20):
             elements = set(rng.sample(range(1, 40), rng.randint(1, 6)))
-            oracle = incremental_oracle(op)
-            for e in sorted(elements):
-                oracle.add(e)
+            oracle = _built(op, elements)
             hi = k * max(elements)
             window = oracle.forbidden_in(1, hi)
             assert window.tolist() == [oracle.forbids(v) for v in range(1, hi + 1)]
@@ -314,11 +317,38 @@ class TestOracleProtocol:
         # Many rejected bits in a row walk through several cached windows.
         rng = random.Random(str(op))
         for _ in range(5):
-            oracle = incremental_oracle(op)
-            for e in sorted(rng.sample(range(1, 200), rng.randint(1, 5))):
-                oracle.add(e)
+            oracle = _built(op, rng.sample(range(1, 200), rng.randint(1, 5)))
             c = 200
             for _ in range(300):
                 found = oracle.next_allowed(c)
                 assert found == _first_allowed(oracle, c)
                 c = found + 1
+
+
+class TestOracleCopy:
+    """A copy and its original, each grown further, answer like fresh
+    oracles over their own sets."""
+
+    @given(
+        st.sampled_from(ALL_OPERATORS),
+        st.sets(st.integers(1, 60), max_size=8),
+        st.sets(st.integers(1, 200), max_size=3),
+        st.sets(st.integers(1, 200), max_size=3),
+        st.integers(1, 80),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_copies_grow_apart(self, op, base, more, other, c):
+        original = _built(op, base)
+        original.next_allowed(c)  # fills the caches a copy must not share
+        twin = original.copy()
+        for oracle, extra in ((original, more), (twin, other)):
+            for e in sorted(extra - base):
+                oracle.add(e)
+        for oracle, elements in ((original, base | more), (twin, base | other)):
+            fresh = _built(op, elements)
+            hi = max(_window_edges(op, fresh, elements)) + 70
+            window = oracle.forbidden_in(1, hi)
+            assert window.tolist() == fresh.forbidden_in(1, hi).tolist()
+            assert window.tolist() == [oracle.forbids(v) for v in range(1, hi + 1)]
+            for start in (1, c, max(elements, default=0) + 1, hi):
+                assert oracle.next_allowed(start) == fresh.next_allowed(start)

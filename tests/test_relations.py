@@ -217,6 +217,33 @@ class TestCostTable:
         with ThreadPoolExecutor(max_workers=4) as pool:
             assert list(pool.map(build, sets)) == serial
 
+    def test_copies_grow_apart(self):
+        # One copy is taken before the original's window doubles and one
+        # after; each, grown on, matches a table built from its own elements.
+        rng = random.Random(13)
+        for budget in range(1, 16):
+            a, b, c, d = rng.sample(range(1, 17), 4)
+            big, bigger = rng.randint(17, 100), rng.randint(129, 400)
+            table = CostTable(budget)
+            for e in (a, b, c):
+                table.add(e)
+            before = table.copy()
+            table.add(big)
+            assert table.limit > before.limit
+            before.add(d)
+            after = table.copy()
+            after.add(bigger)
+            assert after.limit > table.limit
+            table.add(d)
+            for copy, elements in ((table, (a, b, c, big, d)), (before, (a, b, c, d)),
+                                   (after, (a, b, c, big, bigger))):
+                fresh = CostTable(budget)
+                for e in sorted(elements):
+                    fresh.add(e)
+                assert copy.limit == fresh.limit
+                span = range(-fresh.reach - 2, fresh.reach + 3)
+                assert [copy.min_cost(v) for v in span] == [fresh.min_cost(v) for v in span]
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             CostTable(0)
