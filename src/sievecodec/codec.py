@@ -85,7 +85,8 @@ def encode(op: OperatorKind, word: str) -> EncodeResult:
     accepted: list[int] = []
     rejected: list[int] = []
     consumed = 0
-    for bit in word:
+    last = len(word) - 1
+    for i, bit in enumerate(word):
         candidate = oracle.next_allowed(consumed + 1)
         if candidate > consumed + 1 and candidate > DEFAULT_CANDIDATE_CEILING:
             raise CandidateCeilingExceeded(
@@ -96,7 +97,8 @@ def encode(op: OperatorKind, word: str) -> EncodeResult:
         consumed = candidate
         if bit == "1":
             accepted.append(candidate)
-            oracle.add(candidate)
+            if i < last:  # nothing reads the add of the last bit's element
+                oracle.add(candidate)
         else:
             rejected.append(candidate)
     return EncodeResult(
@@ -129,13 +131,18 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
             violated = oracle.forbids(element)
         if violated:
             violations.append(element)
-        oracle.add(element)
+        if element < prefix.horizon:  # nothing reads the add of one at the horizon
+            oracle.add(element)
         lo = element + 1
     if prefix.horizon >= lo:
         marks[lo - 1 :] = oracle.forbidden_in(lo, prefix.horizon)
     marks[np.array(prefix.elements, dtype=np.intp) - 1] = 2
-    ternary = marks.tobytes().translate(_SYMBOLS).decode("ascii")
-    return DecodeResult(ternary, ternary.replace("*", ""), tuple(violations))
+    raw = marks.tobytes()
+    return DecodeResult(
+        raw.translate(_SYMBOLS).decode("ascii"),
+        raw.translate(_SYMBOLS, b"\x01").decode("ascii"),  # the forbidden marks deleted
+        tuple(violations),
+    )
 
 
 def roundtrip_ok(op: OperatorKind, word: str) -> bool:

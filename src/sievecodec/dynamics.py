@@ -195,10 +195,15 @@ def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
             branches.append((value + 1, mask | 1 << (value - 1), oracle, value))
             value += 1
         found.append(mask)
-    return [
-        IntSetPrefix(tuple(i + 1 for i in range(max_element) if mask >> i & 1), max_element)
-        for mask in sorted(found)
-    ]
+    fixed = []
+    for mask in sorted(found):
+        elements = []
+        while mask:  # one step per element: bit e - 1 is the lowest set bit
+            low = mask & -mask
+            elements.append(low.bit_length())
+            mask ^= low
+        fixed.append(IntSetPrefix(tuple(elements), max_element))
+    return fixed
 
 
 @dataclass(frozen=True)

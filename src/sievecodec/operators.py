@@ -141,8 +141,10 @@ def prime_factors(n: int) -> frozenset[int]:
 #   can extend one set two ways without replaying it.
 #
 # Every query is about a value outside the set: the encoder, the decoder,
-# ``apply_Ji`` and the membership test walk a prefix left to right and only
-# ask about values above the elements added so far.  Every operator is
+# ``apply_Ji``, the membership test and the fixed-point search walk a prefix
+# left to right and only ask about values above the elements added so far.
+# The ``normk`` oracle tries fewer multipliers for such values than for the
+# others, which keep the full range (see ``_NormOracle``).  Every operator is
 # monotone (adding an element never un-forbids a value), so a value skipped as
 # forbidden stays forbidden for good: the encoder can jump straight to
 # ``next_allowed``, and the decoder can mark a whole gap between consecutive
@@ -212,70 +214,87 @@ _FIRST_WINDOW = 64
 
 
 class _NormOracle:
-    """A value v is forbidden when some y in 1..isqrt(k-1) has
-    cost(y * v) + y**2 < k in the ``CostTable`` of the set.  Such a cost is
-    at most k - 2, so the table's budget stops there.
+    """A value v is forbidden when some y >= 1 has cost(y * v) + y**2 < k in
+    the ``CostTable`` of the set.  Such a cost is at most k - 2, so the
+    table's budget stops there.
 
-    ``next_allowed`` keeps the free values of the windows it searched,
-    ``_free`` over [``_free_lo``, ``_free_hi``], until the next ``add``, so
-    the rejected bits of a run of zeros reuse them.  A copy starts without
-    them.
+    Which y can forbid.  Any y with y**2 < k may, so y <= isqrt(k - 1).  For
+    v above ``top``, the largest element, fewer can: y * v = sum(c_b * b)
+    over elements b <= top < v needs sum(|c_b|) >= y + 1, so cost(y * v) >=
+    y + 1 and the norm is at least y**2 + y + 1.  So above ``top`` only the
+    y with y**2 + y + 1 < k are tried: y = 1 alone for k <= 7, y <= 2 for
+    k <= 13, none for k <= 3.  Both ranges are fixed by k and kept as
+    (y, k - y**2) pairs; a query picks the short one when it starts above
+    ``top``, so every answer below ``top`` stays exact as well.
+
+    ``next_allowed`` keeps the boolean window it found a free value in,
+    ``_window`` starting at ``_window_lo``, until the next ``add``: a run of
+    rejected bits reads its next free value off it with ``argmin``.  A copy
+    starts without it.
     """
 
-    __slots__ = ("k", "_table", "_free", "_free_lo", "_free_hi")
+    __slots__ = ("k", "_table", "_all", "_above", "_window", "_window_lo")
 
     def __init__(self, k: int) -> None:
         self.k = k
         self._table = CostTable(max(1, k - 2))
-        self._free = None
-        self._free_lo = self._free_hi = 0
+        self._all = tuple((y, k - y * y) for y in range(1, isqrt(k - 1) + 1))
+        self._above = tuple((y, bound) for y, bound in self._all if y * y + y + 1 < k)
+        self._window = None
+        self._window_lo = 0
 
     def copy(self) -> _NormOracle:
         twin = object.__new__(_NormOracle)
-        twin.k, twin._table, twin._free = self.k, self._table.copy(), None
-        twin._free_lo = twin._free_hi = 0
+        twin.k, twin._table, twin._all, twin._above = (
+            self.k, self._table.copy(), self._all, self._above)
+        twin._window, twin._window_lo = None, 0
         return twin
 
     def add(self, element: int) -> None:
         self._table.add(element)
-        self._free = None
+        self._window = None
 
     def forbids(self, value: int) -> bool:
-        # Exists y != 0 on the value with the rest of the set making up the
-        # difference: min_cost(y * value) + y**2 < k.
-        y = 1
-        while y * y < self.k:
-            c = self._table.min_cost(y * value)
-            if c is not None and c + y * y < self.k:
+        table = self._table
+        for y, bound in self._above if value > table.top else self._all:
+            c = table.min_cost(y * value)
+            if c is not None and c < bound:
                 return True
-            y += 1
         return False
 
     def forbidden_in(self, lo: int, hi: int) -> np.ndarray:
-        out = np.zeros(max(0, hi - lo + 1), dtype=bool)
-        y = 1
-        while y * y < self.k:
+        # Always a fresh array: ``next_allowed`` keeps it.
+        n = max(0, hi - lo + 1)
+        ys = self._above if lo > self._table.top else self._all
+        if len(ys) == 1:
+            costs = self._table.multiples(1, lo, hi)
+            if len(costs) == n:
+                return costs < self.k - 1
+        out = np.zeros(n, dtype=bool)
+        for y, bound in ys:
             costs = self._table.multiples(y, lo, hi)
-            out[: len(costs)] |= costs < self.k - y * y
-            y += 1
+            out[: len(costs)] |= costs < bound
         return out
 
     def next_allowed(self, c: int) -> int:
-        lo = c
-        if self._free is not None and self._free_lo <= c <= self._free_hi:
-            i = int(np.searchsorted(self._free, c))
-            if i < len(self._free):
-                return int(self._free[i])
-            lo = self._free_hi + 1
+        window, lo = self._window, self._window_lo
+        if window is not None and lo <= c < lo + len(window):
+            i = c - lo + int(window[c - lo :].argmin())
+            if not window[i]:
+                return lo + i
+            lo += len(window)
+        else:
+            lo = c
         # Above the table's window every cost exceeds the budget.
         edge = self._table.reach
         width = _FIRST_WINDOW
         while lo <= edge:
             hi = min(lo + width - 1, edge)
-            free = np.flatnonzero(~self.forbidden_in(lo, hi))
-            if free.size:
-                self._free, self._free_lo, self._free_hi = free + lo, c, hi
-                return lo + int(free[0])
+            window = self.forbidden_in(lo, hi)
+            i = int(window.argmin())
+            if not window[i]:
+                self._window, self._window_lo = window, lo
+                return lo + i
             lo = hi + 1
             width *= 2
         return lo
@@ -384,9 +403,9 @@ def is_member(op: OperatorKind, prefix: IntSetPrefix) -> bool:
     if len(elements) < 2:
         return True
     oracle = incremental_oracle(op)
-    oracle.add(elements[0])
-    for a in elements[1:]:
+    # Nothing reads the last element's add, so it is not made.
+    for below, a in zip(elements, elements[1:]):
+        oracle.add(below)
         if oracle.forbids(a):
             return False
-        oracle.add(a)
     return True

@@ -123,7 +123,7 @@ class CostTable:
     freed with it).  Its work follows ``top``, not the window; it allocates nothing.
     """
 
-    __slots__ = ("budget", "limit", "_cost", "_work", "_offset", "_top")
+    __slots__ = ("budget", "limit", "top", "_cost", "_work", "_offset")
 
     def __init__(self, budget: int) -> None:
         if budget < 1:
@@ -133,7 +133,7 @@ class CostTable:
         self._offset = budget * self.limit
         self._cost, self._work = _cells(2 * self._offset + 1)
         self._cost[self._offset] = 0
-        self._top = 0  # the largest element
+        self.top = 0  # the largest element
 
     def _grow(self, need: int) -> None:
         while self.limit < need:
@@ -146,8 +146,8 @@ class CostTable:
     def copy(self) -> CostTable:
         """An independent table over the same elements, with its own work space."""
         twin = object.__new__(type(self))
-        twin.budget, twin.limit, twin._offset, twin._top = (
-            self.budget, self.limit, self._offset, self._top)
+        twin.budget, twin.limit, twin._offset, twin.top = (
+            self.budget, self.limit, self._offset, self.top)
         twin._cost, twin._work = _cells(len(self._cost))
         twin._cost[:] = self._cost
         return twin
@@ -158,7 +158,7 @@ class CostTable:
             raise ValueError("elements must be positive")
         if element > self.limit:
             self._grow(element)
-        cost, centre, top = self._cost, self._offset, self._top
+        cost, centre, top = self._cost, self._offset, self.top
         r = (self.budget - 1) * top
         step = self._work[: 2 * r + 1]
         np.add(cost[centre - r : centre + r + 1], 1, out=step)  # the old costs + 1
@@ -173,7 +173,7 @@ class CostTable:
                 cells = cost[lo : lo + 2 * s + 1]
                 np.minimum(cells, src, out=cells)
             j += 1
-        self._top = max(top, element)
+        self.top = max(top, element)
 
     @property
     def reach(self) -> int:
@@ -186,8 +186,8 @@ class CostTable:
         The view stops at hi or where y * v leaves the window, whichever
         comes first; every value beyond the window costs more than budget.
         """
-        top = min(hi, self._offset // y)
-        view = self._cost[self._offset + y * lo : self._offset + y * top + 1 : y]
+        last = min(hi, self._offset // y)
+        view = self._cost[self._offset + y * lo : self._offset + y * last + 1 : y]
         view.flags.writeable = False
         return view
 

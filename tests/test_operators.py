@@ -312,6 +312,42 @@ class TestOracleProtocol:
             c = max(elements) + 1
             assert oracle.next_allowed(c) == _first_allowed(oracle, c)
 
+    @pytest.mark.parametrize("k", range(2, 17))
+    @pytest.mark.parametrize(
+        "draw", [range(1, 61), range(1, 10**5 + 1), range(1000, 1041)],
+        ids=["small", "lacunary", "clustered"],
+    )
+    def test_windows_above_the_set(self, k, draw):
+        # Above its largest element the oracle tries only the multipliers y
+        # with y**2 + y + 1 < k; a window starting at that element tries
+        # them all.  Windows are drawn up to where nothing is forbidden, and
+        # around values the full range forbids there.  Close elements make
+        # relations with the largest multiplier the bound allows: at k = 14,
+        # 3 * 1358 = 1006 + 1013 + 1024 + 1031 is the only relation that
+        # forbids 1358 over those four elements.
+        rng = random.Random(f"{k}/{draw}")
+        op = norm_k(k)
+        for _ in range(6):
+            elements = set(rng.sample(draw, rng.randint(1, 6)))
+            top = max(elements)
+            oracle = _built(op, elements)
+            edge = oracle._table.reach  # nothing above it is forbidden
+            full = oracle.forbidden_in(top, edge)
+            assert oracle.forbidden_in(top + 1, edge).tolist() == full[1:].tolist()
+            above = np.flatnonzero(full[1:]) + top + 1
+            starts = [top, top + 1, rng.randint(top + 1, max(top + 1, edge))]
+            starts += [int(f) - rng.randint(0, 3) for f in rng.sample(list(above), min(8, len(above)))]
+            for lo in starts:
+                hi = lo + rng.randint(0, 70)
+                window = oracle.forbidden_in(lo, hi)
+                assert window.tolist() == [oracle.forbids(v) for v in range(lo, hi + 1)]
+                marked = {lo + int(i) for i in np.flatnonzero(window)}
+                assert marked - elements == _reference(op, elements, lo, hi)
+                if lo > top:
+                    found = oracle.next_allowed(lo)
+                    assert found == _first_allowed(oracle, lo)
+                    assert _reference(op, elements, lo, found) == set(range(lo, found))
+
     @pytest.mark.parametrize("op", ALL_OPERATORS, ids=str)
     def test_long_runs_of_rejections(self, op):
         # Many rejected bits in a row walk through several cached windows.
