@@ -220,12 +220,12 @@ class _NormOracle:
 
     Which y can forbid.  Any y with y**2 < k may, so y <= isqrt(k - 1).  For
     v above ``top``, the largest element, fewer can: y * v = sum(c_b * b)
-    over elements b <= top < v needs sum(|c_b|) >= y + 1, so cost(y * v) >=
-    y + 1 and the norm is at least y**2 + y + 1.  So above ``top`` only the
-    y with y**2 + y + 1 < k are tried: y = 1 alone for k <= 7, y <= 2 for
-    k <= 13, none for k <= 3.  Both ranges are fixed by k and kept as
-    (y, k - y**2) pairs; a query picks the short one when it starts above
-    ``top``, so every answer below ``top`` stays exact as well.
+    over elements b <= top < v needs sum(|c_b|) >= y + 1, so cost(y * v) =
+    sum(c_b**2) >= y + 1 and the norm is at least y**2 + y + 1.  So above
+    ``top`` only the y with y**2 + y + 1 < k are tried: none for k <= 3,
+    y = 1 alone up to k = 7, y <= 2 up to k = 13.  Both ranges are fixed by
+    k and kept as (y, k - y**2) pairs; a query picks the short one when it
+    starts above ``top``, so every answer below ``top`` stays exact as well.
 
     ``next_allowed`` keeps the boolean window it found a free value in,
     ``_window`` starting at ``_window_lo``, until the next ``add``: a run of
