@@ -24,14 +24,12 @@ from .core import (
 from .dynamics import (
     CompletenessVerdict,
     OrbitRecord,
-    SplitResult,
     SufficiencyEvidence,
     completeness_sufficient_condition,
     decode_orbit,
     encoder_fixed_points,
     find_limit,
     is_encoder_fixed_point,
-    split_limit,
     ultimately_complete_on,
 )
 from .operators import (
@@ -64,7 +62,6 @@ __all__ = [
     "OperatorKind",
     "OrbitRecord",
     "Relation",
-    "SplitResult",
     "SufficiencyEvidence",
     "apply_Ji",
     "characteristic",
@@ -84,7 +81,6 @@ __all__ = [
     "parse_operator",
     "prime_factors",
     "roundtrip_ok",
-    "split_limit",
     "sum_free",
     "ultimately_complete_on",
 ]

@@ -14,17 +14,16 @@ import random
 import sys
 
 from .codec import CandidateCeilingExceeded, decode, encode, roundtrip_ok
-from .core import IntSetPrefix, from_characteristic
+from .core import IntSetPrefix
 from .dynamics import (
     FIXED_POINT_ENUMERATION_BOUND,
     completeness_sufficient_condition,
     decode_orbit,
     encoder_fixed_points,
     find_limit,
-    split_limit,
     ultimately_complete_on,
 )
-from .operators import OperatorKind, is_member, parse_operator
+from .operators import is_member, norm_k, parse_operator
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -92,32 +91,37 @@ def cmd_dynamics(args) -> int:
         raise ValueError("dynamics needs --steps N or --limit L")
     if args.steps is not None and args.limit is not None:
         raise ValueError("--steps and --limit are mutually exclusive")
+    if args.split and args.limit is None:
+        raise ValueError("--split needs --limit L; --steps finds no limit to split")
     prefix = _parse_prefix(args)
+    op = norm_k(args.k)
     if args.steps is not None:
-        record = decode_orbit(args.k, prefix, args.steps)
+        record = decode_orbit(op, prefix, args.steps)
     else:
-        record = find_limit(args.k, prefix, args.limit)
+        record = find_limit(op, prefix, args.limit)
     for index, iterate in enumerate(record.iterates):
         shed = record.stars_per_step[index] if index < len(record.stars_per_step) else ""
         print(f"iterate index={index} set={iterate} stars={shed}")
     print(f"verdict={record.verdict}")
     if record.stabilized_prefix is not None:
         print(f"stabilized={record.stabilized_prefix}")
+    if record.iterations_to_stability is not None:
         print(f"iterations={record.iterations_to_stability}")
     if args.split:
         if record.stabilized_prefix is None:
             raise ValueError("--split needs a stabilized limit; none was found")
-        split = split_limit(args.k, record.stabilized_prefix)
-        print(f"fixed={split.fixed}")
-        print(f"residual={split.residual}")
-        print(f"nontrivial={'true' if split.nontrivial else 'false'}")
+        # Every prefix find_limit returns decodes with no star, so the whole of
+        # it is its own decoder-fixed head.
+        print(f"fixed={record.stabilized_prefix}")
+        print(f"residual=@ {record.stabilized_prefix.horizon}")
+        print("nontrivial=true")
     if record.verdict in ("horizon-exhausted", "insufficient-horizon"):
         return EXIT_HORIZON
     return EXIT_OK
 
 
 def cmd_fixed_points(args) -> int:
-    points = encoder_fixed_points(args.k, args.max_element)
+    points = encoder_fixed_points(norm_k(args.k), args.max_element)
     for prefix in points:
         print(f"fixed-point set={prefix}")
     print(f"count={len(points)}")
@@ -200,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--steps", type=int)
     p.add_argument("--limit", type=int, help="freeze this many leading positions")
-    p.add_argument("--split", action="store_true", help="split the stabilized limit")
+    p.add_argument(
+        "--split", action="store_true", help="print the frozen limit as its own decoder-fixed head"
+    )
     add_prefix(p)
     p.set_defaults(func=cmd_dynamics)
 

@@ -2,18 +2,19 @@
 and ultimate completeness.
 
 Under the identification of sets with their indicator words, decoding under
-the norm-k operator maps one set prefix to another (with a smaller certified
+any operator maps one set prefix to another (with a smaller certified
 horizon, one position lost per forbidden mark).  Per step, each element moves
 down by the number of stars below it, so consecutive gaps never grow; a
 position is *frozen* once one decode pass produces no star at or below it,
 because from then on every later pass sees the identical prefix below that
 boundary.  Frozen prefixes are the finite certificates of orbit limits used
-throughout this module.
+throughout this module.  Under ``sumfree`` the encoder is Cameron's bijection
+between 0/1 sequences and sum-free sets ("Portrait of a typical sum-free
+set", 1987).
 
 Fixed points are read off the first forbidden integer.  A set S is an
 encoder fixed point exactly when no integer up to max S is forbidden by the
-elements of S below it, and a head of a prefix is decoder-fixed exactly when
-no star lies below its last element.
+elements of S below it.
 
 Orbit computation is sequential per orbit; distinct orbits are independent
 and all records are immutable once returned.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from .codec import decode
 from .core import IntSetPrefix, from_characteristic
-from .operators import OperatorKind, incremental_oracle, is_member, norm_k
+from .operators import OperatorKind, incremental_oracle, is_member
 from .relations import Relation, find_anchored_relation
 
 #: ``encoder_fixed_points`` refuses ground sets [1, M] larger than this.  Its
@@ -71,15 +72,15 @@ def _ternary(op: OperatorKind, prefix: IntSetPrefix) -> str:
     return decode(op, prefix.truncate(horizon - run)).ternary + "1" * run
 
 
-def _step(k: int, prefix: IntSetPrefix) -> tuple[IntSetPrefix, int, int]:
+def _step(op: OperatorKind, prefix: IntSetPrefix) -> tuple[IntSetPrefix, int, int]:
     """One decode pass: next iterate, star count, leading star-free length."""
-    ternary = _ternary(norm_k(k), prefix)
+    ternary = _ternary(op, prefix)
     first_star = ternary.find("*")
     frozen_len = prefix.horizon if first_star < 0 else first_star
     return from_characteristic(ternary.replace("*", "")), ternary.count("*"), frozen_len
 
 
-def decode_orbit(k: int, start: IntSetPrefix, steps: int) -> OrbitRecord:
+def decode_orbit(op: OperatorKind, start: IntSetPrefix, steps: int) -> OrbitRecord:
     """Apply the decoder ``steps`` times, recording every iterate."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -91,20 +92,21 @@ def decode_orbit(k: int, start: IntSetPrefix, steps: int) -> OrbitRecord:
         if current.horizon < 1:
             verdict = "horizon-exhausted"
             break
-        current, shed, _ = _step(k, current)
+        current, shed, _ = _step(op, current)
         iterates.append(current)
         stars.append(shed)
     return OrbitRecord(tuple(iterates), tuple(stars), None, None, verdict)
 
 
-def find_limit(k: int, start: IntSetPrefix, prefix_len: int) -> OrbitRecord:
+def find_limit(op: OperatorKind, start: IntSetPrefix, prefix_len: int) -> OrbitRecord:
     """Iterate the decoder until the first ``prefix_len`` positions freeze.
 
     Freezing is certified by a decode pass with no star at or below the
     boundary; the returned ``stabilized_prefix`` is then exact for the orbit
     limit.  If the certified horizon drops below ``prefix_len`` first, the
     verdict is ``"insufficient-horizon"`` and the largest prefix that did
-    freeze is reported instead; a wrong limit is never returned.
+    freeze is reported instead; a wrong limit is never returned.  Either
+    prefix precedes the first star of a pass, so it decodes with no star.
     """
     if prefix_len < 1:
         raise ValueError("prefix_len must be at least 1")
@@ -114,7 +116,7 @@ def find_limit(k: int, start: IntSetPrefix, prefix_len: int) -> OrbitRecord:
     current = start
     iteration = 0
     while current.horizon >= prefix_len:
-        nxt, shed, frozen_len = _step(k, current)
+        nxt, shed, frozen_len = _step(op, current)
         iterates.append(nxt)
         stars.append(shed)
         if best_frozen is None or frozen_len > best_frozen.horizon:
@@ -134,7 +136,7 @@ def find_limit(k: int, start: IntSetPrefix, prefix_len: int) -> OrbitRecord:
     )
 
 
-def is_encoder_fixed_point(k: int, prefix: IntSetPrefix) -> bool:
+def is_encoder_fixed_point(op: OperatorKind, prefix: IntSetPrefix) -> bool:
     """Does encoding the indicator word of ``prefix`` reproduce it?
 
     Exactly when no integer up to max S is forbidden by the elements of S
@@ -147,7 +149,7 @@ def is_encoder_fixed_point(k: int, prefix: IntSetPrefix) -> bool:
     max S the word is all zeros, so the horizon plays no part.
     """
     members = prefix.members()
-    oracle = incremental_oracle(norm_k(k))
+    oracle = incremental_oracle(op)
     for value in range(1, max(prefix.elements, default=0) + 1):
         if oracle.forbids(value):
             return False
@@ -156,8 +158,8 @@ def is_encoder_fixed_point(k: int, prefix: IntSetPrefix) -> bool:
     return True
 
 
-def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
-    """All subsets S of [1, max_element] fixed by the encoder at norm bound k.
+def encoder_fixed_points(op: OperatorKind, max_element: int) -> list[IntSetPrefix]:
+    """All subsets S of [1, max_element] fixed by the encoder of ``op``.
 
     A fixed point is a prefix with horizon ``max_element``, i.e. with an
     all-zero indicator tail, which is the only reading under which a finite
@@ -178,7 +180,6 @@ def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
             f"exhaustive enumeration over [1, {max_element}] exceeds the bound "
             f"{FIXED_POINT_ENUMERATION_BOUND}"
         )
-    op = norm_k(k)
     found: list[int] = []
     # Open branches: the next integer to decide, the mask of S below it, an
     # oracle holding S without its last element, and that element (0 for
@@ -204,40 +205,6 @@ def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
             mask ^= low
         fixed.append(IntSetPrefix(tuple(elements), max_element))
     return fixed
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    """Partition of a stabilized limit prefix into a decoder-fixed head and
-    the rest.
-
-    ``fixed`` is the longest leading run of elements that the decoder maps to
-    itself: the elements below the first star of one decode pass.
-    ``residual`` is whatever remains.  ``nontrivial`` is False when only the
-    empty head is fixed.
-    """
-
-    fixed: IntSetPrefix
-    residual: IntSetPrefix
-    nontrivial: bool
-
-
-def split_limit(k: int, limit_prefix: IntSetPrefix) -> SplitResult:
-    """Split a stabilized limit into its decoder-fixed head and residual.
-
-    A head is decoder-fixed exactly when no star lies below its last
-    element.  Position a of a decode pass depends only on the elements below
-    a, so the head and the whole prefix share their stars below that
-    element; a star there moves it down, and stars above it only shorten the
-    certified horizon.  So one decode gives the head: the elements below the
-    first star, all of them for a limit that ``find_limit`` stabilized.
-    """
-    elements = limit_prefix.elements
-    ternary = _ternary(norm_k(k), limit_prefix)
-    fixed_count = ternary.split("*", 1)[0].count("1")
-    fixed = IntSetPrefix(elements[:fixed_count], limit_prefix.horizon)
-    residual = IntSetPrefix(elements[fixed_count:], limit_prefix.horizon)
-    return SplitResult(fixed, residual, fixed_count > 0 or not elements)
 
 
 @dataclass(frozen=True)
@@ -295,9 +262,9 @@ def completeness_sufficient_condition(
     """Evaluate the sufficient condition at norm bound k (k >= 3)."""
     if k < 3:
         raise ValueError("the condition needs k >= 3 so that k - 1 is a valid bound")
-    in_family = is_member(norm_k(k), prefix)
+    in_family = is_member(OperatorKind("normk", k), prefix)
     augmented = IntSetPrefix.of(set(prefix.elements) | {1}, max(prefix.horizon, 1))
-    augmented_escapes = not is_member(norm_k(k - 1), augmented)
+    augmented_escapes = not is_member(OperatorKind("normk", k - 1), augmented)
     if 1 in prefix.members():
         # Adjoining 1 changes nothing, so the middle condition decides alone;
         # the pinned-coefficient search is only defined without 1.

@@ -77,12 +77,6 @@ class Relation:
         if sum(e * c for e, c in self.coeffs) != 0:
             raise ValueError("coefficients do not satisfy sum(y_b * b) == 0")
 
-    def coefficient(self, element: int) -> int:
-        for e, c in self.coeffs:
-            if e == element:
-                return c
-        return 0
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
 

@@ -6,18 +6,16 @@ it factors by trial division instead of the library's sieve, enumerates pair
 and subset sums directly, and asks ``CostTable.relation_norm`` about every
 value, from a table of the set or, for a member, of the other members.
 
-``is_encoder_fixed_point`` replays the encoder on the indicator word, step
-by step, where the library stops at the first integer the elements below it
-forbid.  ``encoder_fixed_points`` tests every one of the 2^M subsets of
-[1, M] with that replay, where the library searches two ways over 1..M.
-``split_limit`` re-decodes every head of the elements, longest first, where
-the library reads the head off the first star of one decode.  ``step``
+The dynamics references take any operator.  ``is_encoder_fixed_point``
+replays the encoder on the indicator word, step by step, where the library
+stops at the first integer the elements below it forbid.
+``encoder_fixed_points`` tests every one of the 2^M subsets of [1, M] with
+that replay, where the library searches two ways over 1..M.  ``step``
 decodes the whole prefix for one orbit pass, where the library decodes only
 below the run of elements that ends at the horizon.
 """
 
-from sievecodec import IntSetPrefix, decode, from_characteristic, norm_k
-from sievecodec.dynamics import SplitResult
+from sievecodec import IntSetPrefix, OperatorKind, decode, from_characteristic
 from sievecodec.operators import incremental_oracle
 from sievecodec.relations import _table_of
 
@@ -90,25 +88,25 @@ def apply_J(op, base, lo: int, hi: int) -> set[int]:
     return out
 
 
-def encoder_fixed_points(k: int, max_element: int) -> list[IntSetPrefix]:
-    """All subsets of [1, max_element] fixed by the encoder at norm bound k,
+def encoder_fixed_points(op: OperatorKind, max_element: int) -> list[IntSetPrefix]:
+    """All subsets of [1, max_element] fixed by the encoder of ``op``,
     ascending by the mask sum of 2**(e - 1), one test per subset."""
     found: list[IntSetPrefix] = []
     for mask in range(1 << max_element):
         elements = tuple(i + 1 for i in range(max_element) if (mask >> i) & 1)
         candidate = IntSetPrefix(elements, max_element)
-        if is_encoder_fixed_point(k, candidate):
+        if is_encoder_fixed_point(op, candidate):
             found.append(candidate)
     return found
 
 
-def is_encoder_fixed_point(k: int, prefix: IntSetPrefix) -> bool:
+def is_encoder_fixed_point(op: OperatorKind, prefix: IntSetPrefix) -> bool:
     """Does encoding the indicator word of ``prefix`` reproduce it on the
     common certified horizon?  Replays the encoder position by position, so
     a mismatch stops the scan early."""
     horizon = prefix.horizon
     members = prefix.members()
-    oracle = incremental_oracle(norm_k(k))
+    oracle = incremental_oracle(op)
     candidate = 0
     for step in range(1, horizon + 1):
         candidate += 1
@@ -127,35 +125,10 @@ def is_encoder_fixed_point(k: int, prefix: IntSetPrefix) -> bool:
     return True
 
 
-def _is_decoder_fixed(k: int, prefix: IntSetPrefix) -> bool:
-    """Re-apply the decoder and compare on the certified horizon."""
-    result = decode(norm_k(k), prefix)
-    certified = len(result.bits)
-    if prefix.elements and prefix.elements[-1] > certified:
-        return False  # too many stars to certify the elements themselves
-    return from_characteristic(result.bits).elements == tuple(
-        a for a in prefix.elements if a <= certified
-    )
-
-
-def split_limit(k: int, limit_prefix: IntSetPrefix) -> SplitResult:
-    """The longest head of the elements that one more decode reproduces,
-    tried longest first, and the rest."""
-    elements = limit_prefix.elements
-    fixed_count = 0
-    for m in range(len(elements), -1, -1):
-        if _is_decoder_fixed(k, IntSetPrefix(elements[:m], limit_prefix.horizon)):
-            fixed_count = m
-            break
-    fixed = IntSetPrefix(elements[:fixed_count], limit_prefix.horizon)
-    residual = IntSetPrefix(elements[fixed_count:], limit_prefix.horizon)
-    return SplitResult(fixed, residual, fixed_count > 0 or not elements)
-
-
-def step(k: int, prefix: IntSetPrefix) -> tuple[IntSetPrefix, int, int]:
+def step(op: OperatorKind, prefix: IntSetPrefix) -> tuple[IntSetPrefix, int, int]:
     """One orbit pass decoded over the whole prefix: next iterate, star
     count, leading star-free length."""
-    result = decode(norm_k(k), prefix)
+    result = decode(op, prefix)
     first_star = result.ternary.find("*")
     frozen_len = prefix.horizon if first_star < 0 else first_star
     return from_characteristic(result.bits), result.ternary.count("*"), frozen_len

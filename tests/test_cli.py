@@ -101,6 +101,26 @@ class TestDynamicsCommand:
         code, out, _ = run(capsys, "dynamics", "--k", "7", "--limit", "7", "3,7 @ 7")
         assert code == 3
         assert "verdict=insufficient-horizon" in out
+        assert "stabilized=3 @ 5" in out
+        assert "iterations=" not in out
+
+    def test_split_of_the_largest_frozen_prefix(self, capsys):
+        code, out, _ = run(capsys, "dynamics", "--k", "7", "--limit", "7", "--split", "3,7 @ 7")
+        assert code == 3
+        assert out.endswith("stabilized=3 @ 5\nfixed=3 @ 5\nresidual=@ 5\nnontrivial=true\n")
+
+    def test_split_refused_with_steps_before_any_pass(self, capsys):
+        code, out, err = run(capsys, "dynamics", "--k", "7", "--steps", "2", "--split", "3,7 @ 7")
+        assert code == 2
+        assert out == ""
+        assert "--limit" in err
+
+    def test_split_without_a_limit_pass(self, capsys):
+        # The start horizon is below L: no decode pass runs, nothing froze.
+        code, out, err = run(capsys, "dynamics", "--k", "7", "--limit", "8", "--split", "3,7 @ 7")
+        assert code == 2
+        assert "none was found" in err
+        assert "fixed=" not in out
 
     def test_needs_steps_or_limit(self, capsys):
         code, _, err = run(capsys, "dynamics", "--k", "7", "3,7 @ 7")

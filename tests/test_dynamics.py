@@ -11,23 +11,28 @@ from sievecodec import (
     IntSetPrefix,
     characteristic,
     completeness_sufficient_condition,
+    coprime,
     decode,
     decode_orbit,
     encode,
     encoder_fixed_points,
+    finite_sums,
     find_limit,
     is_encoder_fixed_point,
     is_member,
     norm_k,
-    split_limit,
     sum_free,
     ultimately_complete_on,
 )
 from conftest import CountingOracle
 from reference import encoder_fixed_points as brute_force_fixed_points
 from reference import is_encoder_fixed_point as replayed_is_fixed
-from reference import split_limit as redecoded_split
 from reference import step as full_decode_step
+
+N7 = norm_k(7)
+# The orbit and fixed-point machinery takes any operator: the three without
+# a parameter and every norm bound.
+DYNAMICS_OPERATORS = [sum_free(), coprime(), finite_sums()] + [norm_k(k) for k in range(2, 17)]
 
 # Exhaustive full-encode sweep over [1, 8] at norm bound 7; recomputed below
 # by the oracle, frozen here as a regression anchor.
@@ -40,9 +45,9 @@ FIXED_POINTS_K7_M8 = [
 ]
 
 
-def oracle_is_fixed(k, prefix):
+def oracle_is_fixed(op, prefix):
     """Independent route: one full public encode, then a straight comparison."""
-    result = encode(norm_k(k), characteristic(prefix))
+    result = encode(op, characteristic(prefix))
     window = min(prefix.horizon, result.consumed)
     got = {a for a in result.accepted.elements if a <= window}
     return got == set(prefix.elements)
@@ -60,28 +65,28 @@ def gaps(prefix):
 
 class TestDecodeOrbit:
     def test_worked_pair_first_step(self):
-        record = decode_orbit(7, IntSetPrefix((3, 7), 7), 1)
+        record = decode_orbit(N7, IntSetPrefix((3, 7), 7), 1)
         assert record.iterates[1] == IntSetPrefix((3, 6), 6)
         assert record.stars_per_step == (1,)
         assert record.verdict == "ok"
 
     def test_empty_set_is_fixed(self):
-        record = decode_orbit(7, IntSetPrefix((), 10), 5)
+        record = decode_orbit(N7, IntSetPrefix((), 10), 5)
         assert all(it.elements == () for it in record.iterates)
         assert record.verdict == "ok"
 
     def test_zero_horizon_is_exhausted(self):
-        record = decode_orbit(7, IntSetPrefix((), 0), 3)
+        record = decode_orbit(N7, IntSetPrefix((), 0), 3)
         assert record.verdict == "horizon-exhausted"
 
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
-            decode_orbit(7, IntSetPrefix((), 5), -1)
+            decode_orbit(N7, IntSetPrefix((), 5), -1)
 
     def test_horizon_accounting(self):
         rng = random.Random(5)
         for _ in range(15):
-            record = decode_orbit(7, random_prefix(rng, rng.randint(1, 60)), 4)
+            record = decode_orbit(N7, random_prefix(rng, rng.randint(1, 60)), 4)
             for n, shed in enumerate(record.stars_per_step):
                 assert record.iterates[n + 1].horizon == record.iterates[n].horizon - shed
 
@@ -89,7 +94,7 @@ class TestDecodeOrbit:
         rng = random.Random(17)
         for _ in range(15):
             start = random_prefix(rng, rng.randint(10, 80), rng.choice([0.2, 0.5, 0.8]))
-            record = decode_orbit(7, start, 6)
+            record = decode_orbit(N7, start, 6)
             for earlier, later in zip(record.iterates, record.iterates[1:]):
                 before, after = gaps(earlier), gaps(later)
                 for i in after:
@@ -97,7 +102,7 @@ class TestDecodeOrbit:
                         assert after[i] <= before[i]
 
     def test_spread_triple_contracts(self):
-        record = decode_orbit(7, IntSetPrefix((4, 9, 14), 20), 3)
+        record = decode_orbit(N7, IntSetPrefix((4, 9, 14), 20), 3)
         first = [g for g in (gaps(p) for p in record.iterates)]
         assert first[0][0] >= first[-1].get(0, 1)
 
@@ -113,9 +118,9 @@ def top_run(prefix):
 class TestStep:
     """One orbit pass decodes only below the top run, which reads all '1'."""
 
-    @pytest.mark.parametrize("k", range(2, 17))
-    def test_matches_a_full_decode(self, k):
-        rng = random.Random(300 + k)
+    @pytest.mark.parametrize("op", DYNAMICS_OPERATORS, ids=str)
+    def test_matches_a_full_decode(self, op):
+        rng = random.Random(300 + (op.k or 0))
         starts = [IntSetPrefix((), 0), IntSetPrefix((), 30), IntSetPrefix(tuple(range(1, 41)), 40)]
         for _ in range(8):
             starts.append(random_prefix(rng, rng.randint(1, 300), 0.1))
@@ -123,8 +128,8 @@ class TestStep:
         passes = runs = 0
         for prefix in starts:
             for _ in range(6):
-                expected = full_decode_step(k, prefix)
-                assert dynamics._step(k, prefix) == expected
+                expected = full_decode_step(op, prefix)
+                assert dynamics._step(op, prefix) == expected
                 passes += 1
                 runs += top_run(prefix) > 0
                 if prefix.horizon == 0:
@@ -140,7 +145,7 @@ class TestStep:
             dynamics, "decode", lambda op, prefix: calls.append(prefix) or run(op, prefix)
         )
         prefix = IntSetPrefix(tuple(range(1, 51)), 50)
-        assert dynamics._step(7, prefix) == (prefix, 0, 50)
+        assert dynamics._step(N7, prefix) == (prefix, 0, 50)
         assert calls == [IntSetPrefix((), 0)]
 
     def test_a_pass_makes_one_add_below_the_top_run(self, monkeypatch):
@@ -151,9 +156,8 @@ class TestStep:
         )
         prefix = IntSetPrefix((3, *range(10, 201)), 200)
         passes = [
-            lambda: dynamics._step(7, prefix),
-            lambda: split_limit(7, prefix),
-            lambda: ultimately_complete_on(norm_k(7), prefix, 1),
+            lambda: dynamics._step(N7, prefix),
+            lambda: ultimately_complete_on(N7, prefix, 1),
         ]
         for run_pass in passes:
             counts.clear()
@@ -163,19 +167,21 @@ class TestStep:
 
 class TestFindLimit:
     def test_worked_pair_stabilizes(self):
-        record = find_limit(7, IntSetPrefix((3, 7), 30), 6)
+        record = find_limit(N7, IntSetPrefix((3, 7), 30), 6)
         assert record.verdict == "stabilized"
         assert record.stabilized_prefix == IntSetPrefix((3, 6), 6)
         assert record.iterations_to_stability == 1
+        # The head below twice the least element is an encoder fixed point too.
+        assert is_encoder_fixed_point(N7, record.stabilized_prefix.truncate(2 * 3 - 1))
 
     def test_empty_set_stabilizes_immediately(self):
-        record = find_limit(7, IntSetPrefix((), 10), 10)
+        record = find_limit(N7, IntSetPrefix((), 10), 10)
         assert record.verdict == "stabilized"
         assert record.stabilized_prefix == IntSetPrefix((), 10)
         assert record.iterations_to_stability == 0
 
     def test_insufficient_horizon_is_reported_not_guessed(self):
-        record = find_limit(7, IntSetPrefix((3, 7), 7), 7)
+        record = find_limit(N7, IntSetPrefix((3, 7), 7), 7)
         assert record.verdict == "insufficient-horizon"
         assert record.iterations_to_stability is None
         # the largest frozen prefix is still certified
@@ -183,52 +189,66 @@ class TestFindLimit:
 
     def test_rejects_bad_prefix_len(self):
         with pytest.raises(ValueError):
-            find_limit(7, IntSetPrefix((), 5), 0)
+            find_limit(N7, IntSetPrefix((), 5), 0)
+
+    @pytest.mark.parametrize("op", DYNAMICS_OPERATORS, ids=str)
+    def test_every_returned_prefix_decodes_with_no_star(self, op):
+        # Stabilized or the largest frozen one, the prefix is its own
+        # decoder-fixed head; ``dynamics --split`` prints it as such.
+        rng = random.Random(f"limit/{op}")
+        frozen_short = 0
+        for _ in range(30):
+            start = random_prefix(rng, rng.randint(1, 120), rng.random())
+            record = find_limit(op, start, rng.randint(1, start.horizon))
+            assert "*" not in decode(op, record.stabilized_prefix).ternary
+            frozen_short += record.verdict == "insufficient-horizon"
+        # Bounds 2 and 3 forbid nothing, so there the first pass freezes all.
+        assert (frozen_short > 0) == (op not in (norm_k(2), norm_k(3)))
 
     def test_random_orbits_stabilize_and_stay_invariant(self):
         rng = random.Random(29)
         for _ in range(10):
             start = random_prefix(rng, 200)
-            record = find_limit(7, start, 12)
+            record = find_limit(N7, start, 12)
             assert record.verdict == "stabilized"
             frozen = record.stabilized_prefix
             # one more decode of the frozen prefix reproduces it exactly
-            again = decode(norm_k(7), frozen)
+            again = decode(N7, frozen)
             kept = [a for a in frozen.elements if a <= len(again.bits)]
             assert [a for a, bit in enumerate(again.bits, 1) if bit == "1"] == kept
 
 
 class TestEncoderFixedPoints:
     def test_examples(self):
-        assert is_encoder_fixed_point(7, IntSetPrefix((3,), 5))
-        assert not is_encoder_fixed_point(7, IntSetPrefix((3, 6), 7))
-        assert is_encoder_fixed_point(7, IntSetPrefix((3, 5), 6))
+        assert is_encoder_fixed_point(N7, IntSetPrefix((3,), 5))
+        assert not is_encoder_fixed_point(N7, IntSetPrefix((3, 6), 7))
+        assert is_encoder_fixed_point(N7, IntSetPrefix((3, 5), 6))
 
     def test_agrees_with_full_encode_oracle(self):
         rng = random.Random(41)
         for _ in range(150):
             prefix = random_prefix(rng, rng.randint(1, 24), rng.random())
-            assert is_encoder_fixed_point(7, prefix) == oracle_is_fixed(7, prefix)
+            assert is_encoder_fixed_point(N7, prefix) == oracle_is_fixed(N7, prefix)
 
-    @pytest.mark.parametrize("k", range(2, 17))
-    def test_agrees_with_full_encode_oracle_past_the_largest_element(self, k):
+    @pytest.mark.parametrize("op", DYNAMICS_OPERATORS, ids=str)
+    def test_agrees_with_full_encode_oracle_past_the_largest_element(self, op):
         # The fixed points over [1, 8] and random sets, each read on a
         # horizon well past its largest element.
-        rng = random.Random(k)
-        sets = [p.elements for p in encoder_fixed_points(k, 8)]
+        rng = random.Random(op.k or 0)
+        sets = [p.elements for p in encoder_fixed_points(op, 8)]
         sets += [random_prefix(rng, rng.randint(1, 16), rng.random()).elements for _ in range(60)]
         refused = 0
         for elements in sets:
             top = max(elements, default=0)
             prefix = IntSetPrefix(elements, top + rng.randint(top + 1, 3 * top + 5))
-            expected = replayed_is_fixed(k, prefix)
+            expected = replayed_is_fixed(op, prefix)
             try:
-                assert oracle_is_fixed(k, prefix) == expected
+                assert oracle_is_fixed(op, prefix) == expected
             except CandidateCeilingExceeded:
                 # The image of a dense word grows past the encoder's ceiling
                 # (ROADMAP item 1); the replay still rules on it.
                 refused += 1
-            assert is_encoder_fixed_point(k, prefix) == expected
+            assert is_encoder_fixed_point(op, prefix) == expected
         assert refused <= len(sets) // 10
 
     def test_walk_stops_at_the_largest_element(self, monkeypatch):
@@ -237,12 +257,12 @@ class TestEncoderFixedPoints:
         monkeypatch.setattr(
             dynamics, "incremental_oracle", lambda op: CountingOracle(make(op), counts)
         )
-        assert is_encoder_fixed_point(7, IntSetPrefix((3, 5), 10**7))
+        assert is_encoder_fixed_point(N7, IntSetPrefix((3, 5), 10**7))
         assert set(counts) <= {"forbids", "add"}
         assert counts["forbids"] <= 5
 
     def test_exhaustive_enumeration_matches_frozen_list(self):
-        found = [p.elements for p in encoder_fixed_points(7, 8)]
+        found = [p.elements for p in encoder_fixed_points(N7, 8)]
         assert found == sorted(FIXED_POINTS_K7_M8, key=lambda t: tuple(reversed(t)))
         assert set(found) == set(FIXED_POINTS_K7_M8)
 
@@ -251,27 +271,46 @@ class TestEncoderFixedPoints:
             combo
             for r in range(7)
             for combo in combinations(range(1, 7), r)
-            if oracle_is_fixed(7, IntSetPrefix(combo, 6))
+            if oracle_is_fixed(N7, IntSetPrefix(combo, 6))
         ]
-        assert sorted(p.elements for p in encoder_fixed_points(7, 6)) == sorted(oracle)
+        assert sorted(p.elements for p in encoder_fixed_points(N7, 6)) == sorted(oracle)
 
     def test_singletons_one_and_two_are_fixed(self):
-        found = {p.elements for p in encoder_fixed_points(7, 4)}
+        found = {p.elements for p in encoder_fixed_points(N7, 4)}
         assert (1,) in found and (2,) in found
 
     def test_nonempty_fixed_points_stay_below_double_minimum(self):
-        for prefix in encoder_fixed_points(7, 10):
+        for prefix in encoder_fixed_points(N7, 10):
             if prefix.elements:
                 assert max(prefix.elements) < 2 * min(prefix.elements)
 
-    @pytest.mark.parametrize("k", range(2, 17))
-    def test_search_matches_brute_force(self, k):
+    @pytest.mark.parametrize("op", DYNAMICS_OPERATORS, ids=str)
+    def test_search_matches_brute_force(self, op):
         for m in range(1, 11):
-            assert encoder_fixed_points(k, m) == brute_force_fixed_points(k, m)
+            assert encoder_fixed_points(op, m) == brute_force_fixed_points(op, m)
 
     @pytest.mark.parametrize("k", (3, 5, 7, 9, 16))
     def test_search_matches_brute_force_over_13(self, k):
-        assert encoder_fixed_points(k, 13) == brute_force_fixed_points(k, 13)
+        assert encoder_fixed_points(norm_k(k), 13) == brute_force_fixed_points(norm_k(k), 13)
+
+    @pytest.mark.parametrize(
+        "op, count",
+        [(sum_free(), 127), (coprime(), 88), (finite_sums(), 304), (norm_k(5), 216)],
+        ids=str,
+    )
+    def test_walk_and_search_match_full_encodes_of_every_subset_of_12(self, op, count):
+        subsets = [
+            IntSetPrefix(tuple(e for e in range(1, 13) if mask >> (e - 1) & 1), 12)
+            for mask in range(1 << 12)
+        ]
+        fixed = []
+        for prefix in subsets:
+            expected = oracle_is_fixed(op, prefix)
+            assert is_encoder_fixed_point(op, prefix) == expected
+            if expected:
+                fixed.append(prefix)
+        assert len(fixed) == count
+        assert encoder_fixed_points(op, 12) == fixed
 
     @pytest.mark.parametrize("k, m, fixed, added", [(7, 18, 165, 141), (5, 32, 11777, 10115)])
     def test_search_builds_one_oracle_and_extends_copies(self, monkeypatch, k, m, fixed, added):
@@ -284,22 +323,22 @@ class TestEncoderFixedPoints:
             dynamics, "incremental_oracle", lambda op: built.append(op) or make(op)
         )
         monkeypatch.setattr(CostTable, "add", lambda table, e: adds.append(e) or add(table, e))
-        assert len(encoder_fixed_points(k, m)) == fixed
+        assert len(encoder_fixed_points(norm_k(k), m)) == fixed
         assert len(built) == 1
         assert len(adds) == added
 
     def test_search_reaches_the_bound(self):
         # The 1,015 sets at k = 7 over [1, 32] were confirmed by an independent
         # search. One test per subset would take about a day: 2^18 tests take 5 s.
-        found = encoder_fixed_points(7, 32)
+        found = encoder_fixed_points(N7, 32)
         masks = [sum(1 << (e - 1) for e in p.elements) for p in found]
         assert len(found) == 1015
         assert masks == sorted(set(masks))
-        assert all(p.horizon == 32 and is_encoder_fixed_point(7, p) for p in found)
+        assert all(p.horizon == 32 and is_encoder_fixed_point(N7, p) for p in found)
 
     def test_enumeration_bound_is_enforced(self):
         with pytest.raises(ValueError):
-            encoder_fixed_points(7, 33)
+            encoder_fixed_points(N7, 33)
 
     def test_norm_bound_sweep_is_recorded(self):
         # Where does the "max < 2 min" law hold empirically? Below bound 6
@@ -309,65 +348,12 @@ class TestEncoderFixedPoints:
         for k in range(4, 10):
             violations = [
                 p.elements
-                for p in encoder_fixed_points(k, 10)
+                for p in encoder_fixed_points(norm_k(k), 10)
                 if p.elements and not max(p.elements) < 2 * min(p.elements)
             ]
             report[k] = len(violations)
         print(f"\nfixed-point bound violations by norm bound: {report}")
         assert report[7] == 0
-
-
-class TestSplitLimit:
-    def test_worked_pair(self):
-        result = split_limit(7, IntSetPrefix((3, 6), 6))
-        assert result.fixed == IntSetPrefix((3, 6), 6)
-        assert result.residual.elements == ()
-        assert result.nontrivial
-        # The head below twice the least element is an encoder fixed point too.
-        assert is_encoder_fixed_point(7, result.fixed.truncate(2 * 3 - 1))
-
-    def test_empty_input(self):
-        result = split_limit(7, IntSetPrefix((), 8))
-        assert result.fixed.elements == ()
-        assert result.nontrivial
-
-    def test_random_limits_split_verified(self):
-        rng = random.Random(53)
-        for _ in range(10):
-            record = find_limit(7, random_prefix(rng, 150), 10)
-            if record.verdict != "stabilized":
-                continue
-            result = split_limit(7, record.stabilized_prefix)
-            assert result.nontrivial
-            # independent re-verification of decoder-invariance
-            again = decode(norm_k(7), result.fixed)
-            kept = tuple(a for a in result.fixed.elements if a <= len(again.bits))
-            decoded = tuple(a for a, bit in enumerate(again.bits, 1) if bit == "1")
-            assert decoded == kept
-
-
-    @pytest.mark.parametrize("k", range(2, 17))
-    def test_matches_redecoding_every_head(self, k):
-        # Prefixes no limit search froze, so the residual need not be empty.
-        # Bounds 2 and 3 forbid nothing: there every head is fixed.
-        rng = random.Random(100 + k)
-        residuals = 0
-        for _ in range(25):
-            prefix = random_prefix(rng, rng.randint(1, 80), rng.random())
-            result = split_limit(k, prefix)
-            assert result == redecoded_split(k, prefix)
-            residuals += bool(result.residual.elements)
-        assert (residuals > 0) == (k >= 4)
-
-    def test_decodes_once(self, monkeypatch):
-        calls = []
-        run = dynamics.decode
-        monkeypatch.setattr(
-            dynamics, "decode", lambda op, prefix: calls.append(prefix) or run(op, prefix)
-        )
-        prefix = random_prefix(random.Random(7), 200)
-        split_limit(7, prefix)
-        assert calls == [prefix]
 
 
 class TestUltimateCompleteness:
@@ -446,7 +432,7 @@ class TestTwoElementLaws:
     @pytest.mark.parametrize("a", range(3, 13))
     def test_decode_pulls_the_double_back(self, a):
         prefix = IntSetPrefix((a, 2 * a + 1), 2 * a + 2)
-        bits = decode(norm_k(7), prefix).bits
+        bits = decode(N7, prefix).bits
         decoded = tuple(i for i, bit in enumerate(bits, 1) if bit == "1")
         assert decoded == (a, 2 * a)
 
@@ -458,7 +444,7 @@ class TestEncoderImage:
             prefix = random_prefix(rng, rng.randint(1, 40), rng.random())
             image = encode(norm_k(7), characteristic(prefix))
             assert is_member(norm_k(7), image.accepted)
-            assert decode(norm_k(7), image.accepted).bits == characteristic(prefix)
+            assert decode(N7, image.accepted).bits == characteristic(prefix)
 
     def test_image_of_an_encoder_fixed_point_is_itself(self):
         for elements in [(3,), (3, 5), (2, 3), (4, 6, 7)]:

@@ -95,7 +95,7 @@ class TestFindAnchoredRelation:
         for base in [{2, 3}, {4, 5}, {2, 5, 9}]:
             rel = find_anchored_relation(base, 9)
             if rel is not None:
-                assert rel.coefficient(1) == 1
+                assert rel.as_dict()[1] == 1
 
 
 small_bases = st.sets(st.integers(1, 30), max_size=5)
