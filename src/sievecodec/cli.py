@@ -103,17 +103,18 @@ def cmd_dynamics(args) -> int:
         shed = record.stars_per_step[index] if index < len(record.stars_per_step) else ""
         print(f"iterate index={index} set={iterate} stars={shed}")
     print(f"verdict={record.verdict}")
-    if record.stabilized_prefix is not None:
-        print(f"stabilized={record.stabilized_prefix}")
+    stable = record.stabilized_prefix
+    if stable is not None:
+        print(f"stabilized={stable}")
     if record.iterations_to_stability is not None:
         print(f"iterations={record.iterations_to_stability}")
     if args.split:
-        if record.stabilized_prefix is None:
+        if stable is None:
             raise ValueError("--split needs a stabilized limit; none was found")
         # Every prefix find_limit returns decodes with no star, so the whole of
         # it is its own decoder-fixed head.
-        print(f"fixed={record.stabilized_prefix}")
-        print(f"residual=@ {record.stabilized_prefix.horizon}")
+        print(f"fixed={stable}")
+        print(f"residual=@ {stable.horizon}")
         print("nontrivial=true")
     if record.verdict in ("horizon-exhausted", "insufficient-horizon"):
         return EXIT_HORIZON
