@@ -16,7 +16,10 @@ with one ``forbidden_in`` call on the elements below it, run through the next
 element so that its last entry says whether that element is forbidden too.
 Decoding accepts non-member prefixes and reports where their elements violate
 the family condition, which the orbit machinery in :mod:`sievecodec.dynamics`
-relies on.
+relies on.  Once the elements up to a violated one forbid every position
+above it up to the horizon, the decoder stops there: the rest of the word is
+forbidden marks and elements, and every remaining element is a violation.
+A member has no violated element, so its decode marks every gap.
 
 Pure functions throughout; every call is independent.
 """
@@ -115,13 +118,27 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     below a forbid it, '0' otherwise.  Membership is not required: elements
     that are themselves forbidden by their predecessors stay '1' in the
     ternary word and are reported in ``violations``.
+
+    Each gap takes one ``forbidden_in`` up to the point where the elements
+    added forbid every later position.  That is tested only after a violated
+    element: ``free``, the least position above it still allowed, comes from
+    ``next_allowed`` and is re-tested with one ``forbids`` after each later
+    violated element.  ``free`` only moves forward, so these scans together
+    cover the horizon at most once.  When it passes the horizon, the
+    remaining positions are marked forbidden with no further ``add`` or
+    window, which is exact because every operator is monotone.
     """
     oracle = incremental_oracle(op)
+    elements, horizon = prefix.elements, prefix.horizon
     # One byte per position: 0 neither, 1 forbidden, 2 element.
-    marks = np.zeros(prefix.horizon, dtype=np.uint8)
+    marks = np.zeros(horizon, dtype=np.uint8)
     violations: list[int] = []
     lo = 1
-    for element in prefix.elements:
+    # After a violated element: the least position from lo on that the
+    # elements added do not forbid, and it stays so while lo has not passed
+    # it.  0 before any violated element.
+    free = 0
+    for i, element in enumerate(elements):
         if element > lo:
             # The element's own mark, the window's last, is overwritten below.
             window = oracle.forbidden_in(lo, element)
@@ -131,12 +148,20 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
             violated = oracle.forbids(element)
         if violated:
             violations.append(element)
-        if element < prefix.horizon:  # nothing reads the add of one at the horizon
-            oracle.add(element)
         lo = element + 1
-    if prefix.horizon >= lo:
-        marks[lo - 1 :] = oracle.forbidden_in(lo, prefix.horizon)
-    marks[np.array(prefix.elements, dtype=np.intp) - 1] = 2
+        if element == horizon:  # nothing reads the add of one at the horizon
+            break
+        oracle.add(element)
+        if violated and (free < lo or oracle.forbids(free)):
+            free = oracle.next_allowed(max(free, lo))
+            if free > horizon:  # the elements added forbid every later one
+                marks[lo - 1 :] = 1
+                violations.extend(elements[i + 1 :])
+                lo = horizon + 1
+                break
+    if horizon >= lo:
+        marks[lo - 1 :] = oracle.forbidden_in(lo, horizon)
+    marks[np.array(elements, dtype=np.intp) - 1] = 2
     raw = marks.tobytes()
     return DecodeResult(
         raw.translate(_SYMBOLS).decode("ascii"),

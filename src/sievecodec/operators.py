@@ -148,7 +148,10 @@ def prime_factors(n: int) -> frozenset[int]:
 # monotone (adding an element never un-forbids a value), so a value skipped as
 # forbidden stays forbidden for good: the encoder can jump straight to
 # ``next_allowed``, and the decoder can mark a whole gap between consecutive
-# elements with one ``forbidden_in``.
+# elements with one ``forbidden_in``.  For the same reason a value forbidden by
+# e_1..e_i stays forbidden by all the elements below it, so once the elements
+# added forbid every position up to the horizon, the decoder marks the rest
+# without adding the later elements.
 
 
 class _MaskOracle:

@@ -13,9 +13,14 @@ stops at the first integer the elements below it forbid.
 that replay, where the library searches two ways over 1..M.  ``step``
 decodes the whole prefix for one orbit pass, where the library decodes only
 below the run of elements that ends at the horizon.
+
+``decode`` marks every gap with ``apply_J`` of the elements below it and
+tests every element against its predecessors, where the library's decoder
+runs one oracle and stops adding once the elements added forbid every later
+position.
 """
 
-from sievecodec import IntSetPrefix, OperatorKind, decode, from_characteristic
+from sievecodec import DecodeResult, IntSetPrefix, OperatorKind, from_characteristic
 from sievecodec.operators import incremental_oracle
 from sievecodec.relations import _table_of
 
@@ -123,6 +128,27 @@ def is_encoder_fixed_point(op: OperatorKind, prefix: IntSetPrefix) -> bool:
         elif inside:
             return False  # encoder rejects an element of the prefix
     return True
+
+
+def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
+    """The ternary word, bit word and violations of ``prefix``, one gap and
+    one element at a time."""
+    elements, horizon = prefix.elements, prefix.horizon
+    ternary: list[str] = []
+    violations: list[int] = []
+    lo = 1
+    for i, a in enumerate(elements + (horizon + 1,)):
+        # The gap below a and a itself, forbidden by the elements below a.
+        forbidden = apply_J(op, elements[:i], lo, min(a, horizon))
+        ternary.extend("*" if p in forbidden else "0" for p in range(lo, a))
+        if a > horizon:
+            break
+        if a in forbidden:
+            violations.append(a)
+        ternary.append("1")
+        lo = a + 1
+    word = "".join(ternary)
+    return DecodeResult(word, word.replace("*", ""), tuple(violations))
 
 
 def step(op: OperatorKind, prefix: IntSetPrefix) -> tuple[IntSetPrefix, int, int]:

@@ -14,14 +14,31 @@ from sievecodec import (
     from_characteristic,
     is_member,
     norm_k,
+    parse_operator,
     roundtrip_ok,
     sum_free,
 )
 from sievecodec import codec
-from conftest import ALL_OPERATORS, CountingOracle, bit_words, prefixes
+from conftest import ALL_OPERATORS, EVERY_OPERATOR, CountingOracle, bit_words, prefixes
 from reference import apply_J
+from reference import decode as reference_decode
 
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+# Elements that end in a violated one, and the least position above them
+# that they allow.  Below k = 4 the norm oracle forbids nothing above the set.
+FREE_AFTER = {
+    "sumfree": ((1, 2), 5),
+    "coprime": ((6, 8), 11),
+    "fs": ((1, 2, 3), 7),
+    "normk:4": ((1, 2, 3), 6),
+    "normk:5": ((1, 2, 3), 7),
+    "normk:6": ((1, 2), 5),
+    "normk:7": ((1, 2), 6),
+    "normk:9": ((1, 2), 6),
+    "normk:12": ((1, 2), 8),
+    "normk:16": ((1, 2), 9),
+}
 
 
 class TestEncode:
@@ -128,6 +145,40 @@ class TestDecode:
         assert is_member(op, prefix) == (not decode(op, prefix).violations)
 
 
+class TestDecodeMatchesReference:
+    """The decoder against one ``apply_J`` per gap and per element."""
+
+    @pytest.mark.parametrize("op", EVERY_OPERATOR, ids=str)
+    def test_dense_prefixes(self, op):
+        rng = random.Random(f"dense/{op}")
+        non_members = covered = 0
+        for _ in range(15):
+            horizon = rng.randint(1, 60)
+            density = rng.uniform(0.3, 0.9)
+            elements = tuple(a for a in range(1, horizon + 1) if rng.random() < density)
+            prefix = IntSetPrefix(elements, horizon)
+            expected = reference_decode(op, prefix)
+            assert decode(op, prefix) == expected
+            non_members += bool(expected.violations)
+            # Some violated element forbids, with those below it, every later position.
+            covered += any("0" not in expected.ternary[v:] for v in expected.violations)
+        if op.k is None or op.k >= 4:
+            assert non_members >= 10
+            assert covered >= 5
+
+    @pytest.mark.parametrize("op_text", FREE_AFTER)
+    def test_free_position_at_and_past_the_horizon(self, op_text):
+        op = parse_operator(op_text)
+        elements, free = FREE_AFTER[op_text]
+        stars = "*" * (free - elements[-1] - 1)
+        # Only the horizon stays allowed, then none: the last element covers the rest.
+        for horizon, tail in ((free, "1" + stars + "0"), (free - 1, "1" + stars)):
+            result = decode(op, IntSetPrefix(elements, horizon))
+            assert result == reference_decode(op, IntSetPrefix(elements, horizon))
+            assert result.ternary.endswith(tail)
+            assert result.violations[-1] == elements[-1]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("op", ALL_OPERATORS, ids=str)
     def test_empty_word(self, op):
@@ -186,6 +237,17 @@ class TestPrefixStability:
         assert a.ternary[:cut] == b.ternary[:cut]
 
 
+# Oracle calls of decoding (1, 2, 3, 5, 8) @ 12.
+NON_MEMBER_CALLS = {
+    "sumfree": {"forbidden_in": 3, "forbids": 6, "next_allowed": 4, "add": 5},
+    "normk:7": {"forbidden_in": 1, "forbids": 5, "next_allowed": 3, "add": 4},
+    "coprime": {"forbidden_in": 3, "forbids": 3, "next_allowed": 1, "add": 5},
+    "fs": {"forbidden_in": 2, "forbids": 5, "next_allowed": 3, "add": 5},
+    "normk:4": {"forbidden_in": 3, "forbids": 5, "next_allowed": 3, "add": 5},
+    "normk:9": {"forbidden_in": 1, "forbids": 5, "next_allowed": 3, "add": 4},
+}
+
+
 class TestOracleCallCounts:
     """Encode and decode cost one oracle call per bit, gap or element, never
     one per integer scanned."""
@@ -217,9 +279,24 @@ class TestOracleCallCounts:
             decode(op, accepted)
             assert counts.get("forbidden_in", 0) + counts.get("forbids", 0) == n + tail
             assert counts.get("add", 0) == adds
+            # Only a violated element starts the search for a free position.
+            assert counts.get("next_allowed", 0) == 0
         # A non-member with adjacent elements: a gap's window also tells
         # whether the element after it is forbidden, and an element right
-        # after its predecessor takes one probe.
+        # after its predecessor takes one probe.  After each violated
+        # element one ``next_allowed`` finds the least position still
+        # allowed, or one more probe finds it still allowed.  Under normk:7
+        # and normk:9 the elements up to 5 forbid 6..12, so 8 is not added.
         counts.clear()
         decode(op, IntSetPrefix((1, 2, 3, 5, 8), 12))
-        assert counts == {"forbidden_in": 3, "forbids": 3, "add": 5}
+        assert counts == NON_MEMBER_CALLS[str(op)]
+
+    def test_a_covered_start_stops_adding(self, counts):
+        # A random 200-of-2000 start, as an orbit begins: the first 31
+        # elements under normk:9 forbid every later position.
+        rng = random.Random("covered")
+        start = IntSetPrefix(tuple(sorted(rng.sample(range(1, 2001), 200))), 2000)
+        result = decode(norm_k(9), start)
+        assert counts["add"] == 31
+        assert result.violations[-169:] == start.elements[31:]
+        assert set(result.ternary[start.elements[30] :]) == {"*", "1"}

@@ -24,15 +24,12 @@ from sievecodec import (
     sum_free,
     ultimately_complete_on,
 )
-from conftest import CountingOracle
+from conftest import EVERY_OPERATOR, CountingOracle
 from reference import encoder_fixed_points as brute_force_fixed_points
 from reference import is_encoder_fixed_point as replayed_is_fixed
 from reference import step as full_decode_step
 
 N7 = norm_k(7)
-# The orbit and fixed-point machinery takes any operator: the three without
-# a parameter and every norm bound.
-DYNAMICS_OPERATORS = [sum_free(), coprime(), finite_sums()] + [norm_k(k) for k in range(2, 17)]
 
 # Exhaustive full-encode sweep over [1, 8] at norm bound 7; recomputed below
 # by the oracle, frozen here as a regression anchor.
@@ -118,7 +115,7 @@ def top_run(prefix):
 class TestStep:
     """One orbit pass decodes only below the top run, which reads all '1'."""
 
-    @pytest.mark.parametrize("op", DYNAMICS_OPERATORS, ids=str)
+    @pytest.mark.parametrize("op", EVERY_OPERATOR, ids=str)
     def test_matches_a_full_decode(self, op):
         rng = random.Random(300 + (op.k or 0))
         starts = [IntSetPrefix((), 0), IntSetPrefix((), 30), IntSetPrefix(tuple(range(1, 41)), 40)]
@@ -191,7 +188,7 @@ class TestFindLimit:
         with pytest.raises(ValueError):
             find_limit(N7, IntSetPrefix((), 5), 0)
 
-    @pytest.mark.parametrize("op", DYNAMICS_OPERATORS, ids=str)
+    @pytest.mark.parametrize("op", EVERY_OPERATOR, ids=str)
     def test_every_returned_prefix_decodes_with_no_star(self, op):
         # Stabilized or the largest frozen one, the prefix is its own
         # decoder-fixed head; ``dynamics --split`` prints it as such.
@@ -230,7 +227,7 @@ class TestEncoderFixedPoints:
             prefix = random_prefix(rng, rng.randint(1, 24), rng.random())
             assert is_encoder_fixed_point(N7, prefix) == oracle_is_fixed(N7, prefix)
 
-    @pytest.mark.parametrize("op", DYNAMICS_OPERATORS, ids=str)
+    @pytest.mark.parametrize("op", EVERY_OPERATOR, ids=str)
     def test_agrees_with_full_encode_oracle_past_the_largest_element(self, op):
         # The fixed points over [1, 8] and random sets, each read on a
         # horizon well past its largest element.
@@ -284,7 +281,7 @@ class TestEncoderFixedPoints:
             if prefix.elements:
                 assert max(prefix.elements) < 2 * min(prefix.elements)
 
-    @pytest.mark.parametrize("op", DYNAMICS_OPERATORS, ids=str)
+    @pytest.mark.parametrize("op", EVERY_OPERATOR, ids=str)
     def test_search_matches_brute_force(self, op):
         for m in range(1, 11):
             assert encoder_fixed_points(op, m) == brute_force_fixed_points(op, m)
