@@ -284,9 +284,10 @@ class TestOracleCallCounts:
         # A non-member with adjacent elements: a gap's window also tells
         # whether the element after it is forbidden, and an element right
         # after its predecessor takes one probe.  After each violated
-        # element one ``next_allowed`` finds the least position still
-        # allowed, or one more probe finds it still allowed.  Under normk:7
-        # and normk:9 the elements up to 5 forbid 6..12, so 8 is not added.
+        # element ``next_allowed`` finds the least position still allowed,
+        # unless one more probe finds the last one found still allowed.  Under
+        # normk:7 and normk:9 the elements up to 5 forbid 6..12, so 8 is not
+        # added.
         counts.clear()
         decode(op, IntSetPrefix((1, 2, 3, 5, 8), 12))
         assert counts == NON_MEMBER_CALLS[str(op)]
