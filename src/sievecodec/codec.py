@@ -35,13 +35,14 @@ from .operators import OperatorKind, incremental_oracle
 
 #: The encoder refuses a candidate above this that lies past a forbidden
 #: integer.  It bounds the oracle's state, which grows with the largest
-#: accepted element e: 2*max(1, k-2)*limit one-byte ``CostTable`` cells for
-#: ``normk:<k>`` (``limit`` doubles from 16 until it reaches e) and as many
-#: again for the work space of ``CostTable.add``, big-int masks of about 2e
-#: bits (A + A) for ``sumfree`` and of sum(A) bits (the subset sums) for
-#: ``fs``, and about one ``coprime`` mark per integer scanned.  Under
-#: operators whose accepted elements grow geometrically (``normk`` with
-#: k >= 7, ``fs``) ordinary words of a few dozen bits reach it.
+#: accepted element e: 2*(k-2)*limit one-byte ``CostTable`` cells for
+#: ``normk:<k>`` with k >= 5 (``limit`` doubles from 16 until it reaches e)
+#: and as many again for the work space of ``CostTable.add``, big-int masks
+#: of about 2e bits for ``normk:<k>`` with k <= 4 and for ``sumfree`` (the
+#: pair sums), of sum(A) bits (the subset sums) for ``fs``, and about one
+#: ``coprime`` mark per integer scanned.  Under operators whose accepted
+#: elements grow geometrically (``normk`` with k >= 7, ``fs``) ordinary words
+#: of a few dozen bits reach it.
 DEFAULT_CANDIDATE_CEILING = 1_000_000
 
 # Decoder marks to ternary symbols.
@@ -124,9 +125,11 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     element: ``free``, the least position above it still allowed, comes from
     ``next_allowed`` and is re-tested with one ``forbids`` after each later
     violated element.  ``free`` only moves forward, so these scans together
-    cover the horizon at most once.  When it passes the horizon, the
-    remaining positions are marked forbidden with no further ``add`` or
-    window, which is exact because every operator is monotone.
+    cover the horizon at most once.  A gap that ends below ``free`` is marked
+    forbidden with no window, and its element is a violation.  When ``free``
+    passes the horizon, the remaining positions are marked forbidden with no
+    further ``add`` or window, which is exact because every operator is
+    monotone.
     """
     oracle = incremental_oracle(op)
     elements, horizon = prefix.elements, prefix.horizon
@@ -134,12 +137,15 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     marks = np.zeros(horizon, dtype=np.uint8)
     violations: list[int] = []
     lo = 1
-    # After a violated element: the least position from lo on that the
-    # elements added do not forbid, and it stays so while lo has not passed
-    # it.  0 before any violated element.
+    # After a violated element: a position the elements added did not forbid
+    # when it was found, and every position in [lo, free) is forbidden.  0
+    # before any violated element.
     free = 0
     for i, element in enumerate(elements):
-        if element > lo:
+        if element < free:  # its gap is forbidden already, and so is it
+            marks[lo - 1 : element] = 1
+            violated = True
+        elif element > lo:
             # The element's own mark, the window's last, is overwritten below.
             window = oracle.forbidden_in(lo, element)
             marks[lo - 1 : element] = window

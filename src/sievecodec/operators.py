@@ -19,6 +19,14 @@ complement of A), so it defines no family at all; the predecessor condition
 is the one that reproduces classical sum-free and coprime semantics, and it
 is the one implemented here.
 
+Small norm bounds.  A relation of norm below k with coefficient y on v has
+y**2 < k, and the other coefficients' squares sum to below k - y**2.  For
+k <= 4 that leaves y = 1 and at most k - 2 further terms, each +/-1, so
+``normk:2`` forbids nothing, ``normk:3`` forbids S itself, and ``normk:4``
+forbids S, the sums a + b and the differences a - b of distinct members
+a > b: its family is the weakly sum-free sets.  From k = 5 on, relations
+with three terms or a coefficient of 2 appear.
+
 For ``sumfree``, ``normk`` and ``coprime`` the family is closed under taking
 subsets (each J is monotone in S, and the predecessor test only ever shrinks).
 For ``fs`` closure is *not* asserted: its status is an open question, and the
@@ -143,15 +151,15 @@ def prime_factors(n: int) -> frozenset[int]:
 # Every query is about a value outside the set: the encoder, the decoder,
 # ``apply_Ji``, the membership test and the fixed-point search walk a prefix
 # left to right and only ask about values above the elements added so far.
-# The ``normk`` oracle tries fewer multipliers for such values than for the
-# others, which keep the full range (see ``_NormOracle``).  Every operator is
-# monotone (adding an element never un-forbids a value), so a value skipped as
-# forbidden stays forbidden for good: the encoder can jump straight to
-# ``next_allowed``, and the decoder can mark a whole gap between consecutive
-# elements with one ``forbidden_in``.  For the same reason a value forbidden by
-# e_1..e_i stays forbidden by all the elements below it, so once the elements
-# added forbid every position up to the horizon, the decoder marks the rest
-# without adding the later elements.
+# The ``normk`` oracle for k >= 5 tries fewer multipliers for such values
+# than for the others, which keep the full range (see ``_NormOracle``).
+# Every operator is monotone (adding an element never un-forbids a value), so
+# a value skipped as forbidden stays forbidden for good: the encoder can jump
+# straight to ``next_allowed``, and the decoder can mark a whole gap between
+# consecutive elements with one ``forbidden_in``.  For the same reason a value
+# forbidden by e_1..e_i stays forbidden by all the elements below it, so once
+# the elements added forbid every position up to the horizon, the decoder
+# marks the rest without adding the later elements.
 
 
 class _MaskOracle:
@@ -211,24 +219,67 @@ class _SubsetSumOracle(_MaskOracle):
         self._mask |= (self._mask << element) | (1 << element)
 
 
+# A fresh pair-norm oracle reflects its members about this; it doubles as they pass it.
+_FIRST_PIVOT = 64
+
+
+class _PairNormOracle(_MaskOracle):
+    """``normk:<k>`` for k <= 4: the mask stays empty at k = 2, holds the set
+    at k = 3, and at k = 4 also the sums and positive differences of two
+    distinct elements.
+
+    ``_members`` holds the set A, and ``_reflected`` holds bit
+    ``_pivot - b`` for each b in A.  Shifting those right by e, and by
+    ``_pivot - e``, gives b - e for the b > e and e - b for the b < e.
+    """
+
+    __slots__ = ("k", "_members", "_reflected", "_pivot")
+
+    def __init__(self, k: int) -> None:
+        super().__init__()
+        self.k = k
+        self._members = self._reflected = 0
+        self._pivot = _FIRST_PIVOT
+
+    def copy(self) -> _PairNormOracle:
+        twin = super().copy()
+        twin.k, twin._members, twin._reflected, twin._pivot = (
+            self.k, self._members, self._reflected, self._pivot)
+        return twin
+
+    def add(self, element: int) -> None:
+        if self.k < 3:
+            return
+        mask = self._mask | (1 << element)
+        if self.k == 4:
+            while self._pivot < element:
+                self._reflected <<= self._pivot
+                self._pivot *= 2
+            members, shift = self._members, self._pivot - element
+            mask |= (members << element) | (members >> element) | (self._reflected >> shift)
+            self._members = members | (1 << element)
+            self._reflected |= 1 << shift
+        self._mask = mask
+
+
 # Width of the first window a windowed ``next_allowed`` search scans; each
 # further window of the same call is twice as wide.
 _FIRST_WINDOW = 64
 
 
 class _NormOracle:
-    """A value v is forbidden when some y >= 1 has cost(y * v) + y**2 < k in
-    the ``CostTable`` of the set.  Such a cost is at most k - 2, so the
-    table's budget stops there.
+    """``normk:<k>`` for k >= 5.  A value v is forbidden when some y >= 1 has
+    cost(y * v) + y**2 < k in the ``CostTable`` of the set.  Such a cost is
+    at most k - 2, so the table's budget stops there.
 
     Which y can forbid.  Any y with y**2 < k may, so y <= isqrt(k - 1).  For
     v above ``top``, the largest element, fewer can: y * v = sum(c_b * b)
     over elements b <= top < v needs sum(|c_b|) >= y + 1, so cost(y * v) =
     sum(c_b**2) >= y + 1 and the norm is at least y**2 + y + 1.  So above
-    ``top`` only the y with y**2 + y + 1 < k are tried: none for k <= 3,
-    y = 1 alone up to k = 7, y <= 2 up to k = 13.  Both ranges are fixed by
-    k and kept as (y, k - y**2) pairs; a query picks the short one when it
-    starts above ``top``, so every answer below ``top`` stays exact as well.
+    ``top`` only the y with y**2 + y + 1 < k are tried: y = 1 alone up to
+    k = 7, y <= 2 up to k = 13.  Both ranges are fixed by k and kept as
+    (y, k - y**2) pairs; a query picks the short one when it starts above
+    ``top``, so every answer below ``top`` stays exact as well.
 
     ``next_allowed`` keeps the boolean window it found a free value in,
     ``_window`` starting at ``_window_lo``, until the next ``add``: a run of
@@ -240,7 +291,7 @@ class _NormOracle:
 
     def __init__(self, k: int) -> None:
         self.k = k
-        self._table = CostTable(max(1, k - 2))
+        self._table = CostTable(k - 2)
         self._all = tuple((y, k - y * y) for y in range(1, isqrt(k - 1) + 1))
         self._above = tuple((y, bound) for y, bound in self._all if y * y + y + 1 < k)
         self._window = None
@@ -370,9 +421,16 @@ _KINDS = {
 
 
 def incremental_oracle(op: OperatorKind):
-    """Fresh oracle for one left-to-right sweep under ``op``."""
+    """Fresh oracle for one left-to-right sweep under ``op``.
+
+    ``normk:<k>`` with k <= 4 forbids through two-term relations alone, which
+    big-int masks hold (``_PairNormOracle``); from k = 5 on it needs the
+    ``CostTable`` of ``_NormOracle``.
+    """
     _, oracle = _KINDS[op.kind]
-    return oracle() if op.k is None else oracle(op.k)
+    if op.k is None:
+        return oracle()
+    return _PairNormOracle(op.k) if op.k <= 4 else oracle(op.k)
 
 
 # --- the operator on a prefix ------------------------------------------------

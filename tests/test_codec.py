@@ -239,14 +239,13 @@ class TestPrefixStability:
 
 # Oracle calls of decoding (1, 2, 3, 5, 8) @ 12.
 NON_MEMBER_CALLS = {
-    "sumfree": {"forbidden_in": 3, "forbids": 6, "next_allowed": 4, "add": 5},
-    "normk:7": {"forbidden_in": 1, "forbids": 5, "next_allowed": 3, "add": 4},
+    "sumfree": {"forbidden_in": 1, "forbids": 5, "next_allowed": 4, "add": 5},
+    "normk:7": {"forbids": 4, "next_allowed": 3, "add": 4},
     "coprime": {"forbidden_in": 3, "forbids": 3, "next_allowed": 1, "add": 5},
-    "fs": {"forbidden_in": 2, "forbids": 5, "next_allowed": 3, "add": 5},
-    "normk:4": {"forbidden_in": 3, "forbids": 5, "next_allowed": 3, "add": 5},
-    "normk:9": {"forbidden_in": 1, "forbids": 5, "next_allowed": 3, "add": 4},
+    "fs": {"forbids": 5, "next_allowed": 3, "add": 5},
+    "normk:4": {"forbidden_in": 1, "forbids": 5, "next_allowed": 3, "add": 5},
+    "normk:9": {"forbids": 4, "next_allowed": 3, "add": 4},
 }
-
 
 class TestOracleCallCounts:
     """Encode and decode cost one oracle call per bit, gap or element, never
@@ -285,7 +284,8 @@ class TestOracleCallCounts:
         # whether the element after it is forbidden, and an element right
         # after its predecessor takes one probe.  After each violated
         # element ``next_allowed`` finds the least position still allowed,
-        # unless one more probe finds the last one found still allowed.  Under
+        # unless one more probe finds the last one found still allowed.  An
+        # element below that position, and its gap, take no call.  Under
         # normk:7 and normk:9 the elements up to 5 forbid 6..12, so 8 is not
         # added.
         counts.clear()

@@ -223,7 +223,10 @@ def _built(op, elements):
 def _window_edges(op, oracle, elements):
     """Values where an oracle's state changes how it answers."""
     edges = [1, max(elements, default=0) + 1]
-    if op.kind == "normk":
+    if op.kind == "normk" and op.k <= 4:
+        if op.k == 4:
+            edges.append(2 * max(elements, default=0))  # the largest pair sum
+    elif op.kind == "normk":
         y = 1
         while y * y < op.k:
             edges.append(oracle._table.reach // y)  # above it, y forbids nothing
@@ -286,7 +289,7 @@ class TestOracleProtocol:
         self.check(op, elements, data)
 
     @given(
-        st.sampled_from([finite_sums(), norm_k(9)]),
+        st.sampled_from([finite_sums(), norm_k(9), norm_k(4)]),
         st.sets(st.integers(1, 10**5), max_size=6),
         st.data(),
     )
@@ -331,7 +334,7 @@ class TestOracleProtocol:
             elements = set(rng.sample(draw, rng.randint(1, 6)))
             top = max(elements)
             oracle = _built(op, elements)
-            edge = oracle._table.reach  # nothing above it is forbidden
+            edge = max(_window_edges(op, oracle, elements))  # nothing above it is forbidden
             full = oracle.forbidden_in(top, edge)
             assert oracle.forbidden_in(top + 1, edge).tolist() == full[1:].tolist()
             above = np.flatnonzero(full[1:]) + top + 1
