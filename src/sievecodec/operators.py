@@ -7,8 +7,7 @@ J(empty) = empty.  Four operators ship:
 * ``normk:<k>``  -- values admitting an integer relation of norm below k with
   a nonzero coefficient on the value itself (see :mod:`sievecodec.relations`),
 * ``coprime``    -- multiples of any prime factor of any member of S,
-* ``fs``         -- sums of nonempty finite subsets of S (experimental; see
-  the family note below).
+* ``fs``         -- sums of nonempty finite subsets of S.
 
 Family membership.  A prefix {a1 < a2 < ...} belongs to the family of an
 operator when no element lies in J of its strict predecessors, i.e.
@@ -27,10 +26,11 @@ forbids S, the sums a + b and the differences a - b of distinct members
 a > b: its family is the weakly sum-free sets.  From k = 5 on, relations
 with three terms or a coefficient of 2 appear.
 
-For ``sumfree``, ``normk`` and ``coprime`` the family is closed under taking
-subsets (each J is monotone in S, and the predecessor test only ever shrinks).
-For ``fs`` closure is *not* asserted: its status is an open question, and the
-test suite records what it observes on samples instead of assuming an answer.
+Every family, ``fs`` included, is closed under taking subsets.  Take T a
+subset of a member S, and t in T.  The elements of T below t are a subset of
+the elements of S below t, and each J is monotone in its set (adding an
+element never un-forbids a value), so t not in J(elements of S below t) gives
+t not in J(elements of T below t).
 
 All operations are pure; the prime-factor cache is grow-only and idempotent.
 """
@@ -137,7 +137,7 @@ def prime_factors(n: int) -> frozenset[int]:
 
 # --- incremental oracles -----------------------------------------------------
 #
-# An oracle holds a growing set and answers four calls about it:
+# An oracle holds a growing set and answers five calls about it:
 #
 # * ``add(e)`` admits one more element (in any order),
 # * ``forbids(v)`` says whether the current set forbids v,
@@ -263,7 +263,9 @@ class _PairNormOracle(_MaskOracle):
 
 
 # Width of the first window a windowed ``next_allowed`` search scans; each
-# further window of the same call is twice as wide.
+# further window of the same call is twice as wide.  The ``normk`` oracle
+# starts each search at the width that last found a free value instead, and
+# halves it, down to this, when that value lay in the window's first quarter.
 _FIRST_WINDOW = 64
 
 
@@ -278,16 +280,23 @@ class _NormOracle:
     sum(c_b**2) >= y + 1 and the norm is at least y**2 + y + 1.  So above
     ``top`` only the y with y**2 + y + 1 < k are tried: y = 1 alone up to
     k = 7, y <= 2 up to k = 13.  Both ranges are fixed by k and kept as
-    (y, k - y**2) pairs; a query picks the short one when it starts above
-    ``top``, so every answer below ``top`` stays exact as well.
+    (y, k - y**2) pairs, y = 1 first; a query picks the short one when it
+    starts above ``top``, so every answer below ``top`` stays exact as well.
+    ``forbidden_in`` reads one boolean window per y off the table
+    (``CostTable.multiples_below``); when y = 1 alone is tried, that window
+    is the answer.
 
     ``next_allowed`` keeps the boolean window it found a free value in,
     ``_window`` starting at ``_window_lo``, until the next ``add``: a run of
     rejected bits reads its next free value off it with ``argmin``.  A copy
-    starts without it.
+    starts without it.  It also keeps ``_width``, the width of that window,
+    across ``add``: along a lacunary word the gaps the searches cross grow
+    with the elements, so the next search starts at that width rather than
+    at ``_FIRST_WINDOW``.  Every window is exact, so the width changes how
+    many windows are scanned, never the answer.
     """
 
-    __slots__ = ("k", "_table", "_all", "_above", "_window", "_window_lo")
+    __slots__ = ("k", "_table", "_all", "_above", "_window", "_window_lo", "_width")
 
     def __init__(self, k: int) -> None:
         self.k = k
@@ -296,11 +305,12 @@ class _NormOracle:
         self._above = tuple((y, bound) for y, bound in self._all if y * y + y + 1 < k)
         self._window = None
         self._window_lo = 0
+        self._width = _FIRST_WINDOW
 
     def copy(self) -> _NormOracle:
         twin = object.__new__(_NormOracle)
-        twin.k, twin._table, twin._all, twin._above = (
-            self.k, self._table.copy(), self._all, self._above)
+        twin.k, twin._table, twin._all, twin._above, twin._width = (
+            self.k, self._table.copy(), self._all, self._above, self._width)
         twin._window, twin._window_lo = None, 0
         return twin
 
@@ -318,16 +328,15 @@ class _NormOracle:
 
     def forbidden_in(self, lo: int, hi: int) -> np.ndarray:
         # Always a fresh array: ``next_allowed`` keeps it.
-        n = max(0, hi - lo + 1)
-        ys = self._above if lo > self._table.top else self._all
-        if len(ys) == 1:
-            costs = self._table.multiples(1, lo, hi)
-            if len(costs) == n:
-                return costs < self.k - 1
-        out = np.zeros(n, dtype=bool)
-        for y, bound in ys:
-            costs = self._table.multiples(y, lo, hi)
-            out[: len(costs)] |= costs < bound
+        table = self._table
+        ys = self._above if lo > table.top else self._all
+        # y = 1 comes first and reaches furthest; past its reach nothing is forbidden.
+        out = table.multiples_below(1, lo, hi, ys[0][1])
+        if len(out) <= hi - lo:
+            out = np.concatenate((out, np.zeros(hi - lo + 1 - len(out), dtype=bool)))
+        for y, bound in ys[1:]:
+            hit = table.multiples_below(y, lo, hi, bound)
+            out[: len(hit)] |= hit
         return out
 
     def next_allowed(self, c: int) -> int:
@@ -341,13 +350,14 @@ class _NormOracle:
             lo = c
         # Above the table's window every cost exceeds the budget.
         edge = self._table.reach
-        width = _FIRST_WINDOW
+        width = self._width
         while lo <= edge:
             hi = min(lo + width - 1, edge)
             window = self.forbidden_in(lo, hi)
             i = int(window.argmin())
             if not window[i]:
                 self._window, self._window_lo = window, lo
+                self._width = max(width // 2, _FIRST_WINDOW) if 4 * i < width else width
                 return lo + i
             lo = hi + 1
             width *= 2

@@ -115,6 +115,10 @@ class CostTable:
     place from the ``(budget - j**2) * top`` span alone, whose targets all lie
     in the window, copied into the table's work space (as long as the table,
     freed with it).  Its work follows ``top``, not the window; it allocates nothing.
+
+    Reads: ``min_cost`` gives one cell; ``multiples_below`` compares the cells
+    of y * v for a run of consecutive v with a bound in one numpy comparison,
+    a slice strided by y, and returns the boolean window itself.
     """
 
     __slots__ = ("budget", "limit", "top", "_cost", "_work", "_offset")
@@ -174,16 +178,15 @@ class CostTable:
         """Largest value inside the window; every larger one costs more than budget."""
         return self._offset
 
-    def multiples(self, y: int, lo: int, hi: int) -> np.ndarray:
-        """Costs of y * v for v = lo, lo + 1, ..., as a read-only view.
+    def multiples_below(self, y: int, lo: int, hi: int, bound: int) -> np.ndarray:
+        """Whether cost(y * v) < bound for v = lo, lo + 1, ..., as a fresh
+        boolean array read straight off the cells.
 
-        The view stops at hi or where y * v leaves the window, whichever
-        comes first; every value beyond the window costs more than budget.
+        It stops at hi or where y * v leaves the window, whichever comes
+        first; every value beyond the window costs more than budget.
         """
         last = min(hi, self._offset // y)
-        view = self._cost[self._offset + y * lo : self._offset + y * last + 1 : y]
-        view.flags.writeable = False
-        return view
+        return self._cost[self._offset + y * lo : self._offset + y * last + 1 : y] < bound
 
     def min_cost(self, value: int) -> int | None:
         """Cheapest cost achieving ``value``, or None if above budget."""

@@ -2,8 +2,7 @@ import hypothesis.strategies as st
 
 from sievecodec import IntSetPrefix, coprime, finite_sums, norm_k, sum_free
 
-CLOSED_OPERATORS = [sum_free(), norm_k(7), coprime()]
-ALL_OPERATORS = CLOSED_OPERATORS + [finite_sums(), norm_k(4), norm_k(9)]
+ALL_OPERATORS = [sum_free(), norm_k(7), coprime(), finite_sums(), norm_k(4), norm_k(9)]
 # The three operators without a parameter and every norm bound.
 EVERY_OPERATOR = [sum_free(), coprime(), finite_sums()] + [norm_k(k) for k in range(2, 17)]
 

@@ -4,6 +4,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -243,6 +244,32 @@ class TestCostTable:
                 assert copy.limit == fresh.limit
                 span = range(-fresh.reach - 2, fresh.reach + 3)
                 assert [copy.min_cost(v) for v in span] == [fresh.min_cost(v) for v in span]
+
+    def test_multiples_below_reads_min_cost(self):
+        # Windows straddle reach // y, past which y * v leaves the table and
+        # the array stops.  A last element equal to ``limit`` puts a cost-1
+        # value at the reach itself when the budget is 1.
+        rng = random.Random(19)
+        for budget in (1, 3, 9, 14):
+            for _ in range(4):
+                table = CostTable(budget)
+                for e in rng.sample(range(1, 300), rng.randint(1, 5)):
+                    table.add(e)
+                table.add(table.limit)
+                for y in (1, 2, 3):
+                    edge = table.reach // y
+                    for lo in (edge - rng.randint(0, 70), rng.randint(1, edge)):
+                        lo = max(1, lo)
+                        hi = max(edge, lo) + rng.randint(-1, 70)
+                        bound = rng.randint(1, budget + 1)
+                        below = table.multiples_below(y, lo, hi, bound)
+                        assert below.dtype == bool
+                        assert not np.shares_memory(below, table._cost)
+                        assert len(below) == max(0, min(hi, edge) - lo + 1)
+                        costs = [table.min_cost(y * v) for v in range(lo, hi + 1)]
+                        expected = [c is not None and c < bound for c in costs]
+                        assert below.tolist() == expected[: len(below)]
+                        assert not any(expected[len(below) :])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
