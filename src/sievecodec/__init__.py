@@ -18,7 +18,6 @@ from .codec import (
 )
 from .core import (
     IntSetPrefix,
-    characteristic,
     from_characteristic,
 )
 from .dynamics import (
@@ -34,7 +33,6 @@ from .dynamics import (
 )
 from .operators import (
     OperatorKind,
-    apply_Ji,
     coprime,
     finite_sums,
     is_member,
@@ -63,8 +61,6 @@ __all__ = [
     "OrbitRecord",
     "Relation",
     "SufficiencyEvidence",
-    "apply_Ji",
-    "characteristic",
     "completeness_sufficient_condition",
     "coprime",
     "decode",

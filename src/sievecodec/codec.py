@@ -118,7 +118,9 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     Position a is '1' when a is an element, '*' when the elements strictly
     below a forbid it, '0' otherwise.  Membership is not required: elements
     that are themselves forbidden by their predecessors stay '1' in the
-    ternary word and are reported in ``violations``.
+    ternary word and are reported in ``violations``.  So the '*' positions
+    of the gap above the i-th element are J of the first i elements on that
+    gap (up to the horizon for the last element).
 
     Each gap takes one ``forbidden_in`` up to the point where the elements
     added forbid every later position.  That is tested only after a violated

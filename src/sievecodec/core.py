@@ -1,4 +1,4 @@
-"""Finite-prefix models of integer sets, binary words and the prefix metric.
+"""Finite-prefix models of integer sets and binary words.
 
 Everything here is a finite, fully-certified view of a potentially infinite
 object: an integer set is known exactly on ``[1, horizon]`` and nothing is
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 BIT_ALPHABET = frozenset("01")
 
@@ -98,47 +97,8 @@ class IntSetPrefix:
         return f"{','.join(str(a) for a in self.elements)} @ {self.horizon}".lstrip()
 
 
-def characteristic(prefix: IntSetPrefix) -> str:
-    """Indicator word of the prefix: position a carries '1' iff a is a member."""
-    inside = prefix.members()
-    return "".join("1" if a in inside else "0" for a in range(1, prefix.horizon + 1))
-
-
 def from_characteristic(word: str) -> IntSetPrefix:
-    """Inverse of :func:`characteristic`: 1-positions become elements."""
+    """The prefix of the indicator word ``word``: 1-positions become elements."""
     check_word(word)
     elements = tuple(i for i, bit in enumerate(word, start=1) if bit == "1")
     return IntSetPrefix(elements, len(word))
-
-
-@dataclass(frozen=True)
-class RhoVerdict:
-    """Outcome of comparing two prefixes under the 2^(1-N) metric.
-
-    ``kind`` is one of:
-
-    * ``"zero"`` -- the prefixes agree everywhere and certify the same horizon,
-    * ``"apart"`` -- they disagree; ``value`` is the exact dyadic distance and
-      ``first_difference`` the smallest integer where membership differs,
-    * ``"undecided"`` -- they agree up to the shorter horizon but the horizons
-      differ, so finite data cannot certify equality or a distance.
-    """
-
-    kind: str
-    value: Fraction | None = None
-    first_difference: int | None = None
-
-
-def prefix_distance(a: IntSetPrefix, b: IntSetPrefix) -> RhoVerdict:
-    """Compare two prefixes; distance is 2^(1-N) with N the first disagreement.
-
-    Exact over ``Fraction``; never guesses beyond the certified horizons.
-    """
-    limit = min(a.horizon, b.horizon)
-    in_a, in_b = a.members(), b.members()
-    for n in range(1, limit + 1):
-        if (n in in_a) != (n in in_b):
-            return RhoVerdict("apart", Fraction(1, 2 ** (n - 1)), n)
-    if a.horizon == b.horizon:
-        return RhoVerdict("zero", Fraction(0), None)
-    return RhoVerdict("undecided", None, None)

@@ -149,8 +149,8 @@ def prime_factors(n: int) -> frozenset[int]:
 #   can extend one set two ways without replaying it.
 #
 # Every query is about a value outside the set: the encoder, the decoder,
-# ``apply_Ji``, the membership test and the fixed-point search walk a prefix
-# left to right and only ask about values above the elements added so far.
+# the membership test and the fixed-point search walk a prefix left to right
+# and only ask about values above the elements added so far.
 # The ``normk`` oracle for k >= 5 tries fewer multipliers for such values
 # than for the others, which keep the full range (see ``_NormOracle``).
 # Every operator is monotone (adding an element never un-forbids a value), so
@@ -444,24 +444,6 @@ def incremental_oracle(op: OperatorKind):
 
 
 # --- the operator on a prefix ------------------------------------------------
-
-
-def apply_Ji(op: OperatorKind, prefix: IntSetPrefix, i: int) -> set[int]:
-    """Forbidden values in the i-th gap of a prefix.
-
-    For i < |A| this is J({a1..ai}) restricted to the open interval
-    (a_i, a_{i+1}); for i == |A| the tail interval (a_i, horizon] is used,
-    which is the largest interval the prefix certifies.
-    """
-    n = len(prefix.elements)
-    if i < 1 or i > n:
-        raise ValueError(f"gap index must be in [1, {n}], got {i}")
-    oracle = incremental_oracle(op)
-    for a in prefix.elements[:i]:
-        oracle.add(a)
-    lo = prefix.elements[i - 1] + 1
-    hi = prefix.elements[i] - 1 if i < n else prefix.horizon
-    return {lo + int(j) for j in np.flatnonzero(oracle.forbidden_in(lo, hi))}
 
 
 def is_member(op: OperatorKind, prefix: IntSetPrefix) -> bool:

@@ -1,16 +1,15 @@
 """Search for integer linear relations with a bounded coefficient norm.
 
 A *relation* on a finite set of positive integers is an integer coefficient
-vector y with sum(y_b * b) == 0; its norm is sum(y_b ** 2).  The searches here
-are exhaustive and exact: a relation of norm below a bound k can use at most
+vector y with sum(y_b * b) == 0; its norm is sum(y_b ** 2).  The search here
+is exhaustive and exact: a relation of norm below a bound k can use at most
 k - 1 nonzero coefficients, each of magnitude at most isqrt(k - 1), so the
 space is finite.  No lattice reduction, no approximation.
 
-Witness determinism: relations come in +/- pairs (negate every coefficient),
-so witnesses are canonicalised to a positive anchor coefficient.  Among
-minimal-norm canonical witnesses the one with the lexicographically smallest
-coefficient tuple (coefficients read along increasing elements) is returned,
-and repeated calls return the identical object contents.
+Witnesses have one shape: the coefficient of 1 is pinned to 1, the norm is
+the least such a relation can have, and among those of that norm the
+coefficient tuple, read along increasing elements, is lexicographically
+least.  Repeated calls return the identical object contents.
 
 The incremental :class:`CostTable` answers existence queries in O(1) after a
 vectorised update per added element; it backs the hot paths elsewhere in the
@@ -196,31 +195,17 @@ class CostTable:
         c = int(self._cost[self._offset + v])
         return c if c <= self.budget else None
 
-    def relation_norm(self, value: int) -> int | None:
-        """Least y**2 + cost(y * value) over y >= 1, or None if above budget.
 
-        That is the least norm of a relation between the elements and
-        ``value``, taken as one more variable, with a nonzero coefficient on
-        ``value`` (positive, by the +/- symmetry of relations).
-        """
-        norms = [y * y + c for y in range(1, isqrt(self.budget) + 1)
-                 if (c := self.min_cost(y * value)) is not None]
-        best = min(norms, default=self.budget + 1)
-        return best if best <= self.budget else None
-
-
-def _lex_min_witness(
-    variables: tuple[int, ...], anchor: int, target: int, pinned_unit: bool
-) -> tuple[int, ...] | None:
-    """Lexicographically least coefficient vector of norm exactly ``target``.
+def _lex_min_witness(elements: tuple[int, ...], target: int) -> tuple[int, ...] | None:
+    """Lexicographically least coefficients on ``elements``, in increasing
+    order, that make 1 + sum(y_b * b) == 0 with 1 + sum(y_b ** 2) == target.
 
     Coefficients are assigned along increasing elements, each tried in
     increasing numeric order, so the first full assignment found is the
-    lexicographic minimum.  The anchor coefficient is restricted to positive
-    values (canonical sign), or pinned to exactly 1 when ``pinned_unit``.
+    lexicographic minimum.
     """
-    n = len(variables)
-    largest = variables[-1]
+    n = len(elements)
+    largest = elements[-1]
     out = [0] * n
 
     def descend(i: int, total: int, used: int) -> bool:
@@ -231,30 +216,16 @@ def _lex_min_witness(
         # element (sum |y| <= sum y^2 for integers), so a larger imbalance is dead.
         if abs(total) > remaining * largest:
             return False
-        v = variables[i]
-        if v == anchor:
-            choices = (1,) if pinned_unit else range(1, isqrt(remaining) + 1)
-        else:
-            bound = isqrt(remaining)
-            choices = range(-bound, bound + 1)
-        for y in choices:
+        bound = isqrt(remaining)
+        for y in range(-bound, bound + 1):
             out[i] = y
-            if descend(i + 1, total + y * v, used + y * y):
+            if descend(i + 1, total + y * elements[i], used + y * y):
                 return True
         out[i] = 0
         return False
 
-    return tuple(out) if descend(0, 0, 0) else None
-
-
-def _validated_elements(values, forbid: int) -> frozenset[int]:
-    elements = frozenset(values)
-    for b in elements:
-        if not isinstance(b, int) or b < 1:
-            raise ValueError(f"base set must contain positive integers, got {b!r}")
-    if forbid in elements:
-        raise ValueError(f"base set must not contain {forbid}")
-    return elements
+    # The coefficient of 1 is pinned to 1: the search starts from its total and norm.
+    return tuple(out) if descend(0, 1, 1) else None
 
 
 def _check_norm_bound(k: int) -> None:
@@ -274,36 +245,24 @@ def _table_of(elements: set[int] | frozenset[int], k: int) -> CostTable:
     return table
 
 
-def _witness(elements: frozenset[int], anchor: int, norm: int, pinned_unit: bool) -> Relation:
-    """The lexicographically least relation of the given norm on elements | {anchor}."""
-    variables = tuple(sorted(elements | {anchor}))
-    vector = _lex_min_witness(variables, anchor, norm, pinned_unit)
-    assert vector is not None, "existence and witness search disagree"
-    return Relation(tuple((e, c) for e, c in zip(variables, vector) if c != 0), norm)
-
-
-def find_relation(base, anchor: int, k: int) -> Relation | None:
-    """Minimal relation on base | {anchor} with y_anchor != 0 and norm < k.
-
-    Returns None when no such relation exists.  The witness is deterministic:
-    minimal norm, positive anchor coefficient, then lexicographically least
-    coefficients along increasing elements.
-    """
-    _check_norm_bound(k)
-    elements = _validated_elements(base, anchor)
-    if not isinstance(anchor, int) or anchor < 1:
-        raise ValueError(f"anchor must be a positive integer, got {anchor!r}")
-    best = _table_of(elements, k).relation_norm(anchor)
-    return None if best is None else _witness(elements, anchor, best, False)
-
-
 def find_anchored_relation(base, k: int) -> Relation | None:
     """Minimal relation on base | {1} with the coefficient of 1 pinned to 1
     and norm at most k - 2, or None.
+
+    Of the relations of that norm it returns the one whose coefficients, read
+    along increasing elements, are lexicographically least.
     """
     _check_norm_bound(k)
-    elements = _validated_elements(base, 1)
+    elements = frozenset(base)
+    for b in elements:
+        if not isinstance(b, int) or b < 1:
+            raise ValueError(f"base set must contain positive integers, got {b!r}")
+    if 1 in elements:
+        raise ValueError("base set must not contain 1")
     cost = _table_of(elements, k).min_cost(1)
     if cost is None or cost + 1 > k - 2:
         return None
-    return _witness(elements, 1, cost + 1, True)
+    ordered = tuple(sorted(elements))
+    vector = _lex_min_witness(ordered, cost + 1)
+    assert vector is not None, "existence and witness search disagree"
+    return Relation(((1, 1),) + tuple((e, c) for e, c in zip(ordered, vector) if c), cost + 1)

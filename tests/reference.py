@@ -3,8 +3,12 @@
 ``apply_J`` computes each operator from its definition, one branch per
 operator, apart from the incremental oracles of :mod:`sievecodec.operators`:
 it factors by trial division instead of the library's sieve, enumerates pair
-and subset sums directly, and asks ``CostTable.relation_norm`` about every
-value, from a table of the set or, for a member, of the other members.
+and subset sums directly, and computes the relation norm of every value
+itself: the least y**2 + ``min_cost(y * v)`` over y >= 1, read off a table of
+the set or, for a member, of the other members.
+
+``characteristic`` builds the indicator word of a prefix, which the tests
+feed the encoder.
 
 The dynamics references take any operator.  ``is_encoder_fixed_point``
 replays the encoder on the indicator word, step by step, where the library
@@ -20,9 +24,17 @@ runs one oracle and stops adding once the elements added forbid every later
 position.
 """
 
+from math import isqrt
+
 from sievecodec import DecodeResult, IntSetPrefix, OperatorKind, from_characteristic
 from sievecodec.operators import incremental_oracle
 from sievecodec.relations import _table_of
+
+
+def characteristic(prefix: IntSetPrefix) -> str:
+    """Indicator word of the prefix: position a carries '1' iff a is a member."""
+    inside = prefix.members()
+    return "".join("1" if a in inside else "0" for a in range(1, prefix.horizon + 1))
 
 
 def prime_factors(n: int) -> set[int]:
@@ -69,8 +81,11 @@ def apply_J(op, base, lo: int, hi: int) -> set[int]:
         whole = _table_of(elements, op.k)
         for value in range(lo, hi + 1):
             table = _table_of(elements - {value}, op.k) if value in elements else whole
-            if table.relation_norm(value) is not None:
-                out.add(value)
+            for y in range(1, isqrt(op.k - 1) + 1):
+                cost = table.min_cost(y * value)
+                if cost is not None and y * y + cost < op.k:
+                    out.add(value)
+                    break
         return out
     if op.kind == "coprime":
         primes: set[int] = set()

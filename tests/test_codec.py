@@ -166,6 +166,26 @@ class TestDecodeMatchesReference:
             assert non_members >= 10
             assert covered >= 5
 
+    @given(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(ALL_OPERATORS),
+                st.sets(st.integers(1, 30), min_size=1, max_size=8),
+            ),
+            # Lacunary sets: gaps of up to 10^5 values.
+            st.tuples(
+                st.sampled_from([finite_sums(), norm_k(9)]),
+                st.sets(st.integers(1, 10**5), min_size=1, max_size=6),
+            ),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_prefixes_with_lacunary_gaps(self, case, data):
+        op, elements = case
+        prefix = IntSetPrefix.of(elements, max(elements) + data.draw(st.integers(0, 10)))
+        assert decode(op, prefix) == reference_decode(op, prefix)
+
     @pytest.mark.parametrize("op_text", FREE_AFTER)
     def test_free_position_at_and_past_the_horizon(self, op_text):
         op = parse_operator(op_text)

@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
-import hypothesis.strategies as st
 
-from sievecodec import IntSetPrefix, characteristic, from_characteristic
-from sievecodec.core import prefix_distance
+from sievecodec import IntSetPrefix, from_characteristic
 from conftest import bit_words, prefixes
+from reference import characteristic
 
 
 class TestIntSetPrefix:
@@ -82,53 +79,3 @@ class TestCharacteristic:
     @given(bit_words)
     def test_roundtrip_from_word(self, word):
         assert characteristic(from_characteristic(word)) == word
-
-
-class TestPrefixDistance:
-    def test_equal_prefixes(self):
-        a = IntSetPrefix((1, 4), 5)
-        verdict = prefix_distance(a, IntSetPrefix((1, 4), 5))
-        assert verdict.kind == "zero"
-        assert verdict.value == 0
-
-    def test_disagreement_at_one(self):
-        verdict = prefix_distance(IntSetPrefix((1,), 2), IntSetPrefix((2,), 2))
-        assert verdict.kind == "apart"
-        assert verdict.first_difference == 1
-        assert verdict.value == Fraction(1)
-
-    def test_disagreement_at_three(self):
-        verdict = prefix_distance(IntSetPrefix((2, 3), 4), IntSetPrefix((2, 4), 4))
-        assert verdict.kind == "apart"
-        assert verdict.first_difference == 3
-        assert verdict.value == Fraction(1, 4)
-
-    def test_undecided_on_horizon_mismatch(self):
-        verdict = prefix_distance(IntSetPrefix((2,), 3), IntSetPrefix((2,), 5))
-        assert verdict.kind == "undecided"
-        assert verdict.value is None
-
-    def test_disagreement_wins_over_horizon_mismatch(self):
-        verdict = prefix_distance(IntSetPrefix((1,), 3), IntSetPrefix((2,), 5))
-        assert verdict.kind == "apart"
-        assert verdict.first_difference == 1
-
-    @given(prefixes(), prefixes())
-    def test_symmetry(self, a, b):
-        assert prefix_distance(a, b) == prefix_distance(b, a)
-
-    @given(st.data())
-    def test_ultrametric_on_common_horizon(self, data):
-        horizon = data.draw(st.integers(1, 24))
-        def draw_prefix(label):
-            elements = data.draw(st.sets(st.integers(1, horizon)), label=label)
-            return IntSetPrefix.of(elements, horizon)
-        a, b, c = draw_prefix("a"), draw_prefix("b"), draw_prefix("c")
-
-        def dist(x, y):
-            verdict = prefix_distance(x, y)
-            assert verdict.kind in ("zero", "apart")
-            return verdict.value
-
-        assert (dist(a, b) == 0) == (a == b)
-        assert dist(a, c) <= max(dist(a, b), dist(b, c))

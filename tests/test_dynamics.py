@@ -9,7 +9,6 @@ from sievecodec import (
     CandidateCeilingExceeded,
     CostTable,
     IntSetPrefix,
-    characteristic,
     completeness_sufficient_condition,
     coprime,
     decode,
@@ -25,6 +24,7 @@ from sievecodec import (
     ultimately_complete_on,
 )
 from conftest import EVERY_OPERATOR, CountingOracle
+from reference import characteristic
 from reference import encoder_fixed_points as brute_force_fixed_points
 from reference import is_encoder_fixed_point as replayed_is_fixed
 from reference import step as full_decode_step

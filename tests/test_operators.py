@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from sievecodec import (
     IntSetPrefix,
-    apply_Ji,
     coprime,
     encode,
     finite_sums,
@@ -98,54 +97,6 @@ class TestApplyJ:
     def test_monotone_in_the_set(self, op, small, extra):
         grown = small | extra
         assert apply_J(op, small, 1, 40) <= apply_J(op, grown, 1, 40)
-
-
-class TestApplyJi:
-    def test_norm_seven_gap(self):
-        prefix = IntSetPrefix((3, 7), 10)
-        assert apply_Ji(norm_k(7), prefix, 1) == {6}
-
-    def test_sum_free_gap(self):
-        prefix = IntSetPrefix((1, 3), 6)
-        assert apply_Ji(sum_free(), prefix, 1) == {2}
-
-    def test_tail_gap_runs_to_the_horizon(self):
-        prefix = IntSetPrefix((1, 3), 6)
-        assert apply_Ji(sum_free(), prefix, 2) == {4, 6}
-
-    def test_adjacent_elements_leave_no_gap(self):
-        prefix = IntSetPrefix((2, 3), 5)
-        assert apply_Ji(sum_free(), prefix, 1) == set()
-
-    def test_rejects_out_of_range_index(self):
-        prefix = IntSetPrefix((2, 3), 5)
-        for i in (0, 3):
-            with pytest.raises(ValueError):
-                apply_Ji(sum_free(), prefix, i)
-
-    @given(
-        st.one_of(
-            st.tuples(
-                st.sampled_from(ALL_OPERATORS),
-                st.sets(st.integers(1, 30), min_size=1, max_size=8),
-            ),
-            # Lacunary sets: gaps of up to 10^5 values.
-            st.tuples(
-                st.sampled_from([finite_sums(), norm_k(9)]),
-                st.sets(st.integers(1, 10**5), min_size=1, max_size=6),
-            ),
-        ),
-        st.data(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_is_exactly_the_interval_restriction(self, case, data):
-        op, elements = case
-        prefix = IntSetPrefix.of(elements, max(elements) + data.draw(st.integers(0, 10)))
-        i = data.draw(st.integers(1, len(prefix.elements)))
-        head = prefix.elements[:i]
-        lo = head[-1] + 1
-        hi = prefix.elements[i] - 1 if i < len(prefix.elements) else prefix.horizon
-        assert apply_Ji(op, prefix, i) == apply_J(op, head, lo, hi)
 
 
 class TestIsMember:

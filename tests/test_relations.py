@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from sievecodec import CostTable, Relation, find_anchored_relation
-from sievecodec.relations import find_relation
+from sievecodec import CostTable, Relation, find_anchored_relation, norm_k
+from reference import apply_J
 
 
 def naive_min_norm(base, anchor, coeff_bound):
@@ -33,44 +33,53 @@ def naive_min_norm(base, anchor, coeff_bound):
     return best
 
 
-class TestFindRelation:
-    def test_doubling_relation(self):
-        rel = find_relation({3}, 6, 7)
-        assert rel is not None
-        assert rel.as_dict() == {3: -2, 6: 1}
-        assert rel.norm == 5
+small_bases = st.sets(st.integers(1, 30), max_size=5)
 
-    def test_empty_base_has_no_relation(self):
-        for anchor, k in [(1, 7), (5, 9), (10, 16)]:
-            assert find_relation(set(), anchor, k) is None
+
+def naive_anchored_witness(base, k):
+    """Independent oracle for ``find_anchored_relation``: every coefficient
+    vector on base with 1 on the element 1 and norm at most k - 2, tried in
+    lexicographic order along increasing elements.  Returns the first one of
+    the least norm, or None.
+    """
+    ordered = sorted(base)
+    bound = isqrt(k - 3)
+    best = None
+    for vector in itertools.product(range(-bound, bound + 1), repeat=len(ordered)):
+        if 1 + sum(y * b for y, b in zip(vector, ordered)) != 0:
+            continue
+        norm = 1 + sum(y * y for y in vector)
+        if norm <= k - 2 and (best is None or norm < best.norm):
+            coeffs = ((1, 1),) + tuple((b, y) for b, y in zip(ordered, vector) if y)
+            best = Relation(coeffs, norm)
+    return best
+
+
+class TestReferenceNorm:
+    """The relation norm that the reference ``apply_J`` computes for ``normk``."""
+
+    def test_doubling_relation(self):
+        # 6 - 2*3 = 0 has norm 5; nothing relates 5 to 3 below norm 7.
+        assert apply_J(norm_k(7), {3}, 5, 6) == {6}
 
     def test_three_term_relation(self):
-        rel = find_relation({3, 4}, 5, 7)
-        assert rel is not None
-        assert rel.as_dict() == {3: 1, 4: -2, 5: 1}
-        assert rel.norm == 6
+        # 5 - 2*4 + 3 = 0 has norm 6.
+        assert apply_J(norm_k(7), {3, 4}, 5, 5) == {5}
+        assert apply_J(norm_k(6), {3, 4}, 5, 5) == set()
 
-    def test_no_relation_below_bound(self):
-        assert find_relation({3}, 5, 7) is None
+    def test_symmetric_in_sign(self):
+        # The same relation forbids 6 from {3} and 3 from {6}, with coefficient -2.
+        for element, value in [(3, 6), (6, 3)]:
+            assert apply_J(norm_k(6), {element}, value, value + 1) == {value}
+            assert apply_J(norm_k(5), {element}, value, value) == set()
 
-    def test_rejects_anchor_inside_base(self):
-        with pytest.raises(ValueError):
-            find_relation({3, 6}, 6, 7)
-
-    def test_rejects_tiny_and_oversized_bounds(self):
-        with pytest.raises(ValueError):
-            find_relation({3}, 6, 1)
-        with pytest.raises(ValueError):
-            find_relation({3}, 6, 17)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            find_relation({0, 3}, 6, 7)
-        with pytest.raises(ValueError):
-            find_relation({3}, 0, 7)
-
-    def test_serialisation(self):
-        assert str(find_relation({3}, 6, 7)) == "1*6 - 2*3 = 0 (norm 5)"
+    @given(small_bases, st.integers(1, 40), st.integers(2, 9))
+    @settings(max_examples=200)
+    def test_agrees_with_naive_enumeration(self, base, anchor, k):
+        base -= {anchor}
+        oracle = naive_min_norm(base, anchor, isqrt(k - 1))
+        forbidden = anchor in apply_J(norm_k(k), base, anchor, anchor)
+        assert forbidden == (oracle is not None and oracle < k)
 
 
 class TestFindAnchoredRelation:
@@ -92,57 +101,50 @@ class TestFindAnchoredRelation:
         with pytest.raises(ValueError):
             find_anchored_relation({1, 2}, 7)
 
+    def test_rejects_tiny_and_oversized_bounds(self):
+        with pytest.raises(ValueError):
+            find_anchored_relation({3}, 1)
+        with pytest.raises(ValueError):
+            find_anchored_relation({3}, 17)
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            find_anchored_relation({0, 3}, 7)
+
     def test_pinned_coefficient(self):
         for base in [{2, 3}, {4, 5}, {2, 5, 9}]:
             rel = find_anchored_relation(base, 9)
             if rel is not None:
                 assert rel.as_dict()[1] == 1
 
+    def test_serialisation(self):
+        # 1 + 6 - 7 = 0 is the one relation of norm 3; ``sufficient`` prints it so.
+        assert str(find_anchored_relation({4, 6, 7}, 5)) == "-1*7 + 1*6 + 1*1 = 0 (norm 3)"
 
-small_bases = st.sets(st.integers(1, 30), max_size=5)
+    def test_witness_is_the_least_of_minimal_norm(self):
+        # Every base of up to five elements from 2..30 and every k in 3..9
+        # drawn here: the witness has the least norm <= k - 2, and of those
+        # the lexicographically least coefficients.
+        rng = random.Random(29)
+        found = 0
+        for _ in range(400):
+            base = set(rng.sample(range(2, 31), rng.randint(0, 5)))
+            k = rng.randint(3, 9)
+            expected = naive_anchored_witness(base, k)
+            assert find_anchored_relation(base, k) == expected == find_anchored_relation(base, k)
+            found += expected is not None
+        assert found >= 80
 
 
 class TestProperties:
-    @given(small_bases, st.integers(1, 40), st.integers(2, 9))
-    @settings(max_examples=300)
-    def test_witness_soundness(self, base, anchor, k):
-        base -= {anchor}
-        rel = find_relation(base, anchor, k)
-        if rel is None:
-            return
-        coeffs = rel.as_dict()
-        assert coeffs.get(anchor, 0) > 0  # canonical sign
-        assert set(coeffs) <= base | {anchor}
-        assert sum(v * c for v, c in coeffs.items()) == 0
-        assert rel.norm == sum(c * c for c in coeffs.values())
-        assert rel.norm < k
-
-    @given(small_bases, st.integers(1, 40), st.integers(2, 9))
-    @settings(max_examples=200)
-    def test_agrees_with_naive_enumeration(self, base, anchor, k):
-        base -= {anchor}
-        rel = find_relation(base, anchor, k)
-        oracle = naive_min_norm(base, anchor, isqrt(k - 1))
-        if oracle is not None and oracle < k:
-            assert rel is not None and rel.norm == oracle
-        else:
-            assert rel is None
-
-    @given(small_bases, st.integers(1, 40), st.integers(2, 8), st.integers(1, 50))
+    @given(small_bases, st.integers(2, 8), st.integers(2, 50))
     @settings(max_examples=150)
-    def test_monotone_in_base_and_bound(self, base, anchor, k, extra):
-        base -= {anchor}
-        if find_relation(base, anchor, k) is None:
+    def test_monotone_in_base_and_bound(self, base, k, extra):
+        base -= {1}
+        if find_anchored_relation(base, k) is None:
             return
-        assert find_relation(base, anchor, k + 1) is not None
-        if extra != anchor:
-            assert find_relation(base | {extra}, anchor, k) is not None
-
-    @given(small_bases, st.integers(1, 40), st.integers(2, 9))
-    @settings(max_examples=100)
-    def test_deterministic(self, base, anchor, k):
-        base -= {anchor}
-        assert find_relation(base, anchor, k) == find_relation(base, anchor, k)
+        assert find_anchored_relation(base, k + 1) is not None
+        assert find_anchored_relation(base | {extra}, k) is not None
 
     @given(small_bases, st.integers(1, 40))
     @settings(max_examples=150)
@@ -278,33 +280,6 @@ class TestCostTable:
         with pytest.raises(ValueError):
             table.add(0)
 
-    def test_existence_matches_find_relation(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            base = {rng.randint(1, 60) for _ in range(rng.randint(0, 6))}
-            anchor = rng.randint(1, 80)
-            base -= {anchor}
-            k = rng.randint(2, 9)
-            table = CostTable(k - 1)
-            for b in sorted(base):
-                table.add(b)
-            exists = False
-            y = 1
-            while y * y < k:
-                cost = table.min_cost(y * anchor)
-                if cost is not None and cost + y * y < k:
-                    exists = True
-                    break
-                y += 1
-            assert exists == (find_relation(base, anchor, k) is not None)
-
-    def test_relation_norm_symmetric_in_sign(self):
-        for element, value in [(3, 6), (6, 3)]:
-            table = CostTable(6)
-            table.add(element)
-            assert table.relation_norm(value) == 5
-            assert table.relation_norm(value + 1) is None
-
 
 class TestMemory:
     def test_queries_retain_nothing(self):
@@ -317,7 +292,6 @@ class TestMemory:
         try:
             before = tracemalloc.get_traced_memory()[0]
             for anchor, *base in draws:
-                find_relation(base, anchor, 16)
                 find_anchored_relation(base + [anchor], 16)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
