@@ -199,6 +199,67 @@ class TestDecodeMatchesReference:
             assert result.violations[-1] == elements[-1]
 
 
+class TestDecodeGaps:
+    """The '*' positions of the gap above the i-th element are J of the first
+    i elements on that gap, up to the horizon for the last element."""
+
+    @staticmethod
+    def gap(op, prefix, i):
+        """The bounds and decoded symbols of gap i; gap 0 lies below the
+        first element."""
+        elements = prefix.elements
+        lo = elements[i - 1] + 1 if i else 1
+        hi = elements[i] - 1 if i < len(elements) else prefix.horizon
+        return lo, hi, decode(op, prefix).ternary[lo - 1 : hi]
+
+    def test_norm_seven_gap(self):
+        # 6 - 2*3 = 0 has norm 5; 4 and 5 are free.
+        prefix = IntSetPrefix((3, 7), 10)
+        assert self.gap(norm_k(7), prefix, 1) == (4, 6, "00*")
+
+    def test_sum_free_gap(self):
+        assert self.gap(sum_free(), IntSetPrefix((1, 3), 6), 1) == (2, 2, "*")
+
+    def test_tail_gap_runs_to_the_horizon(self):
+        # 4 = 1 + 3 and 6 = 3 + 3; 5 is no sum of two of {1, 3}.
+        assert self.gap(sum_free(), IntSetPrefix((1, 3), 6), 2) == (4, 6, "*0*")
+
+    def test_adjacent_elements_leave_no_gap(self):
+        prefix = IntSetPrefix((2, 3), 5)
+        assert self.gap(sum_free(), prefix, 1) == (3, 2, "")
+        assert self.gap(sum_free(), prefix, 2) == (4, 5, "**")
+
+    @given(st.sampled_from(ALL_OPERATORS), prefixes(max_horizon=60), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_gap_depends_only_on_the_elements_below(self, op, prefix, data):
+        # Gap i of the prefix is the tail gap of its first i elements cut at
+        # the gap's end; violated elements among them take the decoder's
+        # shortcut in one and not in the other.
+        i = data.draw(st.integers(0, len(prefix.elements)))
+        lo, hi, symbols = self.gap(op, prefix, i)
+        head = IntSetPrefix(prefix.elements[:i], hi)
+        assert self.gap(op, head, i) == (lo, hi, symbols)
+
+    @given(st.sampled_from(ALL_OPERATORS), prefixes(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stars_are_the_values_membership_refuses(self, op, prefix, data):
+        # Keep the drawn elements that keep the set a member; then a gap
+        # position is '*' exactly when adding it to the elements below it
+        # breaks membership.
+        kept: tuple[int, ...] = ()
+        for a in prefix.elements:
+            if is_member(op, IntSetPrefix(kept + (a,), a)):
+                kept += (a,)
+        member = IntSetPrefix(kept, prefix.horizon)
+        ternary = decode(op, member).ternary
+        for p in range(1, member.horizon + 1):
+            if p in kept:
+                continue
+            below = tuple(a for a in kept if a < p)
+            refused = not is_member(op, IntSetPrefix(below + (p,), p))
+            assert (ternary[p - 1] == "*") == refused, p
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("op", ALL_OPERATORS, ids=str)
     def test_empty_word(self, op):

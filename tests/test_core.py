@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from sievecodec import IntSetPrefix, from_characteristic
+from sievecodec.core import check_word
 from conftest import bit_words, prefixes
 from reference import characteristic
 
@@ -51,6 +53,31 @@ class TestIntSetPrefix:
         with pytest.raises(ValueError):
             prefix.truncate(7)
 
+    def test_of_sorts_and_deduplicates(self):
+        assert IntSetPrefix.of([5, 2, 5, 3], 6) == IntSetPrefix((2, 3, 5), 6)
+        assert IntSetPrefix.of(iter({7}), 7) == IntSetPrefix((7,), 7)
+
+    def test_rejects_non_integers(self):
+        with pytest.raises(ValueError):
+            IntSetPrefix((2.0,), 5)
+        with pytest.raises(ValueError):
+            IntSetPrefix((2,), "5")
+
+    def test_parse_tolerates_whitespace(self):
+        assert IntSetPrefix.parse(" 2 ,3,  5@7 ") == IntSetPrefix((2, 3, 5), 7)
+        assert IntSetPrefix.parse("  @0") == IntSetPrefix((), 0)
+
+    @given(prefixes())
+    def test_parse_inverts_str(self, prefix):
+        assert IntSetPrefix.parse(str(prefix)) == prefix
+
+    @given(prefixes(), st.data())
+    def test_truncate_cuts_the_indicator_word(self, prefix, data):
+        horizon = data.draw(st.integers(0, prefix.horizon))
+        short = prefix.truncate(horizon)
+        assert characteristic(short) == characteristic(prefix)[:horizon]
+        assert short.truncate(0) == prefix.truncate(0) == IntSetPrefix((), 0)
+
 
 class TestCharacteristic:
     def test_empty_set(self):
@@ -71,6 +98,12 @@ class TestCharacteristic:
     def test_rejects_bad_alphabet(self):
         with pytest.raises(ValueError):
             from_characteristic("01*0")
+
+    def test_check_word_names_every_bad_symbol(self):
+        assert check_word("0110") == "0110"
+        assert check_word("") == ""
+        with pytest.raises(ValueError, match=r"\['\*', '2'\]"):
+            check_word("012*0*")
 
     @given(prefixes())
     def test_roundtrip_from_prefix(self, prefix):

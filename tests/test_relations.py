@@ -73,6 +73,11 @@ class TestReferenceNorm:
             assert apply_J(norm_k(6), {element}, value, value + 1) == {value}
             assert apply_J(norm_k(5), {element}, value, value) == set()
 
+    def test_a_member_is_judged_by_the_others(self):
+        # 3 and 6 each forbid the other at k = 6; alone, 3 - 3 = 0 does not count.
+        assert apply_J(norm_k(6), {3, 6}, 1, 6) == {3, 6}
+        assert apply_J(norm_k(16), {3}, 3, 3) == set()
+
     @given(small_bases, st.integers(1, 40), st.integers(2, 9))
     @settings(max_examples=200)
     def test_agrees_with_naive_enumeration(self, base, anchor, k):
@@ -121,6 +126,23 @@ class TestFindAnchoredRelation:
         # 1 + 6 - 7 = 0 is the one relation of norm 3; ``sufficient`` prints it so.
         assert str(find_anchored_relation({4, 6, 7}, 5)) == "-1*7 + 1*6 + 1*1 = 0 (norm 3)"
 
+    def test_ties_go_to_the_lexicographically_least(self):
+        # 1 + 2 - 3 = 0 and 1 + 3 - 4 = 0 both have norm 3; read along
+        # 2, 3, 4 their coefficients are (1, -1, 0) and (0, 1, -1).
+        rel = find_anchored_relation({2, 3, 4}, 5)
+        assert rel.as_dict() == {1: 1, 3: 1, 4: -1}
+        assert str(rel) == "-1*4 + 1*3 + 1*1 = 0 (norm 3)"
+
+    def test_accepts_the_extreme_bounds(self):
+        # k = 2 leaves no budget past the pinned 1; k = 16 admits coefficient 3.
+        assert find_anchored_relation({2, 3}, 2) is None
+        assert str(find_anchored_relation({5, 7}, 16)) == "2*7 - 3*5 + 1*1 = 0 (norm 14)"
+        assert find_anchored_relation({5, 7}, 15) is None
+
+    def test_accepts_any_iterable_base(self):
+        assert find_anchored_relation([3, 2, 3], 5) == find_anchored_relation({2, 3}, 5)
+        assert find_anchored_relation(iter((4, 6, 7)), 5) == find_anchored_relation({4, 6, 7}, 5)
+
     def test_witness_is_the_least_of_minimal_norm(self):
         # Every base of up to five elements from 2..30 and every k in 3..9
         # drawn here: the witness has the least norm <= k - 2, and of those
@@ -134,6 +156,22 @@ class TestFindAnchoredRelation:
             assert find_anchored_relation(base, k) == expected == find_anchored_relation(base, k)
             found += expected is not None
         assert found >= 80
+
+    def test_witness_is_the_least_up_to_norm_sixteen(self):
+        # The same check for k in 10..16, where coefficients reach 3, on bases
+        # of two to four elements from 2..30.  Of these draws 236 have a
+        # witness and 12 of those a coefficient of 3.
+        rng = random.Random(31)
+        found = threes = 0
+        for _ in range(400):
+            base = set(rng.sample(range(2, 31), rng.randint(2, 4)))
+            k = rng.randint(10, 16)
+            expected = naive_anchored_witness(base, k)
+            assert find_anchored_relation(base, k) == expected
+            if expected is not None:
+                found += 1
+                threes += max(abs(y) for _, y in expected.coeffs) == 3
+        assert found >= 150 and threes >= 6
 
 
 class TestProperties:
@@ -272,6 +310,30 @@ class TestCostTable:
                         expected = [c is not None and c < bound for c in costs]
                         assert below.tolist() == expected[: len(below)]
                         assert not any(expected[len(below) :])
+
+    def test_existence_matches_naive_enumeration(self):
+        # Some y < sqrt(k) with y * anchor of cost below k - y^2 exactly when
+        # enumeration finds a relation of norm below k with a nonzero
+        # coefficient on the anchor.
+        rng = random.Random(7)
+        for _ in range(200):
+            base = {rng.randint(1, 60) for _ in range(rng.randint(0, 6))}
+            anchor = rng.randint(1, 80)
+            base -= {anchor}
+            k = rng.randint(2, 9)
+            table = CostTable(k - 1)
+            for b in sorted(base):
+                table.add(b)
+            exists = False
+            y = 1
+            while y * y < k:
+                cost = table.min_cost(y * anchor)
+                if cost is not None and cost + y * y < k:
+                    exists = True
+                    break
+                y += 1
+            oracle = naive_min_norm(base, anchor, isqrt(k - 1))
+            assert exists == (oracle is not None and oracle < k)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
