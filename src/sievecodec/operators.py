@@ -101,8 +101,12 @@ def parse_operator(text: str) -> OperatorKind:
 
 # --- prime factors -----------------------------------------------------------
 
-# Smallest-prime-factor sieve, grown on demand.  Rebuilds are idempotent, so a
-# racing refill at worst duplicates work.
+# Smallest-prime-factor sieve, grown on demand up to ``_SPF_CAP``, which
+# covers every encoder candidate below ``codec.DEFAULT_CANDIDATE_CEILING``;
+# larger integers are factored by trial division, so no query allocates in
+# proportion to its integer.  Rebuilds are idempotent, so a racing refill at
+# worst duplicates work.
+_SPF_CAP = 1 << 20
 _spf: list[int] = [0, 1]
 
 
@@ -110,7 +114,7 @@ def _ensure_spf(n: int) -> None:
     global _spf
     if n < len(_spf):
         return
-    size = max(n + 1, 2 * len(_spf))
+    size = min(max(n + 1, 2 * len(_spf)), _SPF_CAP)
     table = list(range(size))
     for p in range(2, isqrt(size - 1) + 1):
         if table[p] == p:
@@ -125,8 +129,19 @@ def prime_factors(n: int) -> frozenset[int]:
     """Distinct prime factors of n (empty for n == 1)."""
     if n < 1:
         raise ValueError("prime_factors expects a positive integer")
-    _ensure_spf(n)
     out = set()
+    if n >= _SPF_CAP:
+        p = 2
+        while p * p <= n:
+            if n % p == 0:
+                out.add(p)
+                while n % p == 0:
+                    n //= p
+            p += 1 if p == 2 else 2
+        if n > 1:
+            out.add(n)
+        return frozenset(out)
+    _ensure_spf(n)
     while n > 1:
         p = _spf[n]
         out.add(p)
@@ -160,28 +175,65 @@ def prime_factors(n: int) -> frozenset[int]:
 # forbidden by e_1..e_i stays forbidden by all the elements below it, so once
 # the elements added forbid every position up to the horizon, the decoder
 # marks the rest without adding the later elements.
+#
+# Runs of rejected bits make ``next_allowed`` calls a few values apart with no
+# ``add`` between them, so two oracles keep what their last call read until
+# the set changes: the mask oracles a 256-bit slice of the mask, the
+# ``normk`` oracle for k >= 5 the boolean window it found a free value in.
+# The coprime oracle keeps its marks, which only grow.
+
+
+# Width of the slice of a mask that ``next_allowed`` keeps between calls.
+_MASK_WINDOW = 256
+_MASK_WINDOW_ONES = (1 << _MASK_WINDOW) - 1
 
 
 class _MaskOracle:
-    """Bit v of one big int is set when the current set forbids v."""
+    """Bit v of one big int is set when the current set forbids v.
 
-    __slots__ = ("_mask",)
+    ``next_allowed`` keeps the slice ``_window`` of the mask, the
+    ``_MASK_WINDOW`` bits from ``_window_lo`` on, and the mask it was read
+    from, until the set changes: a run of rejected bits then reads each
+    answer off that small int instead of shifting the whole mask.  Ints are
+    immutable, so every ``add`` that changes the set makes a new mask
+    object, and the window is read only while ``_window_mask is _mask``.
+    No ``add`` has to drop it, and a copy shares it with its original until
+    one of them adds.
+    """
+
+    __slots__ = ("_mask", "_window", "_window_lo", "_window_mask")
 
     def __init__(self) -> None:
         self._mask = 0
+        self._window = self._window_lo = 0
+        self._window_mask = None
 
     def copy(self) -> _MaskOracle:
         # Big ints are immutable, so the twin shares them.
         twin = object.__new__(type(self))
-        twin._mask = self._mask
+        twin._mask, twin._window, twin._window_lo, twin._window_mask = (
+            self._mask, self._window, self._window_lo, self._window_mask)
         return twin
 
     def forbids(self, value: int) -> bool:
         return bool((self._mask >> value) & 1)
 
     def next_allowed(self, c: int) -> int:
-        run = self._mask >> c
         # run ^ (run + 1) sets the trailing ones of run and its lowest zero bit.
+        start = c - self._window_lo
+        if self._window_mask is self._mask and 0 <= start < _MASK_WINDOW:
+            run = self._window >> start
+            free = start + (run ^ (run + 1)).bit_length() - 1
+            if free < _MASK_WINDOW:
+                return self._window_lo + free
+        mask = self._mask
+        run = mask >> c
+        window = run & _MASK_WINDOW_ONES
+        free = (window ^ (window + 1)).bit_length() - 1
+        if free < _MASK_WINDOW:
+            self._window, self._window_lo, self._window_mask = window, c, mask
+            return c + free
+        # The whole slice is forbidden: read on past it.
         return c + (run ^ (run + 1)).bit_length() - 1
 
     def forbidden_in(self, lo: int, hi: int) -> np.ndarray:
@@ -262,10 +314,12 @@ class _PairNormOracle(_MaskOracle):
         self._mask = mask
 
 
-# Width of the first window a windowed ``next_allowed`` search scans; each
-# further window of the same call is twice as wide.  The ``normk`` oracle
-# starts each search at the width that last found a free value instead, and
-# halves it, down to this, when that value lay in the window's first quarter.
+# Width of the first window a numpy ``next_allowed`` search scans; each
+# further window of the same call is twice as wide.  The coprime oracle starts
+# every search at this width.  The ``normk`` oracle for k >= 5 starts each
+# search at the width that last found a free value instead, keeping it across
+# ``add``, and halves it, down to this, when that value lay in the window's
+# first quarter.  The mask oracles keep a slice of fixed width, ``_MASK_WINDOW``.
 _FIRST_WINDOW = 64
 
 
@@ -402,8 +456,12 @@ class _CoprimeOracle:
             self._marks[p::p] = True
 
     def forbids(self, value: int) -> bool:
-        self._cover(value)
-        return bool(self._marks[value])
+        # The marks grow by at most one doubling for a probe; a value past
+        # that is tested against the primes, so it allocates nothing.
+        if value < 2 * len(self._marks):
+            self._cover(value)
+            return bool(self._marks[value])
+        return any(value % p == 0 for p in self._primes)
 
     def forbidden_in(self, lo: int, hi: int) -> np.ndarray:
         self._cover(hi)

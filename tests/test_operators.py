@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from sievecodec import (
     prime_factors,
     sum_free,
 )
-from sievecodec.operators import _FIRST_WINDOW, incremental_oracle
+from sievecodec.operators import _FIRST_WINDOW, _MASK_WINDOW, incremental_oracle
 from conftest import ALL_OPERATORS
+import reference
 from reference import apply_J
 
 
@@ -51,6 +53,42 @@ class TestPrimeFactors:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             prime_factors(0)
+
+    def test_above_the_sieve(self):
+        # Past the sieve's cap the factors come from trial division.
+        rng = random.Random(3)
+        draws = list(range(2**20 - 40, 2**20 + 40)) + rng.sample(range(2**20, 10**9), 200)
+        draws += [3_999_971, 2 * 3_999_971, 1009**3, 2**30, 2**20 + 7]
+        for n in draws:
+            assert prime_factors(n) == frozenset(reference.prime_factors(n)), n
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCoprimeMemory:
+    """A large integer allocates nothing in proportion to its size: neither
+    the prime-factor sieve nor the coprime oracle's marks grow to it."""
+
+    def test_prime_factors_of_a_large_prime(self):
+        factors, peak = _peak_bytes(lambda: prime_factors(3_999_971))
+        assert factors == frozenset(reference.prime_factors(3_999_971)) == {3_999_971}
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("elements", [
+        (2, 4_000_037), (2, 4_000_038), (3_999_971, 4_000_037, 3 * 3_999_971)], ids=str)
+    def test_membership_of_large_elements(self, elements):
+        prefix = IntSetPrefix(elements, elements[-1])
+        member, peak = _peak_bytes(lambda: is_member(coprime(), prefix))
+        assert member == all(a not in apply_J(coprime(), elements[:i], a, a)
+                             for i, a in enumerate(elements))
+        assert peak < 2**20
 
 
 class TestApplyJ:
@@ -181,8 +219,14 @@ def _first_allowed(oracle, c):
 
 def _reference(op, elements, lo, hi):
     """The values in [lo, hi] outside ``elements`` that ``elements`` forbid,
-    computed apart from the oracle."""
-    return apply_J(op, elements, lo, hi) - elements
+    computed apart from the oracle.  ``apply_J`` runs once per run of values
+    outside the set: under ``normk`` it tests each member against a table of
+    the other members, which nothing here reads."""
+    out, start = set(), lo
+    for e in sorted(e for e in elements if lo <= e <= hi) + [hi + 1]:
+        out |= apply_J(op, elements, start, e - 1)
+        start = e + 1
+    return out
 
 
 class TestOracleProtocol:
@@ -327,6 +371,70 @@ class TestOracleProtocol:
                 found = oracle.next_allowed(c)
                 assert found == _first_allowed(oracle, c)
                 c = found + 1
+
+
+def _checked_next_allowed(op, oracle, elements, c):
+    found = oracle.next_allowed(c)
+    assert found == _first_allowed(oracle, c)
+    assert _reference(op, elements, c, found) == set(range(c, found)) - elements
+    return found
+
+
+class TestMaskWindow:
+    """The mask oracles read runs of rejected bits off a kept slice of the
+    mask, which stands only while the mask it came from is the oracle's."""
+
+    @pytest.mark.parametrize("op", [sum_free(), norm_k(3), norm_k(4), finite_sums()], ids=str)
+    def test_encoder_order_across_window_edges(self, op):
+        # Walks that accept or reject each answer, as the encoder does, and
+        # count three edges: (a) the free value lies a window or more past
+        # the query, so no slice holds it; (b) an accepted value newly
+        # forbids a value the kept slice has free, and the next query lands
+        # on it; (c) the same after a copy taken with a slice kept, where
+        # only the copy accepts.  Under fs, 1, 2, 4, ..., 2**j forbid
+        # [1, 2**(j + 1) - 1]; under the others a run of elements forbids a
+        # run as long or longer.
+        rng = random.Random(f"mask-window/{op}")
+        far = stale = twin_stale = 0
+        for _ in range(3):
+            if op.kind == "fs":
+                base, starts = {1 << i for i in range(rng.randint(9, 11))}, [1]
+            else:
+                lo = rng.randint(1, 400)
+                base, starts = set(range(lo, lo + rng.randint(260, 400))), [lo, 2 * lo]
+            base |= set(rng.sample(range(1, 100), 2))  # short sums reach into the slice
+            for c in starts:
+                oracle, elements = _built(op, base), base
+                for _ in range(30):
+                    found = _checked_next_allowed(op, oracle, elements, c)
+                    far += found - c >= _MASK_WINDOW
+                    c = found + 1
+                    if c > 1 << 14:
+                        break  # under fs each accepted value can double the forbidden run
+                    kept = oracle._window_mask is oracle._mask
+                    draw = rng.random()
+                    if draw < 0.5:
+                        continue  # rejected
+                    window, window_lo = oracle._window, oracle._window_lo
+                    grower = oracle.copy() if kept and draw < 0.7 else oracle
+                    grower.add(found)
+                    grown = elements | {found}
+                    newly = [v for v in range(found, window_lo + _MASK_WINDOW)
+                             if kept and not (window >> (v - window_lo)) & 1 and grower.forbids(v)]
+                    if grower is not oracle:
+                        if newly:
+                            v = rng.choice(newly)
+                            _checked_next_allowed(op, grower, grown, v)
+                            assert _checked_next_allowed(op, oracle, elements, v) == v
+                            twin_stale += 1
+                        if rng.random() < 0.5:
+                            continue  # the original walks on
+                        oracle = grower
+                    elements = grown
+                    if newly and rng.random() < 0.5:
+                        c = rng.choice(newly)
+                        stale += 1
+        assert far and stale and twin_stale
 
 
 class TestOracleCopy:
