@@ -11,15 +11,17 @@ size of the integers skipped.
 
 The decoder renders a prefix as a ternary word (member / forbidden-in-gap /
 neither) and deletes the forbidden marks; what remains is the bit word the
-encoder would have consumed.  Each gap between consecutive elements is marked
+encoder would have consumed.  Each gap between consecutive elements is read
 with one ``forbidden_in`` call on the elements below it, run through the next
-element so that its last entry says whether that element is forbidden too.
-Decoding accepts non-member prefixes and reports where their elements violate
-the family condition, which the orbit machinery in :mod:`sievecodec.dynamics`
-relies on.  Once the elements up to a violated one forbid every position
-above it up to the horizon, the decoder stops there: the rest of the word is
-forbidden marks and elements, and every remaining element is a violation.
-A member has no violated element, so its decode marks every gap.
+element so that its last byte says whether that element is forbidden too.
+The gaps' bytes are joined with the element marks, with no array over the
+horizon.  Decoding accepts non-member prefixes and reports where their
+elements violate the family condition, which the orbit machinery in
+:mod:`sievecodec.dynamics` relies on.  Once the elements up to a violated
+one forbid every position above it up to the horizon, the decoder stops
+there: the rest of the word is forbidden marks and elements, and every
+remaining element is a violation.  A member has no violated element, so its
+decode marks every gap.
 
 Pure functions throughout; every call is independent.
 """
@@ -27,8 +29,6 @@ Pure functions throughout; every call is independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import IntSetPrefix, check_word
 from .operators import OperatorKind, incremental_oracle
@@ -129,14 +129,17 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     violated element.  ``free`` only moves forward, so these scans together
     cover the horizon at most once.  A gap that ends below ``free`` is marked
     forbidden with no window, and its element is a violation.  When ``free``
-    passes the horizon, the remaining positions are marked forbidden with no
-    further ``add`` or window, which is exact because every operator is
+    passes the horizon, the remaining gaps are runs of forbidden bytes with
+    no further ``add`` or window, which is exact because every operator is
     monotone.
+
+    No array spans the horizon: each gap is a byte string, 1 forbidden and 0
+    not, and the gaps are joined with the element mark 2 and translated to
+    the ternary word.
     """
     oracle = incremental_oracle(op)
     elements, horizon = prefix.elements, prefix.horizon
-    # One byte per position: 0 neither, 1 forbidden, 2 element.
-    marks = np.zeros(horizon, dtype=np.uint8)
+    gaps: list[bytes] = []  # the gap below each element, then the tail
     violations: list[int] = []
     lo = 1
     # After a violated element: a position the elements added did not forbid
@@ -145,32 +148,33 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     free = 0
     for i, element in enumerate(elements):
         if element < free:  # its gap is forbidden already, and so is it
-            marks[lo - 1 : element] = 1
+            gaps.append(b"\x01" * (element - lo))
             violated = True
         elif element > lo:
-            # The element's own mark, the window's last, is overwritten below.
+            # The window's last byte is the element's own.
             window = oracle.forbidden_in(lo, element)
-            marks[lo - 1 : element] = window
+            gaps.append(window[:-1])
             violated = window[-1]
         else:
+            gaps.append(b"")
             violated = oracle.forbids(element)
         if violated:
             violations.append(element)
         lo = element + 1
         if element == horizon:  # nothing reads the add of one at the horizon
-            break
+            continue
         oracle.add(element)
         if violated and (free < lo or oracle.forbids(free)):
             free = oracle.next_allowed(max(free, lo))
             if free > horizon:  # the elements added forbid every later one
-                marks[lo - 1 :] = 1
-                violations.extend(elements[i + 1 :])
-                lo = horizon + 1
+                later = elements[i + 1 :]
+                violations.extend(later)
+                bounds = (element, *later, horizon + 1)
+                gaps += [b"\x01" * (b - a - 1) for a, b in zip(bounds, bounds[1:])]
                 break
-    if horizon >= lo:
-        marks[lo - 1 :] = oracle.forbidden_in(lo, horizon)
-    marks[np.array(elements, dtype=np.intp) - 1] = 2
-    raw = marks.tobytes()
+    else:
+        gaps.append(oracle.forbidden_in(lo, horizon) if horizon >= lo else b"")
+    raw = b"\x02".join(gaps)
     return DecodeResult(
         raw.translate(_SYMBOLS).decode("ascii"),
         raw.translate(_SYMBOLS, b"\x01").decode("ascii"),  # the forbidden marks deleted

@@ -104,7 +104,8 @@ def parse_operator(text: str) -> OperatorKind:
 # Smallest-prime-factor sieve, grown on demand up to ``_SPF_CAP``, which
 # covers every encoder candidate below ``codec.DEFAULT_CANDIDATE_CEILING``;
 # larger integers are factored by trial division, so no query allocates in
-# proportion to its integer.  Rebuilds are idempotent, so a racing refill at
+# proportion to its integer.  A coprime probe grows the oracle's marks no
+# further than the cap either.  Rebuilds are idempotent, so a racing refill at
 # worst duplicates work.
 _SPF_CAP = 1 << 20
 _spf: list[int] = [0, 1]
@@ -158,8 +159,9 @@ def prime_factors(n: int) -> frozenset[int]:
 # * ``forbids(v)`` says whether the current set forbids v,
 # * ``next_allowed(c)`` is the least v >= c that the current set does not
 #   forbid,
-# * ``forbidden_in(lo, hi)`` is a numpy bool array whose i-th entry says
-#   whether lo + i is forbidden (empty when hi < lo),
+# * ``forbidden_in(lo, hi)`` is ``bytes`` with one byte per position, whose
+#   i-th byte is 1 when lo + i is forbidden and 0 otherwise (empty when
+#   hi < lo),
 # * ``copy()`` is an independent oracle over the same set, so that a search
 #   can extend one set two ways without replaying it.
 #
@@ -186,6 +188,8 @@ def prime_factors(n: int) -> frozenset[int]:
 # Width of the slice of a mask that ``next_allowed`` keeps between calls.
 _MASK_WINDOW = 256
 _MASK_WINDOW_ONES = (1 << _MASK_WINDOW) - 1
+# Binary digits to the bytes of ``forbidden_in``.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class _MaskOracle:
@@ -236,11 +240,12 @@ class _MaskOracle:
         # The whole slice is forbidden: read on past it.
         return c + (run ^ (run + 1)).bit_length() - 1
 
-    def forbidden_in(self, lo: int, hi: int) -> np.ndarray:
+    def forbidden_in(self, lo: int, hi: int) -> bytes:
+        # The sentinel bit n keeps the n digits, leading zeros included, in
+        # ``bin``; read backwards they run from lo up.
         n = max(0, hi - lo + 1)
         window = (self._mask >> lo) & ((1 << n) - 1)
-        raw = np.frombuffer(window.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+        return bin(window | 1 << n)[:2:-1].encode("ascii").translate(_DIGIT_BYTES)
 
 
 class _SumFreeOracle(_MaskOracle):
@@ -336,9 +341,9 @@ class _NormOracle:
     k = 7, y <= 2 up to k = 13.  Both ranges are fixed by k and kept as
     (y, k - y**2) pairs, y = 1 first; a query picks the short one when it
     starts above ``top``, so every answer below ``top`` stays exact as well.
-    ``forbidden_in`` reads one boolean window per y off the table
-    (``CostTable.multiples_below``); when y = 1 alone is tried, that window
-    is the answer.
+    ``_forbidden_window`` reads one boolean window per y off the table
+    (``CostTable.multiples_below``) and ORs them; when y = 1 alone is tried,
+    that window is the answer.  ``forbidden_in`` returns its bytes.
 
     ``next_allowed`` keeps the boolean window it found a free value in,
     ``_window`` starting at ``_window_lo``, until the next ``add``: a run of
@@ -380,7 +385,10 @@ class _NormOracle:
                 return True
         return False
 
-    def forbidden_in(self, lo: int, hi: int) -> np.ndarray:
+    def forbidden_in(self, lo: int, hi: int) -> bytes:
+        return self._forbidden_window(lo, hi).tobytes()
+
+    def _forbidden_window(self, lo: int, hi: int) -> np.ndarray:
         # Always a fresh array: ``next_allowed`` keeps it.
         table = self._table
         ys = self._above if lo > table.top else self._all
@@ -407,7 +415,7 @@ class _NormOracle:
         width = self._width
         while lo <= edge:
             hi = min(lo + width - 1, edge)
-            window = self.forbidden_in(lo, hi)
+            window = self._forbidden_window(lo, hi)
             i = int(window.argmin())
             if not window[i]:
                 self._window, self._window_lo = window, lo
@@ -456,16 +464,20 @@ class _CoprimeOracle:
             self._marks[p::p] = True
 
     def forbids(self, value: int) -> bool:
-        # The marks grow by at most one doubling for a probe; a value past
-        # that is tested against the primes, so it allocates nothing.
-        if value < 2 * len(self._marks):
+        # For a probe the marks grow by at most one doubling and not past
+        # ``_SPF_CAP``; a value beyond that is tested against the primes, so
+        # a chain of probes each within a doubling of the last allocates
+        # nothing in proportion to its integers.
+        marks = self._marks
+        if value >= len(marks):
+            if value >= min(2 * len(marks), _SPF_CAP):
+                return any(value % p == 0 for p in self._primes)
             self._cover(value)
-            return bool(self._marks[value])
-        return any(value % p == 0 for p in self._primes)
+        return bool(self._marks[value])
 
-    def forbidden_in(self, lo: int, hi: int) -> np.ndarray:
+    def forbidden_in(self, lo: int, hi: int) -> bytes:
         self._cover(hi)
-        return self._marks[lo : hi + 1].copy()
+        return self._marks[lo : hi + 1].tobytes()
 
     def next_allowed(self, c: int) -> int:
         width = _FIRST_WINDOW

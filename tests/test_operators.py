@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -17,7 +16,7 @@ from sievecodec import (
     prime_factors,
     sum_free,
 )
-from sievecodec.operators import _FIRST_WINDOW, _MASK_WINDOW, incremental_oracle
+from sievecodec.operators import _FIRST_WINDOW, _MASK_WINDOW, _SPF_CAP, incremental_oracle
 from conftest import ALL_OPERATORS
 import reference
 from reference import apply_J
@@ -89,6 +88,25 @@ class TestCoprimeMemory:
         assert member == all(a not in apply_J(coprime(), elements[:i], a, a)
                              for i, a in enumerate(elements))
         assert peak < 2**20
+
+    def test_membership_of_a_geometric_chain(self):
+        # Primes each about 1.9 times the last, up to past 8 * 10**6: every
+        # probe lies within a doubling of the marks, and growing them to it
+        # each time would take marks as long as the largest element.
+        chain = [2]
+        while chain[-1] < 8 * 10**6:
+            p = int(1.9 * chain[-1]) + 1
+            while reference.prime_factors(p) != {p}:
+                p += 1
+            chain.append(p)
+        prime_factors(_SPF_CAP - 1)  # the sieve at its cap: its memory is not the oracle's
+        for elements in (tuple(chain), (*chain, 3 * chain[-1])):
+            prefix = IntSetPrefix(elements, elements[-1])
+            member, peak = _peak_bytes(lambda: is_member(coprime(), prefix))
+            assert member == all(a not in apply_J(coprime(), elements[:i], a, a)
+                                 for i, a in enumerate(elements))
+            assert member == (elements == tuple(chain))
+            assert peak < 2 * 2**20
 
 
 class TestApplyJ:
@@ -229,6 +247,19 @@ def _reference(op, elements, lo, hi):
     return out
 
 
+def _checked_window(op, oracle, elements, lo, hi):
+    """``forbidden_in(lo, hi)``, checked: one byte per value, 1 where
+    ``forbids`` holds and 0 elsewhere, and outside the set the values the
+    reference forbids."""
+    window = oracle.forbidden_in(lo, hi)
+    assert type(window) is bytes
+    assert len(window) == max(0, hi - lo + 1)
+    assert list(window) == [int(oracle.forbids(v)) for v in range(lo, hi + 1)]
+    marked = {lo + i for i, forbidden in enumerate(window) if forbidden}
+    assert marked - set(elements) == _reference(op, elements, lo, hi)
+    return window
+
+
 class TestOracleProtocol:
     """``forbidden_in`` and ``next_allowed`` agree with ``forbids`` and with
     the reference ``apply_J``."""
@@ -238,11 +269,7 @@ class TestOracleProtocol:
         edge = data.draw(st.sampled_from(_window_edges(op, oracle, elements)))
         lo = max(1, edge + data.draw(st.integers(-70, 3)))
         hi = lo + data.draw(st.integers(-1, 140))
-        window = oracle.forbidden_in(lo, hi)
-        assert window.dtype == bool
-        assert window.tolist() == [oracle.forbids(v) for v in range(lo, hi + 1)]
-        marked = {lo + int(i) for i in np.flatnonzero(window)}
-        assert marked - elements == _reference(op, elements, lo, hi)
+        _checked_window(op, oracle, elements, lo, hi)
         # An encoder-like walk from near the edge: runs of rejected bits reuse
         # what the last search found, and every accepted one changes the set.
         c = max(1, edge + data.draw(st.integers(-70, 70)))
@@ -274,6 +301,22 @@ class TestOracleProtocol:
     def test_lacunary_sets(self, op, elements, data):
         self.check(op, elements, data)
 
+    @pytest.mark.parametrize(
+        "op", [*ALL_OPERATORS, norm_k(2), norm_k(3)], ids=str)
+    def test_window_widths(self, op):
+        # Widths around the 30-bit digits of an int, a byte of 64 bits and
+        # the mask oracles' 256-bit slice, and one long window, at starts on
+        # either side of a digit boundary.  The sets reach past the starts,
+        # so the windows hold forbidden values and allowed ones.
+        rng = random.Random(f"widths/{op}")
+        widths = [0, 1, 29, 30, 31, 63, 64, 65, 255, 256, 257, 3000]
+        for _ in range(2):
+            elements = set(rng.sample(range(1, 130), 6))
+            oracle = _built(op, elements)
+            for lo in (1, 29, 30, 31, 59, 60, 61, 119, 120, 121):
+                for width in widths:
+                    _checked_window(op, oracle, elements, lo, lo + width - 1)
+
     @pytest.mark.parametrize("k", range(2, 17))
     def test_every_norm_bound(self, k):
         # A value is forbidden through a relation of norm up to k - 1, so
@@ -284,11 +327,7 @@ class TestOracleProtocol:
         for _ in range(20):
             elements = set(rng.sample(range(1, 40), rng.randint(1, 6)))
             oracle = _built(op, elements)
-            hi = k * max(elements)
-            window = oracle.forbidden_in(1, hi)
-            assert window.tolist() == [oracle.forbids(v) for v in range(1, hi + 1)]
-            marked = {1 + int(i) for i in np.flatnonzero(window)}
-            assert marked - elements == _reference(op, elements, 1, hi)
+            _checked_window(op, oracle, elements, 1, k * max(elements))
             c = max(elements) + 1
             assert oracle.next_allowed(c) == _first_allowed(oracle, c)
 
@@ -313,16 +352,12 @@ class TestOracleProtocol:
             oracle = _built(op, elements)
             edge = max(_window_edges(op, oracle, elements))  # nothing above it is forbidden
             full = oracle.forbidden_in(top, edge)
-            assert oracle.forbidden_in(top + 1, edge).tolist() == full[1:].tolist()
-            above = np.flatnonzero(full[1:]) + top + 1
+            assert oracle.forbidden_in(top + 1, edge) == full[1:]
+            above = [v for v, forbidden in enumerate(full[1:], top + 1) if forbidden]
             starts = [top, top + 1, rng.randint(top + 1, max(top + 1, edge))]
-            starts += [int(f) - rng.randint(0, 3) for f in rng.sample(list(above), min(8, len(above)))]
+            starts += [f - rng.randint(0, 3) for f in rng.sample(above, min(8, len(above)))]
             for lo in starts:
-                hi = lo + rng.randint(0, 70)
-                window = oracle.forbidden_in(lo, hi)
-                assert window.tolist() == [oracle.forbids(v) for v in range(lo, hi + 1)]
-                marked = {lo + int(i) for i in np.flatnonzero(window)}
-                assert marked - elements == _reference(op, elements, lo, hi)
+                _checked_window(op, oracle, elements, lo, lo + rng.randint(0, 70))
                 if lo > top:
                     found = oracle.next_allowed(lo)
                     assert found == _first_allowed(oracle, lo)
@@ -459,8 +494,7 @@ class TestOracleCopy:
         for oracle, elements in ((original, base | more), (twin, base | other)):
             fresh = _built(op, elements)
             hi = max(_window_edges(op, fresh, elements)) + 70
-            window = oracle.forbidden_in(1, hi)
-            assert window.tolist() == fresh.forbidden_in(1, hi).tolist()
-            assert window.tolist() == [oracle.forbids(v) for v in range(1, hi + 1)]
+            window = _checked_window(op, oracle, elements, 1, hi)
+            assert window == fresh.forbidden_in(1, hi)
             for start in (1, c, max(elements, default=0) + 1, hi):
                 assert oracle.next_allowed(start) == fresh.next_allowed(start)
