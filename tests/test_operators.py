@@ -304,7 +304,7 @@ class TestOracleProtocol:
     @pytest.mark.parametrize(
         "op", [*ALL_OPERATORS, norm_k(2), norm_k(3)], ids=str)
     def test_window_widths(self, op):
-        # Widths around the 30-bit digits of an int, a byte of 64 bits and
+        # Widths around the 30-bit digits of an int, a 64-bit word and
         # the mask oracles' 256-bit slice, and one long window, at starts on
         # either side of a digit boundary.  The sets reach past the starts,
         # so the windows hold forbidden values and allowed ones.
