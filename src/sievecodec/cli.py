@@ -23,7 +23,7 @@ from .dynamics import (
     find_limit,
     ultimately_complete_on,
 )
-from .operators import is_member, norm_k, parse_operator
+from .operators import FactorBoundExceeded, is_member, norm_k, parse_operator
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except CandidateCeilingExceeded as exc:
+    except (CandidateCeilingExceeded, FactorBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
 

@@ -38,11 +38,11 @@ from .operators import OperatorKind, incremental_oracle
 #: accepted element e: 2*(k-2)*limit one-byte ``CostTable`` cells for
 #: ``normk:<k>`` with k >= 5 (``limit`` doubles from 16 until it reaches e)
 #: and as many again for the work space of ``CostTable.add``, big-int masks
-#: of about 2e bits for ``normk:<k>`` with k <= 4 and for ``sumfree`` (the
-#: pair sums), of sum(A) bits (the subset sums) for ``fs``, and about one
-#: ``coprime`` mark per integer scanned.  Under operators whose accepted
-#: elements grow geometrically (``normk`` with k >= 7, ``fs``) ordinary words
-#: of a few dozen bits reach it.
+#: of about 2e bits for ``sumfree`` and ``normk:4`` (the pair sums) and none
+#: for ``normk:2`` and ``normk:3``, of sum(A) bits (the subset sums) for
+#: ``fs``, and about one ``coprime`` mark per integer scanned.  Under
+#: operators whose accepted elements grow geometrically (``normk`` with
+#: k >= 7, ``fs``) ordinary words of a few dozen bits reach it.
 DEFAULT_CANDIDATE_CEILING = 1_000_000
 
 # Decoder marks to ternary symbols.

@@ -26,6 +26,9 @@ forbids S, the sums a + b and the differences a - b of distinct members
 a > b: its family is the weakly sum-free sets.  From k = 5 on, relations
 with three terms or a coefficient of 2 appear.
 
+The oracles (``incremental_oracle``) take elements in strictly increasing
+order and answer only about values strictly above the largest one added.
+
 Every family, ``fs`` included, is closed under taking subsets.  Take T a
 subset of a member S, and t in T.  The elements of T below t are a subset of
 the elements of S below t, and each J is monotone in its set (adding an
@@ -103,12 +106,17 @@ def parse_operator(text: str) -> OperatorKind:
 
 # Smallest-prime-factor sieve, grown on demand up to ``_SPF_CAP``, which
 # covers every encoder candidate below ``codec.DEFAULT_CANDIDATE_CEILING``;
-# larger integers are factored by trial division, so no query allocates in
-# proportion to its integer.  A coprime probe grows the oracle's marks no
-# further than the cap either.  Rebuilds are idempotent, so a racing refill at
+# larger integers by trial division up to the cap, which proves a cofactor
+# left below the cap squared prime and refuses a larger one.  So no query
+# allocates in proportion to its integer, nor does a coprime probe grow the
+# oracle's marks past the cap.  Rebuilds are idempotent, so a racing refill at
 # worst duplicates work.
 _SPF_CAP = 1 << 20
 _spf: list[int] = [0, 1]
+
+
+class FactorBoundExceeded(RuntimeError):
+    """Trial division up to ``_SPF_CAP`` left a cofactor of ``_SPF_CAP**2`` or more."""
 
 
 def _ensure_spf(n: int) -> None:
@@ -132,15 +140,20 @@ def prime_factors(n: int) -> frozenset[int]:
         raise ValueError("prime_factors expects a positive integer")
     out = set()
     if n >= _SPF_CAP:
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
+        m, p = n, 2
+        while p * p <= m and p < _SPF_CAP:
+            if m % p == 0:
                 out.add(p)
-                while n % p == 0:
-                    n //= p
+                while m % p == 0:
+                    m //= p
             p += 1 if p == 2 else 2
-        if n > 1:
-            out.add(n)
+        if m >= _SPF_CAP * _SPF_CAP:
+            raise FactorBoundExceeded(
+                f"cannot factor {n}: trial division stops at the bound {_SPF_CAP}, "
+                f"and the cofactor {m} left is too large to certify prime"
+            )
+        if m > 1:
+            out.add(m)
         return frozenset(out)
     _ensure_spf(n)
     while n > 1:
@@ -155,7 +168,7 @@ def prime_factors(n: int) -> frozenset[int]:
 #
 # An oracle holds a growing set and answers five calls about it:
 #
-# * ``add(e)`` admits one more element (in any order),
+# * ``add(e)`` admits one more element, larger than every element added,
 # * ``forbids(v)`` says whether the current set forbids v,
 # * ``next_allowed(c)`` is the least v >= c that the current set does not
 #   forbid,
@@ -165,11 +178,11 @@ def prime_factors(n: int) -> frozenset[int]:
 # * ``copy()`` is an independent oracle over the same set, so that a search
 #   can extend one set two ways without replaying it.
 #
-# Every query is about a value outside the set: the encoder, the decoder,
-# the membership test and the fixed-point search walk a prefix left to right
-# and only ask about values above the elements added so far.
-# The ``normk`` oracle for k >= 5 tries fewer multipliers for such values
-# than for the others, which keep the full range (see ``_NormOracle``).
+# The three queries answer only about values strictly above the largest
+# element added: the encoder, the decoder, the membership test and the
+# fixed-point search walk a prefix left to right and ask nothing else.  So
+# the mask oracles hold only what forbids such values, and the ``normk``
+# oracle for k >= 5 tries only the multipliers they admit (``_NormOracle``).
 # Every operator is monotone (adding an element never un-forbids a value), so
 # a value skipped as forbidden stays forbidden for good: the encoder can jump
 # straight to ``next_allowed``, and the decoder can mark a whole gap between
@@ -193,7 +206,9 @@ _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class _MaskOracle:
-    """Bit v of one big int is set when the current set forbids v.
+    """Bit v of one big int is set when the current set forbids v, for every
+    v above the set.  Left empty, it serves ``normk:2`` and ``normk:3``,
+    which forbid nothing there.
 
     ``next_allowed`` keeps the slice ``_window`` of the mask, the
     ``_MASK_WINDOW`` bits from ``_window_lo`` on, and the mask it was read
@@ -218,6 +233,9 @@ class _MaskOracle:
         twin._mask, twin._window, twin._window_lo, twin._window_mask = (
             self._mask, self._window, self._window_lo, self._window_mask)
         return twin
+
+    def add(self, element: int) -> None:
+        pass
 
     def forbids(self, value: int) -> bool:
         return bool((self._mask >> value) & 1)
@@ -248,23 +266,26 @@ class _MaskOracle:
         return bin(window | 1 << n)[:2:-1].encode("ascii").translate(_DIGIT_BYTES)
 
 
-class _SumFreeOracle(_MaskOracle):
-    """The mask holds A + A; ``_members`` holds A."""
+class _PairSumOracle(_MaskOracle):
+    """The mask holds the sums of two members, which ``_members`` holds:
+    any two under ``sumfree``, two distinct ones under ``normk:4``."""
 
-    __slots__ = ("_members",)
+    __slots__ = ("distinct", "_members")
 
-    def __init__(self) -> None:
+    def __init__(self, distinct: bool = False) -> None:
         super().__init__()
+        self.distinct = distinct
         self._members = 0
 
-    def copy(self) -> _SumFreeOracle:
+    def copy(self) -> _PairSumOracle:
         twin = super().copy()
-        twin._members = self._members
+        twin.distinct, twin._members = self.distinct, self._members
         return twin
 
     def add(self, element: int) -> None:
-        self._members |= 1 << element
-        self._mask |= self._members << element
+        members = self._members | (1 << element)
+        self._mask |= (self._members if self.distinct else members) << element
+        self._members = members
 
 
 class _SubsetSumOracle(_MaskOracle):
@@ -274,49 +295,6 @@ class _SubsetSumOracle(_MaskOracle):
 
     def add(self, element: int) -> None:
         self._mask |= (self._mask << element) | (1 << element)
-
-
-# A fresh pair-norm oracle reflects its members about this; it doubles as they pass it.
-_FIRST_PIVOT = 64
-
-
-class _PairNormOracle(_MaskOracle):
-    """``normk:<k>`` for k <= 4: the mask stays empty at k = 2, holds the set
-    at k = 3, and at k = 4 also the sums and positive differences of two
-    distinct elements.
-
-    ``_members`` holds the set A, and ``_reflected`` holds bit
-    ``_pivot - b`` for each b in A.  Shifting those right by e, and by
-    ``_pivot - e``, gives b - e for the b > e and e - b for the b < e.
-    """
-
-    __slots__ = ("k", "_members", "_reflected", "_pivot")
-
-    def __init__(self, k: int) -> None:
-        super().__init__()
-        self.k = k
-        self._members = self._reflected = 0
-        self._pivot = _FIRST_PIVOT
-
-    def copy(self) -> _PairNormOracle:
-        twin = super().copy()
-        twin.k, twin._members, twin._reflected, twin._pivot = (
-            self.k, self._members, self._reflected, self._pivot)
-        return twin
-
-    def add(self, element: int) -> None:
-        if self.k < 3:
-            return
-        mask = self._mask | (1 << element)
-        if self.k == 4:
-            while self._pivot < element:
-                self._reflected <<= self._pivot
-                self._pivot *= 2
-            members, shift = self._members, self._pivot - element
-            mask |= (members << element) | (members >> element) | (self._reflected >> shift)
-            self._members = members | (1 << element)
-            self._reflected |= 1 << shift
-        self._mask = mask
 
 
 # Width of the first window a numpy ``next_allowed`` search scans; each
@@ -333,14 +311,12 @@ class _NormOracle:
     cost(y * v) + y**2 < k in the ``CostTable`` of the set.  Such a cost is
     at most k - 2, so the table's budget stops there.
 
-    Which y can forbid.  Any y with y**2 < k may, so y <= isqrt(k - 1).  For
-    v above ``top``, the largest element, fewer can: y * v = sum(c_b * b)
-    over elements b <= top < v needs sum(|c_b|) >= y + 1, so cost(y * v) =
-    sum(c_b**2) >= y + 1 and the norm is at least y**2 + y + 1.  So above
-    ``top`` only the y with y**2 + y + 1 < k are tried: y = 1 alone up to
-    k = 7, y <= 2 up to k = 13.  Both ranges are fixed by k and kept as
-    (y, k - y**2) pairs, y = 1 first; a query picks the short one when it
-    starts above ``top``, so every answer below ``top`` stays exact as well.
+    Which y can forbid.  Any y with y**2 < k may below the set, but above
+    it fewer can: y * v = sum(c_b * b) over elements b < v needs
+    sum(|c_b|) >= y + 1, so cost(y * v) = sum(c_b**2) >= y + 1 and the norm
+    is at least y**2 + y + 1.  So only the y with y**2 + y + 1 < k are
+    tried, kept as (y, k - y**2) pairs in ``_ys``, y = 1 first: y = 1 alone
+    up to k = 7, y <= 2 up to k = 13.
     ``_forbidden_window`` reads one boolean window per y off the table
     (``CostTable.multiples_below``) and ORs them; when y = 1 alone is tried,
     that window is the answer.  ``forbidden_in`` returns its bytes.
@@ -355,21 +331,20 @@ class _NormOracle:
     many windows are scanned, never the answer.
     """
 
-    __slots__ = ("k", "_table", "_all", "_above", "_window", "_window_lo", "_width")
+    __slots__ = ("k", "_table", "_ys", "_window", "_window_lo", "_width")
 
     def __init__(self, k: int) -> None:
         self.k = k
         self._table = CostTable(k - 2)
-        self._all = tuple((y, k - y * y) for y in range(1, isqrt(k - 1) + 1))
-        self._above = tuple((y, bound) for y, bound in self._all if y * y + y + 1 < k)
+        self._ys = tuple((y, k - y * y) for y in range(1, isqrt(k - 1) + 1) if y * y + y + 1 < k)
         self._window = None
         self._window_lo = 0
         self._width = _FIRST_WINDOW
 
     def copy(self) -> _NormOracle:
         twin = object.__new__(_NormOracle)
-        twin.k, twin._table, twin._all, twin._above, twin._width = (
-            self.k, self._table.copy(), self._all, self._above, self._width)
+        twin.k, twin._table, twin._ys, twin._width = (
+            self.k, self._table.copy(), self._ys, self._width)
         twin._window, twin._window_lo = None, 0
         return twin
 
@@ -379,7 +354,7 @@ class _NormOracle:
 
     def forbids(self, value: int) -> bool:
         table = self._table
-        for y, bound in self._above if value > table.top else self._all:
+        for y, bound in self._ys:
             c = table.min_cost(y * value)
             if c is not None and c < bound:
                 return True
@@ -390,8 +365,7 @@ class _NormOracle:
 
     def _forbidden_window(self, lo: int, hi: int) -> np.ndarray:
         # Always a fresh array: ``next_allowed`` keeps it.
-        table = self._table
-        ys = self._above if lo > table.top else self._all
+        table, ys = self._table, self._ys
         # y = 1 comes first and reaches furthest; past its reach nothing is forbidden.
         out = table.multiples_below(1, lo, hi, ys[0][1])
         if len(out) <= hi - lo:
@@ -493,7 +467,7 @@ class _CoprimeOracle:
 
 # Each operator kind, its command-line syntax and its oracle class.
 _KINDS = {
-    "sumfree": ("sumfree", _SumFreeOracle),
+    "sumfree": ("sumfree", _PairSumOracle),
     "normk": ("normk:<k>", _NormOracle),
     "coprime": ("coprime", _CoprimeOracle),
     "fs": ("fs", _SubsetSumOracle),
@@ -503,14 +477,16 @@ _KINDS = {
 def incremental_oracle(op: OperatorKind):
     """Fresh oracle for one left-to-right sweep under ``op``.
 
-    ``normk:<k>`` with k <= 4 forbids through two-term relations alone, which
-    big-int masks hold (``_PairNormOracle``); from k = 5 on it needs the
-    ``CostTable`` of ``_NormOracle``.
+    Above the set, ``normk:<k>`` with k <= 4 forbids nothing up to k = 3 and
+    the sums of two distinct members at k = 4, which big-int masks hold; from
+    k = 5 on it needs the ``CostTable`` of ``_NormOracle``.
     """
     _, oracle = _KINDS[op.kind]
     if op.k is None:
         return oracle()
-    return _PairNormOracle(op.k) if op.k <= 4 else oracle(op.k)
+    if op.k <= 4:
+        return _PairSumOracle(distinct=True) if op.k == 4 else _MaskOracle()
+    return oracle(op.k)
 
 
 # --- the operator on a prefix ------------------------------------------------

@@ -76,9 +76,6 @@ class Relation:
         if sum(e * c for e, c in self.coeffs) != 0:
             raise ValueError("coefficients do not satisfy sum(y_b * b) == 0")
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
     def __str__(self) -> str:
         # Largest element first, e.g. "1*6 - 2*3 = 0 (norm 5)".
         parts: list[str] = []

@@ -34,3 +34,41 @@ class CountingOracle:
             return method(*args)
 
         return counted
+
+
+class ProtocolOracle:
+    """Forwards every oracle call and asserts the protocol the oracles rely
+    on: elements are added in strictly increasing order, and ``forbids``,
+    ``next_allowed`` and ``forbidden_in`` ask only about values strictly
+    above the largest element added.  A copy is checked the same way, from
+    the set it was copied with; any other attribute is read off the oracle."""
+
+    def __init__(self, inner, top=0):
+        self._inner = inner
+        self._top = top
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def _above(self, call, value):
+        assert value > self._top, f"{call}({value}) with {self._top} added"
+
+    def add(self, element):
+        self._above("add", element)
+        self._top = element
+        self._inner.add(element)
+
+    def forbids(self, value):
+        self._above("forbids", value)
+        return self._inner.forbids(value)
+
+    def next_allowed(self, c):
+        self._above("next_allowed", c)
+        return self._inner.next_allowed(c)
+
+    def forbidden_in(self, lo, hi):
+        self._above("forbidden_in", lo)
+        return self._inner.forbidden_in(lo, hi)
+
+    def copy(self):
+        return ProtocolOracle(self._inner.copy(), self._top)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from sievecodec import codec
@@ -80,6 +82,18 @@ class TestMemberCommand:
         code, out, _ = run(capsys, "member", "--op", "sumfree", "1,2 @ 3")
         assert code == 1
         assert "member=false" in out
+
+    def test_unfactorable_element_is_a_resource_limit(self, capsys):
+        # 2**61 - 1 is prime: trial division up to 2**20 leaves it whole, too
+        # large to certify, and refuses it instead of dividing for minutes.
+        prefix = f"{2**61 - 1},{2**61} @ {2**61}"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "member", "--op", "coprime", prefix)
+        assert time.perf_counter() - start < 1
+        assert code == 5
+        assert out == ""
+        assert err.startswith(f"error: cannot factor {2**61 - 1}: ")
+        assert "bound 1048576" in err
 
 
 class TestDynamicsCommand:

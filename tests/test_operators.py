@@ -7,17 +7,33 @@ import hypothesis.strategies as st
 
 from sievecodec import (
     IntSetPrefix,
+    codec,
+    completeness_sufficient_condition,
     coprime,
+    decode,
+    decode_orbit,
+    dynamics,
     encode,
+    encoder_fixed_points,
     finite_sums,
+    find_limit,
+    is_encoder_fixed_point,
     is_member,
     norm_k,
+    operators,
     parse_operator,
     prime_factors,
     sum_free,
+    ultimately_complete_on,
 )
-from sievecodec.operators import _FIRST_WINDOW, _MASK_WINDOW, _SPF_CAP, incremental_oracle
-from conftest import ALL_OPERATORS
+from sievecodec.operators import (
+    _FIRST_WINDOW,
+    _MASK_WINDOW,
+    _SPF_CAP,
+    FactorBoundExceeded,
+    incremental_oracle,
+)
+from conftest import ALL_OPERATORS, EVERY_OPERATOR, ProtocolOracle
 import reference
 from reference import apply_J
 
@@ -60,6 +76,17 @@ class TestPrimeFactors:
         draws += [3_999_971, 2 * 3_999_971, 1009**3, 2**30, 2**20 + 7]
         for n in draws:
             assert prime_factors(n) == frozenset(reference.prime_factors(n)), n
+
+    def test_cofactors_at_the_bound(self):
+        # Trial division stops at 2**20, so a cofactor left below 2**40 is
+        # prime and one of 2**40 or more is refused, prime or not.
+        below, above = 2**40 - 87, 2**40 + 15  # the primes on either side of 2**40
+        assert reference.prime_factors(below) == {below}
+        assert prime_factors(2 * below) == {2, below}
+        assert prime_factors((2**20 - 3) * (2**20 + 7)) == {2**20 - 3, 2**20 + 7}
+        for n in (above, 3 * above, (2**20 + 7) ** 2, 2**61 - 1):
+            with pytest.raises(FactorBoundExceeded, match=f"^cannot factor {n}: .*bound 1048576"):
+                prime_factors(n)
 
 
 def _peak_bytes(call):
@@ -203,15 +230,16 @@ class TestIsMember:
 
 
 def _built(op, elements):
-    oracle = incremental_oracle(op)
+    """A fresh oracle over ``elements``, checked to be asked only above them."""
+    oracle = ProtocolOracle(incremental_oracle(op))
     for e in sorted(elements):
         oracle.add(e)
     return oracle
 
 
 def _window_edges(op, oracle, elements):
-    """Values where an oracle's state changes how it answers."""
-    edges = [1, max(elements, default=0) + 1]
+    """Values above the set where an oracle's state changes how it answers."""
+    edges = [max(elements, default=0) + 1]
     if op.kind == "normk" and op.k <= 4:
         if op.k == 4:
             edges.append(2 * max(elements, default=0))  # the largest pair sum
@@ -235,49 +263,42 @@ def _first_allowed(oracle, c):
     return c
 
 
-def _reference(op, elements, lo, hi):
-    """The values in [lo, hi] outside ``elements`` that ``elements`` forbid,
-    computed apart from the oracle.  ``apply_J`` runs once per run of values
-    outside the set: under ``normk`` it tests each member against a table of
-    the other members, which nothing here reads."""
-    out, start = set(), lo
-    for e in sorted(e for e in elements if lo <= e <= hi) + [hi + 1]:
-        out |= apply_J(op, elements, start, e - 1)
-        start = e + 1
-    return out
-
-
 def _checked_window(op, oracle, elements, lo, hi):
     """``forbidden_in(lo, hi)``, checked: one byte per value, 1 where
-    ``forbids`` holds and 0 elsewhere, and outside the set the values the
-    reference forbids."""
+    ``forbids`` holds and 0 elsewhere, and 1 at the values the reference
+    forbids."""
     window = oracle.forbidden_in(lo, hi)
     assert type(window) is bytes
     assert len(window) == max(0, hi - lo + 1)
     assert list(window) == [int(oracle.forbids(v)) for v in range(lo, hi + 1)]
     marked = {lo + i for i, forbidden in enumerate(window) if forbidden}
-    assert marked - set(elements) == _reference(op, elements, lo, hi)
+    assert marked == apply_J(op, elements, lo, hi)
     return window
 
 
+def _checked_next_allowed(op, oracle, elements, c):
+    found = oracle.next_allowed(c)
+    assert found == _first_allowed(oracle, c)
+    assert apply_J(op, elements, c, found) == set(range(c, found))
+    return found
+
+
 class TestOracleProtocol:
-    """``forbidden_in`` and ``next_allowed`` agree with ``forbids`` and with
-    the reference ``apply_J``."""
+    """Above the set, ``forbidden_in`` and ``next_allowed`` agree with
+    ``forbids`` and with the reference ``apply_J``."""
 
     def check(self, op, elements, data):
         oracle = _built(op, elements)
+        above = max(elements, default=0) + 1
         edge = data.draw(st.sampled_from(_window_edges(op, oracle, elements)))
-        lo = max(1, edge + data.draw(st.integers(-70, 3)))
+        lo = max(above, edge + data.draw(st.integers(-70, 3)))
         hi = lo + data.draw(st.integers(-1, 140))
         _checked_window(op, oracle, elements, lo, hi)
         # An encoder-like walk from near the edge: runs of rejected bits reuse
         # what the last search found, and every accepted one changes the set.
-        c = max(1, edge + data.draw(st.integers(-70, 70)))
+        c = max(above, edge + data.draw(st.integers(-70, 70)))
         for bit in data.draw(st.lists(st.booleans(), min_size=1, max_size=6)):
-            found = oracle.next_allowed(c)
-            assert found == _first_allowed(oracle, c)
-            if c > max(elements, default=0):
-                assert _reference(op, elements, c, found) == set(range(c, found))
+            found = _checked_next_allowed(op, oracle, elements, c)
             if bit:
                 oracle.add(found)
                 elements = elements | {found}
@@ -306,14 +327,15 @@ class TestOracleProtocol:
     def test_window_widths(self, op):
         # Widths around the 30-bit digits of an int, a 64-bit word and
         # the mask oracles' 256-bit slice, and one long window, at starts on
-        # either side of a digit boundary.  The sets reach past the starts,
-        # so the windows hold forbidden values and allowed ones.
+        # either side of a digit boundary, each just above a set drawn below
+        # it.  The sets forbid values past the starts, so the windows hold
+        # forbidden values and allowed ones.
         rng = random.Random(f"widths/{op}")
         widths = [0, 1, 29, 30, 31, 63, 64, 65, 255, 256, 257, 3000]
         for _ in range(2):
-            elements = set(rng.sample(range(1, 130), 6))
-            oracle = _built(op, elements)
-            for lo in (1, 29, 30, 31, 59, 60, 61, 119, 120, 121):
+            for lo in (29, 30, 31, 59, 60, 61, 119, 120, 121):
+                elements = set(rng.sample(range(max(1, lo - 60), lo), 6))
+                oracle = _built(op, elements)
                 for width in widths:
                     _checked_window(op, oracle, elements, lo, lo + width - 1)
 
@@ -327,8 +349,8 @@ class TestOracleProtocol:
         for _ in range(20):
             elements = set(rng.sample(range(1, 40), rng.randint(1, 6)))
             oracle = _built(op, elements)
-            _checked_window(op, oracle, elements, 1, k * max(elements))
             c = max(elements) + 1
+            _checked_window(op, oracle, elements, c, k * max(elements))
             assert oracle.next_allowed(c) == _first_allowed(oracle, c)
 
     @pytest.mark.parametrize("k", range(2, 17))
@@ -338,12 +360,12 @@ class TestOracleProtocol:
     )
     def test_windows_above_the_set(self, k, draw):
         # Above its largest element the oracle tries only the multipliers y
-        # with y**2 + y + 1 < k; a window starting at that element tries
-        # them all.  Windows are drawn up to where nothing is forbidden, and
-        # around values the full range forbids there.  Close elements make
-        # relations with the largest multiplier the bound allows: at k = 14,
-        # 3 * 1358 = 1006 + 1013 + 1024 + 1031 is the only relation that
-        # forbids 1358 over those four elements.
+        # with y**2 + y + 1 < k.  Windows are drawn up to where nothing is
+        # forbidden, and around values forbidden there; a window split in two
+        # reads as the whole.  Close elements make relations with the
+        # largest multiplier the bound allows: at k = 14, 3 * 1358 = 1006 +
+        # 1013 + 1024 + 1031 is the only relation that forbids 1358 over
+        # those four elements.
         rng = random.Random(f"{k}/{draw}")
         op = norm_k(k)
         for _ in range(6):
@@ -351,17 +373,16 @@ class TestOracleProtocol:
             top = max(elements)
             oracle = _built(op, elements)
             edge = max(_window_edges(op, oracle, elements))  # nothing above it is forbidden
-            full = oracle.forbidden_in(top, edge)
-            assert oracle.forbidden_in(top + 1, edge) == full[1:]
-            above = [v for v, forbidden in enumerate(full[1:], top + 1) if forbidden]
-            starts = [top, top + 1, rng.randint(top + 1, max(top + 1, edge))]
-            starts += [f - rng.randint(0, 3) for f in rng.sample(above, min(8, len(above)))]
+            full = oracle.forbidden_in(top + 1, edge)
+            cut = rng.randint(top + 1, edge)
+            assert oracle.forbidden_in(top + 1, cut) + oracle.forbidden_in(cut + 1, edge) == full
+            above = [v for v, forbidden in enumerate(full, top + 1) if forbidden]
+            starts = [top + 1, rng.randint(top + 1, max(top + 1, edge))]
+            starts += [max(top + 1, f - rng.randint(0, 3))
+                       for f in rng.sample(above, min(8, len(above)))]
             for lo in starts:
                 _checked_window(op, oracle, elements, lo, lo + rng.randint(0, 70))
-                if lo > top:
-                    found = oracle.next_allowed(lo)
-                    assert found == _first_allowed(oracle, lo)
-                    assert _reference(op, elements, lo, found) == set(range(lo, found))
+                _checked_next_allowed(op, oracle, elements, lo)
 
     @pytest.mark.parametrize(
         "draw", [range(1, 10**5 + 1), range(1000, 1041)], ids=["lacunary", "clustered"])
@@ -385,9 +406,7 @@ class TestOracleProtocol:
                         c = max(c, oracle._table.reach - rng.randint(0, 2 * _FIRST_WINDOW))
                     wide = oracle._width > _FIRST_WINDOW
                     cut_at_reach += c + oracle._width > oracle._table.reach
-                    found = oracle.next_allowed(c)
-                    assert found == _first_allowed(oracle, c)
-                    assert _reference(op, elements, c, found) == set(range(c, found))
+                    found = _checked_next_allowed(op, oracle, elements, c)
                     short_after_long += wide and found - c < _FIRST_WINDOW
                     if i < 12 and rng.random() < 0.4:
                         oracle.add(found)
@@ -408,37 +427,32 @@ class TestOracleProtocol:
                 c = found + 1
 
 
-def _checked_next_allowed(op, oracle, elements, c):
-    found = oracle.next_allowed(c)
-    assert found == _first_allowed(oracle, c)
-    assert _reference(op, elements, c, found) == set(range(c, found)) - elements
-    return found
-
-
 class TestMaskWindow:
     """The mask oracles read runs of rejected bits off a kept slice of the
     mask, which stands only while the mask it came from is the oracle's."""
 
-    @pytest.mark.parametrize("op", [sum_free(), norm_k(3), norm_k(4), finite_sums()], ids=str)
+    @pytest.mark.parametrize("op", [sum_free(), norm_k(4), finite_sums()], ids=str)
     def test_encoder_order_across_window_edges(self, op):
-        # Walks that accept or reject each answer, as the encoder does, and
-        # count three edges: (a) the free value lies a window or more past
-        # the query, so no slice holds it; (b) an accepted value newly
-        # forbids a value the kept slice has free, and the next query lands
-        # on it; (c) the same after a copy taken with a slice kept, where
-        # only the copy accepts.  Under fs, 1, 2, 4, ..., 2**j forbid
-        # [1, 2**(j + 1) - 1]; under the others a run of elements forbids a
-        # run as long or longer.
+        # Walks from above the set that accept or reject each answer, as the
+        # encoder does, and count three edges: (a) the free value lies a
+        # window or more past the query, so no slice holds it; (b) an
+        # accepted value newly forbids a value the kept slice has free, and
+        # the next query lands on it; (c) the same after a copy taken with a
+        # slice kept, where only the copy accepts.  Under fs, 1, 2, 4, ...,
+        # 2**j forbid [1, 2**(j + 1) - 1]; under the others a run of elements
+        # from lo forbids a run as long or longer from 2 * lo.
         rng = random.Random(f"mask-window/{op}")
         far = stale = twin_stale = 0
         for _ in range(3):
             if op.kind == "fs":
-                base, starts = {1 << i for i in range(rng.randint(9, 11))}, [1]
+                base = {1 << i for i in range(rng.randint(9, 11))}
+                lo = 0
             else:
                 lo = rng.randint(1, 400)
-                base, starts = set(range(lo, lo + rng.randint(260, 400))), [lo, 2 * lo]
+                base = set(range(lo, lo + rng.randint(260, 400)))
             base |= set(rng.sample(range(1, 100), 2))  # short sums reach into the slice
-            for c in starts:
+            above = max(base) + 1
+            for c in sorted({above, max(above, 2 * lo)}):
                 oracle, elements = _built(op, base), base
                 for _ in range(30):
                     found = _checked_next_allowed(op, oracle, elements, c)
@@ -454,7 +468,7 @@ class TestMaskWindow:
                     grower = oracle.copy() if kept and draw < 0.7 else oracle
                     grower.add(found)
                     grown = elements | {found}
-                    newly = [v for v in range(found, window_lo + _MASK_WINDOW)
+                    newly = [v for v in range(found + 1, window_lo + _MASK_WINDOW)
                              if kept and not (window >> (v - window_lo)) & 1 and grower.forbids(v)]
                     if grower is not oracle:
                         if newly:
@@ -471,6 +485,24 @@ class TestMaskWindow:
                         stale += 1
         assert far and stale and twin_stale
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_small_norm_bounds_forbid_nothing(self, k):
+        # Above the set normk:2 and normk:3 forbid nothing, so their masks
+        # stay empty: every query is free, whatever the walk accepts.
+        op = norm_k(k)
+        rng = random.Random(f"mask-empty/{k}")
+        for _ in range(3):
+            elements = set(rng.sample(range(1, 400), rng.randint(1, 40)))
+            oracle = _built(op, elements)
+            c = max(elements) + 1
+            for _ in range(40):
+                assert _checked_next_allowed(op, oracle, elements, c) == c
+                assert not any(_checked_window(op, oracle, elements, c, c + rng.randint(0, 300)))
+                if rng.random() < 0.5:
+                    oracle.add(c)
+                    elements = elements | {c}
+                c += rng.randint(1, 300)
+
 
 class TestOracleCopy:
     """A copy and its original, each grown further, answer like fresh
@@ -485,16 +517,63 @@ class TestOracleCopy:
     )
     @settings(max_examples=150, deadline=None)
     def test_copies_grow_apart(self, op, base, more, other, c):
+        # Each grows by its own elements above the shared set.
+        top = max(base, default=0)
+        more, other = ({top + d for d in extra} for extra in (more, other))
         original = _built(op, base)
-        original.next_allowed(c)  # fills the caches a copy must not share
+        original.next_allowed(top + c)  # fills the caches a copy must not share
         twin = original.copy()
         for oracle, extra in ((original, more), (twin, other)):
-            for e in sorted(extra - base):
+            for e in sorted(extra):
                 oracle.add(e)
         for oracle, elements in ((original, base | more), (twin, base | other)):
             fresh = _built(op, elements)
+            above = max(elements, default=0) + 1
             hi = max(_window_edges(op, fresh, elements)) + 70
-            window = _checked_window(op, oracle, elements, 1, hi)
-            assert window == fresh.forbidden_in(1, hi)
-            for start in (1, c, max(elements, default=0) + 1, hi):
+            window = _checked_window(op, oracle, elements, above, hi)
+            assert window == fresh.forbidden_in(above, hi)
+            for start in (above, above + c, hi):
                 assert oracle.next_allowed(start) == fresh.next_allowed(start)
+
+
+class TestCallersKeepTheProtocol:
+    """Every caller adds elements in strictly increasing order and asks
+    only about values above them: ``ProtocolOracle`` checks each call of
+    every oracle the library makes."""
+
+    @pytest.mark.parametrize("op", EVERY_OPERATOR, ids=str)
+    def test_every_entry_point(self, op, monkeypatch):
+        made = []
+
+        def checked(op):
+            made.append(ProtocolOracle(incremental_oracle(op)))
+            return made[-1]
+
+        for module in (codec, dynamics, operators):
+            monkeypatch.setattr(module, "incremental_oracle", checked)
+        rng = random.Random(f"protocol/{op}")
+        # Words stay short where elements grow geometrically, below the
+        # candidate ceiling.
+        length = 12 if op.kind == "fs" or (op.kind == "normk" and op.k >= 7) else 48
+        stops = 0
+        for _ in range(50):
+            word = "".join(rng.choice("01") for _ in range(rng.randint(0, length)))
+            member = encode(op, word).accepted
+            start = IntSetPrefix.of(rng.sample(range(1, 61), rng.randint(0, 45)), 60)
+            for prefix in (member, start):
+                decode(op, prefix)
+                # The decode stopped adding if it never added the last
+                # element below the horizon.
+                below = [a for a in prefix.elements if a < prefix.horizon]
+                stops += bool(below) and made[-1]._top < below[-1]
+                is_member(op, prefix)
+                is_encoder_fixed_point(op, prefix)
+                ultimately_complete_on(op, prefix, rng.randint(1, max(1, prefix.horizon)))
+                decode_orbit(op, prefix, 2)
+                find_limit(op, prefix, 8)
+                if op.kind == "normk" and op.k >= 3:
+                    completeness_sufficient_condition(op.k, prefix)
+        encoder_fixed_points(op, 10)
+        # Above the set normk:2 and normk:3 forbid nothing, and coprime never
+        # forbids a prime, so a coprime decode stops only at an element of 59.
+        assert stops or op in (coprime(), norm_k(2), norm_k(3))

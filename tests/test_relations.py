@@ -91,7 +91,7 @@ class TestFindAnchoredRelation:
     def test_unit_relation(self):
         rel = find_anchored_relation({2, 3}, 7)
         assert rel is not None
-        assert rel.as_dict() == {1: 1, 2: 1, 3: -1}
+        assert dict(rel.coeffs) == {1: 1, 2: 1, 3: -1}
         assert rel.norm == 3
 
     def test_empty_base(self):
@@ -120,7 +120,7 @@ class TestFindAnchoredRelation:
         for base in [{2, 3}, {4, 5}, {2, 5, 9}]:
             rel = find_anchored_relation(base, 9)
             if rel is not None:
-                assert rel.as_dict()[1] == 1
+                assert dict(rel.coeffs)[1] == 1
 
     def test_serialisation(self):
         # 1 + 6 - 7 = 0 is the one relation of norm 3; ``sufficient`` prints it so.
@@ -130,7 +130,7 @@ class TestFindAnchoredRelation:
         # 1 + 2 - 3 = 0 and 1 + 3 - 4 = 0 both have norm 3; read along
         # 2, 3, 4 their coefficients are (1, -1, 0) and (0, 1, -1).
         rel = find_anchored_relation({2, 3, 4}, 5)
-        assert rel.as_dict() == {1: 1, 3: 1, 4: -1}
+        assert dict(rel.coeffs) == {1: 1, 3: 1, 4: -1}
         assert str(rel) == "-1*4 + 1*3 + 1*1 = 0 (norm 3)"
 
     def test_accepts_the_extreme_bounds(self):
@@ -191,7 +191,7 @@ class TestProperties:
         rel = find_anchored_relation(base, 9)
         if rel is None:
             return
-        coeffs = rel.as_dict()
+        coeffs = dict(rel.coeffs)
         assert coeffs[1] == 1
         assert sum(v * c for v, c in coeffs.items()) == 0
         assert rel.norm <= 7
