@@ -40,7 +40,8 @@ from .operators import OperatorKind, incremental_oracle
 #: and as many again for the work space of ``CostTable.add``, big-int masks
 #: of about 2e bits for ``sumfree`` and ``normk:4`` (the pair sums) and none
 #: for ``normk:2`` and ``normk:3``, of sum(A) bits (the subset sums) for
-#: ``fs``, and about one ``coprime`` mark per integer scanned.  Under
+#: ``fs``, and one-byte ``coprime`` marks from 0 up to less than four times
+#: the largest integer scanned (twice, past ``operators._SPF_CAP``).  Under
 #: operators whose accepted elements grow geometrically (``normk`` with
 #: k >= 7, ``fs``) ordinary words of a few dozen bits reach it.
 DEFAULT_CANDIDATE_CEILING = 1_000_000

@@ -108,9 +108,10 @@ def parse_operator(text: str) -> OperatorKind:
 # covers every encoder candidate below ``codec.DEFAULT_CANDIDATE_CEILING``;
 # larger integers by trial division up to the cap, which proves a cofactor
 # left below the cap squared prime and refuses a larger one.  So no query
-# allocates in proportion to its integer, nor does a coprime probe grow the
-# oracle's marks past the cap.  Rebuilds are idempotent, so a racing refill at
-# worst duplicates work.
+# allocates in proportion to its integer.  The coprime oracle's marks grow
+# 4-fold up to the cap and 2-fold past it, and a ``forbids`` probe never grows
+# them past it.  Rebuilds are idempotent, so a racing refill at worst
+# duplicates work.
 _SPF_CAP = 1 << 20
 _spf: list[int] = [0, 1]
 
@@ -195,7 +196,8 @@ def prime_factors(n: int) -> frozenset[int]:
 # ``add`` between them, so two oracles keep what their last call read until
 # the set changes: the mask oracles a 256-bit slice of the mask, the
 # ``normk`` oracle for k >= 5 the boolean window it found a free value in.
-# The coprime oracle keeps its marks, which only grow.
+# The coprime oracle keeps one byte per integer from 0 up, which only grow,
+# and finds the next free value with one ``bytearray.find``.
 
 
 # Width of the slice of a mask that ``next_allowed`` keeps between calls.
@@ -297,12 +299,12 @@ class _SubsetSumOracle(_MaskOracle):
         self._mask |= (self._mask << element) | (1 << element)
 
 
-# Width of the first window a numpy ``next_allowed`` search scans; each
-# further window of the same call is twice as wide.  The coprime oracle starts
-# every search at this width.  The ``normk`` oracle for k >= 5 starts each
-# search at the width that last found a free value instead, keeping it across
-# ``add``, and halves it, down to this, when that value lay in the window's
-# first quarter.  The mask oracles keep a slice of fixed width, ``_MASK_WINDOW``.
+# Width of the first window a ``normk`` (k >= 5) ``next_allowed`` search
+# scans; each further window of the same call is twice as wide.  That oracle
+# starts each search at the width that last found a free value, keeping it
+# across ``add``, and halves it, down to this, when that value lay in the
+# window's first quarter.  The mask oracles keep a slice of fixed width,
+# ``_MASK_WINDOW``; the coprime oracle searches its marks to their end.
 _FIRST_WINDOW = 64
 
 
@@ -400,69 +402,80 @@ class _NormOracle:
         return lo
 
 
-# Length of a fresh coprime oracle's marks; they double as queries reach past.
+# Length of a fresh coprime oracle's marks.  They grow 4-fold while the new
+# length stays within ``_SPF_CAP`` and 2-fold past it.  Each growth re-marks
+# every prime found so far, so a dense word wants few of them; the cap bounds
+# what a chain of ``forbids`` probes can make them allocate.
 _FIRST_MARKS = 1024
+# A bytearray marks a strided slice of another bytearray without the copy
+# that bytes would take.
+_ONE = bytearray(b"\x01")
 
 
 class _CoprimeOracle:
-    """``_marks[v]`` is set when a prime factor of some element divides v."""
+    """``_marks[v]`` is 1 when a prime factor of some element divides v.
+
+    The marks are a ``bytearray``, so ``next_allowed`` is one C-level
+    ``find`` for a zero byte and ``forbidden_in`` one slice.  Growing them
+    marks the multiples of every prime in ``_primes`` over the new part.
+    """
 
     __slots__ = ("_primes", "_marks")
 
     def __init__(self) -> None:
         self._primes: set[int] = set()
-        self._marks = np.zeros(_FIRST_MARKS, dtype=bool)
+        self._marks = bytearray(_FIRST_MARKS)
 
     def copy(self) -> _CoprimeOracle:
         twin = object.__new__(_CoprimeOracle)
-        twin._primes, twin._marks = set(self._primes), self._marks.copy()
+        twin._primes, twin._marks = set(self._primes), self._marks[:]
         return twin
 
     def _cover(self, hi: int) -> None:
-        old = self._marks
-        n = len(old)
+        n = len(self._marks)
         if hi < n:
             return
-        size = 2 * n
+        size = n
         while size <= hi:
-            size *= 2
-        marks = np.zeros(size, dtype=bool)
-        marks[:n] = old
+            size *= 4 if 4 * size <= _SPF_CAP else 2
+        marks = bytearray(size)
+        marks[:n] = self._marks
         for p in self._primes:
-            marks[n + (-n) % p :: p] = True
+            first = n + (-n) % p
+            marks[first::p] = _ONE * ((size - 1 - first) // p + 1)
         self._marks = marks
 
     def add(self, element: int) -> None:
-        for p in prime_factors(element) - self._primes:
-            self._primes.add(p)
-            self._marks[p::p] = True
+        # An element no earlier one forbids brings only new primes; a
+        # violation, which decode adds, may bring known ones.
+        primes, marks = self._primes, self._marks
+        for p in prime_factors(element):
+            if p not in primes:
+                primes.add(p)
+                marks[p::p] = _ONE * ((len(marks) - 1) // p)
 
     def forbids(self, value: int) -> bool:
-        # For a probe the marks grow by at most one doubling and not past
-        # ``_SPF_CAP``; a value beyond that is tested against the primes, so
-        # a chain of probes each within a doubling of the last allocates
-        # nothing in proportion to its integers.
-        marks = self._marks
-        if value >= len(marks):
-            if value >= min(2 * len(marks), _SPF_CAP):
+        # For a probe the marks grow by at most one step, and only while the
+        # value is within twice their length and below ``_SPF_CAP``; a value
+        # beyond that is tested against the primes, so a chain of probes each
+        # within a doubling of the last allocates nothing in proportion to
+        # its integers.
+        if value >= len(self._marks):
+            if value >= min(2 * len(self._marks), _SPF_CAP):
                 return any(value % p == 0 for p in self._primes)
             self._cover(value)
-        return bool(self._marks[value])
+        return self._marks[value] == 1
 
     def forbidden_in(self, lo: int, hi: int) -> bytes:
         self._cover(hi)
-        return self._marks[lo : hi + 1].tobytes()
+        return bytes(self._marks[lo : hi + 1])
 
     def next_allowed(self, c: int) -> int:
-        width = _FIRST_WINDOW
         while True:
-            self._cover(c + width - 1)
-            window = self._marks[c : c + width]
-            i = int(window.argmin())
-            if not window[i]:
-                return c + i
-            c += width
-            width *= 2
+            free = self._marks.find(0, c)
+            if free >= 0:
+                return free
+            self._cover(max(c, len(self._marks)))
 
 
 # Each operator kind, its command-line syntax and its oracle class.

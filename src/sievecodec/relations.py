@@ -204,25 +204,40 @@ def _lex_min_witness(elements: tuple[int, ...], target: int) -> tuple[int, ...] 
     n = len(elements)
     largest = elements[-1]
     out = [0] * n
-
-    def descend(i: int, total: int, used: int) -> bool:
+    bounds = [0] * n
+    # The partial total and norm before each element; the coefficient of 1
+    # is pinned to 1, so the search starts from its total and norm.
+    totals = [1] + [0] * n
+    used = [1] + [0] * n
+    i = 0
+    while True:
         if i == n:
-            return total == 0 and used == target
-        remaining = target - used
-        # With remaining budget R every later contribution is at most R * max
-        # element (sum |y| <= sum y^2 for integers), so a larger imbalance is dead.
-        if abs(total) > remaining * largest:
-            return False
-        bound = isqrt(remaining)
-        for y in range(-bound, bound + 1):
-            out[i] = y
-            if descend(i + 1, total + y * elements[i], used + y * y):
-                return True
-        out[i] = 0
-        return False
-
-    # The coefficient of 1 is pinned to 1: the search starts from its total and norm.
-    return tuple(out) if descend(0, 1, 1) else None
+            if totals[n] == 0 and used[n] == target:
+                return tuple(out)
+        else:
+            remaining = target - used[i]
+            # With remaining budget R every later contribution is at most R *
+            # max element (sum |y| <= sum y^2 for integers), so a larger
+            # imbalance is dead.
+            if abs(totals[i]) <= remaining * largest:
+                bound = isqrt(remaining)
+                bounds[i] = bound
+                out[i] = -bound
+                totals[i + 1] = totals[i] - bound * elements[i]
+                used[i + 1] = used[i] + bound * bound
+                i += 1
+                continue
+        # Back up to the deepest element with a larger coefficient left.
+        i -= 1
+        while i >= 0 and out[i] == bounds[i]:
+            out[i] = 0
+            i -= 1
+        if i < 0:
+            return None
+        y = out[i] = out[i] + 1
+        totals[i + 1] = totals[i] + y * elements[i]
+        used[i + 1] = used[i] + y * y
+        i += 1
 
 
 def _check_norm_bound(k: int) -> None:

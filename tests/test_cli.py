@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -176,6 +177,20 @@ class TestSufficientCommand:
     def test_fails(self, capsys):
         code, out, _ = run(capsys, "sufficient", "--k", "7", "@ 5")
         assert code == 1
+
+    def test_witness_over_a_thousand_elements(self, capsys):
+        # The witness search walks every element, one level per element:
+        # a recursive search overflowed Python's stack here.
+        elements = sorted(random.Random(5005).sample(range(2, 10000), 1000))
+        code, out, _ = run(capsys, "sufficient", "--k", "5",
+                           f"{','.join(map(str, elements))} @ 10000")
+        assert code in (0, 1)
+        witness = next(line for line in out.splitlines() if line.startswith("witness="))
+        terms, _, norm = witness.removeprefix("witness=").partition(" = 0 (norm ")
+        pairs = [term.split("*") for term in terms.replace(" - ", " + -").split(" + ")]
+        assert sum(int(c) * int(b) for c, b in pairs) == 0
+        assert {int(b) for _, b in pairs} <= {1, *elements}
+        assert sum(int(c) ** 2 for c, _ in pairs) == int(norm.rstrip(")")) <= 5 - 2
 
 
 class TestRoundtripCommand:

@@ -536,6 +536,35 @@ class TestOracleCopy:
                 assert oracle.next_allowed(start) == fresh.next_allowed(start)
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coprime_copies_grow_apart_across_growths_of_the_marks(self, seed):
+        # The original and its twin take turns: each adds its own elements,
+        # then reads past 1,024 and later past 4,096, so each grows its marks
+        # after the copy while the other's stay as they were.
+        op, rng = coprime(), random.Random(f"coprime-copy/{seed}")
+        base = set(rng.sample(range(2, 300), 4))
+        original = _built(op, base)
+        original.next_allowed(max(base) + 1)
+        pairs = [(original, set(base)), (original.copy(), set(base))]
+
+        def check(oracle, elements, lo, hi):
+            fresh = _built(op, elements)
+            assert _checked_window(op, oracle, elements, lo, hi) == fresh.forbidden_in(lo, hi)
+            for start in (lo, (lo + hi) // 2, hi):
+                assert oracle.next_allowed(start) == fresh.next_allowed(start)
+
+        for edge in (1024, 4096):
+            for turn, (oracle, elements) in enumerate(pairs):
+                grown = sorted(rng.sample(range(max(elements) + 1, edge - 100), 3))
+                for e in grown:
+                    oracle.add(e)
+                elements.update(grown)
+                check(oracle, elements, edge - rng.randint(1, 99), edge + rng.randint(1, 600))
+                assert len(oracle._marks) > edge
+                other, other_elements = pairs[1 - turn]
+                check(other, other_elements, max(other_elements) + 1, len(other._marks) - 1)
+
+
 class TestCallersKeepTheProtocol:
     """Every caller adds elements in strictly increasing order and asks
     only about values above them: ``ProtocolOracle`` checks each call of
