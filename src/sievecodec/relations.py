@@ -234,7 +234,8 @@ def _lex_min_witness(elements: tuple[int, ...], target: int) -> tuple[int, ...] 
             i -= 1
         if i < 0:
             return None
-        y = out[i] = out[i] + 1
+        out[i] += 1
+        y = out[i]
         totals[i + 1] = totals[i] + y * elements[i]
         used[i + 1] = used[i] + y * y
         i += 1

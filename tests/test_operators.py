@@ -535,7 +535,6 @@ class TestOracleCopy:
             for start in (above, above + c, hi):
                 assert oracle.next_allowed(start) == fresh.next_allowed(start)
 
-
     @pytest.mark.parametrize("seed", range(4))
     def test_coprime_copies_grow_apart_across_growths_of_the_marks(self, seed):
         # The original and its twin take turns: each adds its own elements,
