@@ -11,17 +11,26 @@ size of the integers skipped.
 
 The decoder renders a prefix as a ternary word (member / forbidden-in-gap /
 neither) and deletes the forbidden marks; what remains is the bit word the
-encoder would have consumed.  Each gap between consecutive elements is read
-with one ``forbidden_in`` call on the elements below it, run through the next
-element so that its last byte says whether that element is forbidden too.
-The gaps' bytes are joined with the element marks, with no array over the
-horizon.  Decoding accepts non-member prefixes and reports where their
-elements violate the family condition, which the orbit machinery in
-:mod:`sievecodec.dynamics` relies on.  Once the elements up to a violated
-one forbid every position above it up to the horizon, the decoder stops
-there: the rest of the word is forbidden marks and elements, and every
-remaining element is a violation.  A member has no violated element, so its
-decode marks every gap.
+encoder would have consumed.  Decoding accepts non-member prefixes and
+reports where their elements violate the family condition, which the orbit
+machinery in :mod:`sievecodec.dynamics` relies on.  It takes one of two
+paths, by whether the oracle has ``forbidden_through``:
+
+* Under ``sumfree`` and ``normk:2..4`` every value a set forbids lies above
+  each element that forbids it (a + b > a, b), so a later element never
+  changes an earlier gap or an element's own position.  The decoder adds
+  every element below the horizon and renders [1, horizon] once from the
+  final mask; the violations are the elements whose own byte says forbidden.
+* Under ``coprime``, ``fs`` (the singleton {e} forbids e itself) and
+  ``normk`` with k >= 5 a later element can forbid an earlier position, so
+  each gap between consecutive elements is read with one ``forbidden_in``
+  call on the elements below it, run through the next element so that its
+  last byte says whether that element is forbidden too.  The gaps' bytes are
+  joined with the element marks, with no array over the horizon.  Once the
+  elements up to a violated one forbid every position above it up to the
+  horizon, the decoder stops there: the rest of the word is forbidden marks
+  and elements, and every remaining element is a violation.  A member has no
+  violated element, so its decode marks every gap.
 
 Pure functions throughout; every call is independent.
 """
@@ -123,23 +132,52 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     of the gap above the i-th element are J of the first i elements on that
     gap (up to the horizon for the last element).
 
-    Each gap takes one ``forbidden_in`` up to the point where the elements
-    added forbid every later position.  That is tested only after a violated
-    element: ``free``, the least position above it still allowed, comes from
-    ``next_allowed`` and is re-tested with one ``forbids`` after each later
-    violated element.  ``free`` only moves forward, so these scans together
-    cover the horizon at most once.  A gap that ends below ``free`` is marked
-    forbidden with no window, and its element is a violation.  When ``free``
-    passes the horizon, the remaining gaps are runs of forbidden bytes with
-    no further ``add`` or window, which is exact because every operator is
-    monotone.
+    Under ``sumfree`` and ``normk:2..4`` the oracle has
+    ``forbidden_through``: every element below the horizon is added, the
+    whole word is rendered once from the final mask, and each element's byte
+    is read (a violation when it says forbidden) and then overwritten with
+    the element mark, in place.  That costs one mask-wide ``add`` per element
+    and one render, with no work per gap.
 
-    No array spans the horizon: each gap is a byte string, 1 forbidden and 0
-    not, and the gaps are joined with the element mark 2 and translated to
-    the ternary word.
+    The other operators can forbid a value below a later element, so their
+    decode walks the gaps.  Each gap takes one ``forbidden_in`` up to the
+    point where the elements added forbid every later position.  That is
+    tested only after a violated element: ``free``, the least position above
+    it still allowed, comes from ``next_allowed`` and is re-tested with one
+    ``forbids`` after each later violated element.  ``free`` only moves
+    forward, so these scans together cover the horizon at most once.  A gap
+    that ends below ``free`` is marked forbidden with no window, and its
+    element is a violation.  When ``free`` passes the horizon, the remaining
+    gaps are runs of forbidden bytes with no further ``add`` or window, which
+    is exact because every operator is monotone.  No array spans the
+    horizon: each gap is a byte string, 1 forbidden and 0 not, and the gaps
+    are joined with the element mark 2.
     """
     oracle = incremental_oracle(op)
     elements, horizon = prefix.elements, prefix.horizon
+    render = getattr(oracle, "forbidden_through", None)
+    if render is None:
+        raw, violations = _walk_gaps(oracle, elements, horizon)
+    else:
+        for element in elements:
+            if element < horizon:  # nothing reads the add of one at the horizon
+                oracle.add(element)
+        raw = render(horizon)
+        violations = []
+        for element in elements:
+            if raw[element - 1]:
+                violations.append(element)
+            raw[element - 1] = 2
+    return DecodeResult(
+        raw.translate(_SYMBOLS).decode("ascii"),
+        raw.translate(_SYMBOLS, b"\x01").decode("ascii"),  # the forbidden marks deleted
+        tuple(violations),
+    )
+
+
+def _walk_gaps(oracle, elements: tuple[int, ...], horizon: int) -> tuple[bytes, list[int]]:
+    """The per-gap decode of ``decode``: the marks 0, 1 (forbidden) and 2
+    (element) over [1, horizon], and the violated elements."""
     gaps: list[bytes] = []  # the gap below each element, then the tail
     violations: list[int] = []
     lo = 1
@@ -175,12 +213,7 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
                 break
     else:
         gaps.append(oracle.forbidden_in(lo, horizon) if horizon >= lo else b"")
-    raw = b"\x02".join(gaps)
-    return DecodeResult(
-        raw.translate(_SYMBOLS).decode("ascii"),
-        raw.translate(_SYMBOLS, b"\x01").decode("ascii"),  # the forbidden marks deleted
-        tuple(violations),
-    )
+    return b"\x02".join(gaps), violations
 
 
 def roundtrip_ok(op: OperatorKind, word: str) -> bool:

@@ -139,12 +139,17 @@ def prime_factors(n: int) -> frozenset[int]:
     """Distinct prime factors of n (empty for n == 1)."""
     if n < 1:
         raise ValueError("prime_factors expects a positive integer")
-    out = set()
+    return frozenset(_distinct_primes(n))
+
+
+def _distinct_primes(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, in increasing order."""
+    out = []
     if n >= _SPF_CAP:
         m, p = n, 2
         while p * p <= m and p < _SPF_CAP:
             if m % p == 0:
-                out.add(p)
+                out.append(p)
                 while m % p == 0:
                     m //= p
             p += 1 if p == 2 else 2
@@ -154,15 +159,18 @@ def prime_factors(n: int) -> frozenset[int]:
                 f"and the cofactor {m} left is too large to certify prime"
             )
         if m > 1:
-            out.add(m)
-        return frozenset(out)
-    _ensure_spf(n)
+            out.append(m)
+        return out
+    if n >= len(_spf):
+        _ensure_spf(n)
+    spf = _spf
     while n > 1:
-        p = _spf[n]
-        out.add(p)
+        p = spf[n]
+        out.append(p)
+        n //= p
         while n % p == 0:
             n //= p
-    return frozenset(out)
+    return out
 
 
 # --- incremental oracles -----------------------------------------------------
@@ -178,6 +186,18 @@ def prime_factors(n: int) -> frozenset[int]:
 #   hi < lo),
 # * ``copy()`` is an independent oracle over the same set, so that a search
 #   can extend one set two ways without replaying it.
+#
+# The oracles of ``sumfree`` and ``normk:2..4`` (``_SumMaskOracle``) have a
+# sixth call, ``forbidden_through(hi)``: a ``bytearray`` over [1, hi] whose
+# (v-1)-th byte is 1 when the elements below v forbid v.  It needs every value
+# the set forbids to lie above each element that forbids it, as a sum a + b
+# does, so that a later element never changes an earlier position; then the
+# decoder adds every element and renders the whole prefix once, with no add
+# after it.  The other oracles lack it: under ``fs`` the singleton {e}
+# forbids e itself, and ``coprime`` and ``normk`` with k >= 5 forbid values
+# below the elements that forbid them (the multiples of a later element's
+# prime factor, a difference b - a), so their final state does not give the
+# earlier gaps.
 #
 # The three queries answer only about values strictly above the largest
 # element added: the encoder, the decoder, the membership test and the
@@ -209,8 +229,7 @@ _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 class _MaskOracle:
     """Bit v of one big int is set when the current set forbids v, for every
-    v above the set.  Left empty, it serves ``normk:2`` and ``normk:3``,
-    which forbid nothing there.
+    v above the set.
 
     ``next_allowed`` keeps the slice ``_window`` of the mask, the
     ``_MASK_WINDOW`` bits from ``_window_lo`` on, and the mask it was read
@@ -268,7 +287,25 @@ class _MaskOracle:
         return bin(window | 1 << n)[:2:-1].encode("ascii").translate(_DIGIT_BYTES)
 
 
-class _PairSumOracle(_MaskOracle):
+class _SumMaskOracle(_MaskOracle):
+    """A mask whose every value lies above each element that forbids it, as
+    a sum of positive members does.  Left empty, it serves ``normk:2`` and
+    ``normk:3``, which forbid nothing above the set.
+
+    So bit v of the mask is set by the elements below v alone, and no later
+    ``add`` changes it: once the elements are added, one
+    ``forbidden_through(hi)`` reads, for every v in [1, hi], whether the
+    elements below v forbid it.
+    """
+
+    __slots__ = ()
+
+    def forbidden_through(self, hi: int) -> bytearray:
+        window = (self._mask >> 1) & ((1 << hi) - 1)
+        return bytearray(bin(window | 1 << hi)[:2:-1], "ascii").translate(_DIGIT_BYTES)
+
+
+class _PairSumOracle(_SumMaskOracle):
     """The mask holds the sums of two members, which ``_members`` holds:
     any two under ``sumfree``, two distinct ones under ``normk:4``."""
 
@@ -449,7 +486,7 @@ class _CoprimeOracle:
         # An element no earlier one forbids brings only new primes; a
         # violation, which decode adds, may bring known ones.
         primes, marks = self._primes, self._marks
-        for p in prime_factors(element):
+        for p in _distinct_primes(element):
             if p not in primes:
                 primes.add(p)
                 marks[p::p] = _ONE * ((len(marks) - 1) // p)
@@ -498,7 +535,7 @@ def incremental_oracle(op: OperatorKind):
     if op.k is None:
         return oracle()
     if op.k <= 4:
-        return _PairSumOracle(distinct=True) if op.k == 4 else _MaskOracle()
+        return _PairSumOracle(distinct=True) if op.k == 4 else _SumMaskOracle()
     return oracle(op.k)
 
 

@@ -5,6 +5,9 @@ from sievecodec import IntSetPrefix, coprime, finite_sums, norm_k, sum_free
 ALL_OPERATORS = [sum_free(), norm_k(7), coprime(), finite_sums(), norm_k(4), norm_k(9)]
 # The three operators without a parameter and every norm bound.
 EVERY_OPERATOR = [sum_free(), coprime(), finite_sums()] + [norm_k(k) for k in range(2, 17)]
+# The operators whose every forbidden value lies above each element that
+# forbids it: their oracles have ``forbidden_through``.
+SUM_MASK_OPERATORS = [sum_free(), norm_k(2), norm_k(3), norm_k(4)]
 
 
 @st.composite
@@ -40,20 +43,34 @@ class ProtocolOracle:
     """Forwards every oracle call and asserts the protocol the oracles rely
     on: elements are added in strictly increasing order, and ``forbids``,
     ``next_allowed`` and ``forbidden_in`` ask only about values strictly
-    above the largest element added.  A copy is checked the same way, from
-    the set it was copied with; any other attribute is read off the oracle."""
+    above the largest element added.  ``forbidden_through(hi)``, where the
+    oracle has it, renders positions up to ``hi`` from the final set: ``hi``
+    is at least the largest element added, and no ``add`` follows it.  A
+    copy is checked the same way, from the set it was copied with; any other
+    attribute is read off the oracle, so a missing call stays missing."""
 
-    def __init__(self, inner, top=0):
+    def __init__(self, inner, top=0, rendered=False):
         self._inner = inner
         self._top = top
+        self._rendered = rendered
 
     def __getattr__(self, name):
-        return getattr(self._inner, name)
+        call = getattr(self._inner, name)
+        if name != "forbidden_through":
+            return call
+
+        def forbidden_through(hi):
+            assert hi >= self._top, f"forbidden_through({hi}) with {self._top} added"
+            self._rendered = True
+            return call(hi)
+
+        return forbidden_through
 
     def _above(self, call, value):
         assert value > self._top, f"{call}({value}) with {self._top} added"
 
     def add(self, element):
+        assert not self._rendered, f"add({element}) after forbidden_through"
         self._above("add", element)
         self._top = element
         self._inner.add(element)
@@ -71,4 +88,4 @@ class ProtocolOracle:
         return self._inner.forbidden_in(lo, hi)
 
     def copy(self):
-        return ProtocolOracle(self._inner.copy(), self._top)
+        return ProtocolOracle(self._inner.copy(), self._top, self._rendered)

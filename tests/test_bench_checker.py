@@ -24,15 +24,17 @@ def _word(rng, n, ones):
 
 
 @pytest.mark.parametrize("ones", [1024, 2048, 3072], ids=["1/4", "1/2", "3/4"])
-def test_dense_coprime_words(ones):
-    # The codec-dense shape: 4096 bits at densities 1/4, 1/2 and 3/4.  Under
-    # coprime the checker marks every position (``forbidden_flags``).
-    rng = random.Random(f"dense-coprime/{ones}")
+@pytest.mark.parametrize("op_text", ["coprime", "sumfree", "normk:4"])
+def test_dense_words(op_text, ones):
+    # The codec-dense shape: 4096 bits at densities 1/4, 1/2 and 3/4, under
+    # its three operators.  Under coprime and sumfree the checker marks every
+    # position (``forbidden_flags``); under normk:4 it samples them.
+    rng = random.Random(f"dense-{op_text}/{ones}")
     word = _word(rng, 4096, ones)
-    op = parse_operator("coprime")
+    op = parse_operator(op_text)
     enc = encode(op, word)
     dec = decode(op, enc.accepted)
-    problems = checker.check_codec("coprime", word, enc.accepted.elements, enc.rejected.elements,
+    problems = checker.check_codec(op_text, word, enc.accepted.elements, enc.rejected.elements,
                                    enc.consumed, dec.ternary, dec.bits, dec.violations, rng)
     assert problems == []
 
