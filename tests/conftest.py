@@ -49,10 +49,10 @@ class ProtocolOracle:
     copy is checked the same way, from the set it was copied with; any other
     attribute is read off the oracle, so a missing call stays missing."""
 
-    def __init__(self, inner, top=0, rendered=False):
+    def __init__(self, inner, top=0):
         self._inner = inner
         self._top = top
-        self._rendered = rendered
+        self._rendered = False
 
     def __getattr__(self, name):
         call = getattr(self._inner, name)
@@ -88,4 +88,4 @@ class ProtocolOracle:
         return self._inner.forbidden_in(lo, hi)
 
     def copy(self):
-        return ProtocolOracle(self._inner.copy(), self._top, self._rendered)
+        return ProtocolOracle(self._inner.copy(), self._top)
