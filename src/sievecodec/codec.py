@@ -18,19 +18,24 @@ paths, by whether the oracle has ``forbidden_through``:
 
 * Under ``sumfree`` and ``normk:2..4`` every value a set forbids lies above
   each element that forbids it (a + b > a, b), so a later element never
-  changes an earlier gap or an element's own position.  The decoder adds
-  every element below the horizon and renders [1, horizon] once from the
-  final mask; the violations are the elements whose own byte says forbidden.
-* Under ``coprime``, ``fs`` (the singleton {e} forbids e itself) and
-  ``normk`` with k >= 5 a later element can forbid an earlier position, so
-  each gap between consecutive elements is read with one ``forbidden_in``
-  call on the elements below it, run through the next element so that its
-  last byte says whether that element is forbidden too.  The gaps' bytes are
-  joined with the element marks, with no array over the horizon.  Once the
-  elements up to a violated one forbid every position above it up to the
-  horizon, the decoder stops there: the rest of the word is forbidden marks
-  and elements, and every remaining element is a violation.  A member has no
-  violated element, so its decode marks every gap.
+  changes an earlier gap or an element's own position.  Under ``coprime``
+  the elements below v forbid v exactly when v is a multiple of a prime p
+  above the first element p divides, so the final set, with each prime's
+  first element, gives every position too.  The decoder adds every element
+  below the horizon and renders [1, horizon] once from the final state; the
+  violations are the elements whose own byte says forbidden.
+* Under ``fs`` (the singleton {e} forbids e itself) and ``normk`` with
+  k >= 5 (a difference b - a) a later element can forbid an earlier
+  position, and the final state does not tell which elements forbade it,
+  so each gap between consecutive elements is read with one
+  ``forbidden_in`` call on the elements below it, run through the next
+  element so that its last byte says whether that element is forbidden
+  too.  The gaps' bytes are joined with the element marks, with no array
+  over the horizon.  Once the elements up to a violated one forbid every
+  position above it up to the horizon, the decoder stops there: the rest of
+  the word is forbidden marks and elements, and every remaining element is
+  a violation.  A member has no violated element, so its decode marks every
+  gap.
 
 Pure functions throughout; every call is independent.
 """
@@ -132,19 +137,23 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     of the gap above the i-th element are J of the first i elements on that
     gap (up to the horizon for the last element).
 
-    Under ``sumfree`` and ``normk:2..4`` the oracle has
+    Under ``sumfree``, ``normk:2..4`` and ``coprime`` the oracle has
     ``forbidden_through``: every element below the horizon is added, the
-    whole word is rendered once from the final mask, and each element's byte
-    is read (a violation when it says forbidden) and then overwritten with
-    the element mark, in place.  That costs one mask-wide ``add`` per element
-    and one render, with no work per gap.
+    whole word is rendered once from the final state, and each element's
+    byte is read (a violation when it says forbidden) and then overwritten
+    with the element mark, in place.  The sums of the mask oracles lie above
+    the elements that make them; a ``coprime`` position is forbidden when it
+    is a multiple of a prime above the first element that prime divides, so
+    that oracle keeps each prime's first element.  That costs one ``add``
+    per element and one render, with no work per gap.
 
-    The other operators can forbid a value below a later element, so their
-    decode walks the gaps.  Each gap takes one ``forbidden_in`` up to the
-    point where the elements added forbid every later position.  That is
-    tested only after a violated element: ``free``, the least position above
-    it still allowed, comes from ``next_allowed`` and is re-tested with one
-    ``forbids`` after each later violated element.  ``free`` only moves
+    Under ``fs`` and ``normk`` with k >= 5 a later element can forbid a
+    value below it, so their decode walks the gaps.  Each gap takes one
+    ``forbidden_in`` up to the point where the elements added forbid every
+    later position.  That is tested only after a violated element:
+    ``free``, the least position above it still allowed, comes from
+    ``next_allowed`` and is re-tested with one ``forbids`` after each later
+    violated element.  ``free`` only moves
     forward, so these scans together cover the horizon at most once.  A gap
     that ends below ``free`` is marked forbidden with no window, and its
     element is a violation.  When ``free`` passes the horizon, the remaining

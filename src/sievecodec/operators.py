@@ -187,17 +187,20 @@ def _distinct_primes(n: int) -> list[int]:
 # * ``copy()`` is an independent oracle over the same set, so that a search
 #   can extend one set two ways without replaying it.
 #
-# The oracles of ``sumfree`` and ``normk:2..4`` (``_SumMaskOracle``) have a
-# sixth call, ``forbidden_through(hi)``: a ``bytearray`` over [1, hi] whose
-# (v-1)-th byte is 1 when the elements below v forbid v.  It needs every value
-# the set forbids to lie above each element that forbids it, as a sum a + b
-# does, so that a later element never changes an earlier position; then the
-# decoder adds every element and renders the whole prefix once, with no add
-# after it.  The other oracles lack it: under ``fs`` the singleton {e}
-# forbids e itself, and ``coprime`` and ``normk`` with k >= 5 forbid values
-# below the elements that forbid them (the multiples of a later element's
-# prime factor, a difference b - a), so their final state does not give the
-# earlier gaps.
+# The oracles of ``sumfree``, ``normk:2..4`` (``_SumMaskOracle``) and
+# ``coprime`` have a sixth call, ``forbidden_through(hi)``: a ``bytearray``
+# over [1, hi] whose (v-1)-th byte is 1 when the elements below v forbid v.
+# The decoder adds every element and renders the whole prefix once, with no
+# add after it, so the final state must tell which positions the elements
+# below each one forbid.  A sum a + b lies above a and b, so a later element
+# never changes an earlier bit of a sum mask.  A later element's prime p
+# forbids the multiples of p below it too, but a multiple v of p is forbidden
+# by the elements below v exactly when v lies above the first element p
+# divides, and the coprime oracle keeps that element.  The other oracles
+# lack the call: under ``fs`` the singleton {e} forbids e itself, and the
+# mask cannot tell whether e was forbidden before e was added; a ``normk``
+# table with k >= 5 forbids values below the elements that forbid them (a
+# difference b - a) and keeps no record of which elements a cost used.
 #
 # The three queries answer only about values strictly above the largest
 # element added: the encoder, the decoder, the membership test and the
@@ -450,22 +453,28 @@ _ONE = bytearray(b"\x01")
 
 
 class _CoprimeOracle:
-    """``_marks[v]`` is 1 when a prime factor of some element divides v.
+    """``_marks[v]`` is 1 when a prime factor of some element divides v, and
+    ``_primes`` maps each such prime to the first element it divides.
 
     The marks are a ``bytearray``, so ``next_allowed`` is one C-level
     ``find`` for a zero byte and ``forbidden_in`` one slice.  Growing them
     marks the multiples of every prime in ``_primes`` over the new part.
+
+    The first elements give ``forbidden_through``: the elements below v
+    forbid v exactly when some prime p divides v and an element below v,
+    that is, when v is a multiple of p above the first element p divides.
+    So the final set renders every earlier gap, with no marks grown.
     """
 
     __slots__ = ("_primes", "_marks")
 
     def __init__(self) -> None:
-        self._primes: set[int] = set()
+        self._primes: dict[int, int] = {}
         self._marks = bytearray(_FIRST_MARKS)
 
     def copy(self) -> _CoprimeOracle:
         twin = object.__new__(_CoprimeOracle)
-        twin._primes, twin._marks = set(self._primes), self._marks[:]
+        twin._primes, twin._marks = dict(self._primes), self._marks[:]
         return twin
 
     def _cover(self, hi: int) -> None:
@@ -484,12 +493,15 @@ class _CoprimeOracle:
 
     def add(self, element: int) -> None:
         # An element no earlier one forbids brings only new primes; a
-        # violation, which decode adds, may bring known ones.
+        # violation, which decode adds, may bring known ones.  A prime past
+        # the marks has no multiple in them yet.
         primes, marks = self._primes, self._marks
+        n = len(marks)
         for p in _distinct_primes(element):
             if p not in primes:
-                primes.add(p)
-                marks[p::p] = _ONE * ((len(marks) - 1) // p)
+                primes[p] = element
+                if p < n:
+                    marks[p::p] = _ONE * ((n - 1) // p)
 
     def forbids(self, value: int) -> bool:
         # For a probe the marks grow by at most one step, and only while the
@@ -506,6 +518,15 @@ class _CoprimeOracle:
     def forbidden_in(self, lo: int, hi: int) -> bytes:
         self._cover(hi)
         return bytes(self._marks[lo : hi + 1])
+
+    def forbidden_through(self, hi: int) -> bytearray:
+        # Byte v - 1 is position v: the multiples of p above its first element.
+        out = bytearray(hi)
+        for p, first in self._primes.items():
+            start = first + p - 1
+            if start < hi:
+                out[start::p] = _ONE * ((hi - 1 - start) // p + 1)
+        return out
 
     def next_allowed(self, c: int) -> int:
         while True:

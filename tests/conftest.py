@@ -5,9 +5,13 @@ from sievecodec import IntSetPrefix, coprime, finite_sums, norm_k, sum_free
 ALL_OPERATORS = [sum_free(), norm_k(7), coprime(), finite_sums(), norm_k(4), norm_k(9)]
 # The three operators without a parameter and every norm bound.
 EVERY_OPERATOR = [sum_free(), coprime(), finite_sums()] + [norm_k(k) for k in range(2, 17)]
-# The operators whose every forbidden value lies above each element that
-# forbids it: their oracles have ``forbidden_through``.
-SUM_MASK_OPERATORS = [sum_free(), norm_k(2), norm_k(3), norm_k(4)]
+# The operators whose oracles have ``forbidden_through``: their final state
+# tells, for every position, whether the elements below it forbid it.  Under
+# ``sumfree`` and ``normk:2..4`` every forbidden value lies above each element
+# that forbids it; under ``coprime`` a position is forbidden by the elements
+# below it when it is a multiple of a prime above the first element that
+# prime divides.  The decoder renders their prefixes once.
+ONE_RENDER_OPERATORS = [sum_free(), norm_k(2), norm_k(3), norm_k(4), coprime()]
 
 
 @st.composite

@@ -13,6 +13,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# 2**61 - 1 is prime: trial division up to 2**20 leaves it whole, too large
+# to certify.
+UNFACTORABLE = 2**61 - 1
+
+
+def assert_refused_unfactorable(capsys, *argv):
+    """The command exits 5 at once, naming the element and the bound, and
+    allocates nothing for the horizon first."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 5
+    assert out == ""
+    assert err.startswith(f"error: cannot factor {UNFACTORABLE}: ")
+    assert "bound 1048576" in err
+
+
 class TestEncodeCommand:
     def test_sieve(self, capsys):
         code, out, _ = run(capsys, "encode", "--op", "coprime", "0111111111")
@@ -72,6 +89,11 @@ class TestDecodeCommand:
         code, _, err = run(capsys, "decode", "--op", "coprime", "2,3 @ 10", "--horizon", "9")
         assert code == 2
 
+    def test_unfactorable_element_is_a_resource_limit(self, capsys):
+        # The decoder factors the element before it renders the horizon.
+        prefix = f"{UNFACTORABLE} @ {2**61}"
+        assert_refused_unfactorable(capsys, "decode", "--op", "coprime", prefix)
+
 
 class TestMemberCommand:
     def test_member_true(self, capsys):
@@ -85,16 +107,9 @@ class TestMemberCommand:
         assert "member=false" in out
 
     def test_unfactorable_element_is_a_resource_limit(self, capsys):
-        # 2**61 - 1 is prime: trial division up to 2**20 leaves it whole, too
-        # large to certify, and refuses it instead of dividing for minutes.
-        prefix = f"{2**61 - 1},{2**61} @ {2**61}"
-        start = time.perf_counter()
-        code, out, err = run(capsys, "member", "--op", "coprime", prefix)
-        assert time.perf_counter() - start < 1
-        assert code == 5
-        assert out == ""
-        assert err.startswith(f"error: cannot factor {2**61 - 1}: ")
-        assert "bound 1048576" in err
+        # Refused instead of dividing for minutes.
+        prefix = f"{UNFACTORABLE},{2**61} @ {2**61}"
+        assert_refused_unfactorable(capsys, "member", "--op", "coprime", prefix)
 
 
 class TestDynamicsCommand:
@@ -166,6 +181,10 @@ class TestUcCommand:
     def test_undecided(self, capsys):
         code, out, _ = run(capsys, "uc", "--op", "sumfree", "--window", "11", "@ 10")
         assert code == 4
+
+    def test_unfactorable_element_is_a_resource_limit(self, capsys):
+        prefix = f"{UNFACTORABLE} @ {2**61}"
+        assert_refused_unfactorable(capsys, "uc", "--op", "coprime", "--window", "1", prefix)
 
 
 class TestSufficientCommand:

@@ -15,14 +15,16 @@ from sievecodec import (
     is_member,
     norm_k,
     parse_operator,
+    prime_factors,
     roundtrip_ok,
     sum_free,
 )
 from sievecodec import codec
+from sievecodec.operators import incremental_oracle
 from conftest import (
     ALL_OPERATORS,
     EVERY_OPERATOR,
-    SUM_MASK_OPERATORS,
+    ONE_RENDER_OPERATORS,
     CountingOracle,
     bit_words,
     prefixes,
@@ -206,6 +208,81 @@ class TestDecodeMatchesReference:
             assert result.violations[-1] == elements[-1]
 
 
+class TestCoprimeRender:
+    """The one-render decode under ``coprime`` against the per-gap walk on a
+    fresh oracle, which reads each gap off marks grown over it."""
+
+    @staticmethod
+    def check(prefix):
+        raw, violations = codec._walk_gaps(
+            incremental_oracle(coprime()), prefix.elements, prefix.horizon
+        )
+        result = decode(coprime(), prefix)
+        assert result.ternary == raw.translate(codec._SYMBOLS).decode("ascii")
+        assert result.violations == tuple(violations)
+        return result
+
+    @given(prefixes(max_horizon=300))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_prefixes(self, prefix):
+        self.check(prefix)
+
+    @pytest.mark.parametrize(
+        "elements, horizon",
+        [
+            ((), 0),
+            ((1,), 1),
+            ((1,), 10),
+            ((1, 2, 3, 4), 10),
+            ((5,), 5),  # the first element of 5 at the horizon marks nothing
+            ((2, 4), 4),
+            ((3, 9), 9),
+            ((2, 3, 5, 7, 11), 11),
+            ((4, 8, 9, 27), 40),
+            ((6, 10, 15), 40),  # pairwise not coprime, with no common prime
+            ((4, 6, 9), 30),
+        ],
+    )
+    def test_edges(self, elements, horizon):
+        prefix = IntSetPrefix(elements, horizon)
+        assert self.check(prefix) == reference_decode(coprime(), prefix)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shared_primes_and_prime_powers(self, seed):
+        rng = random.Random(f"coprime-render/{seed}")
+        powers = [4, 8, 9, 27, 16, 25, 125, 49, 343, 6, 10, 15, 30, 210]
+        violated = 0
+        for _ in range(50):
+            horizon = rng.randint(1, 3000)
+            elements = {a for a in rng.sample(powers, rng.randint(0, 8)) if a <= horizon}
+            # Multiples of a few small primes share them with the powers.
+            for p in rng.sample(FIRST_PRIMES, 3):
+                if p <= horizon:
+                    elements.update(rng.randrange(p, horizon + 1, p) for _ in range(4))
+            elements.update(rng.sample(range(1, horizon + 1), min(horizon, rng.randint(0, 40))))
+            violated += bool(self.check(IntSetPrefix.of(elements, horizon)).violations)
+        assert violated >= 40
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_elements_past_the_sieve(self, seed):
+        # Primes near 2**21 and products of two primes above 2**10 are
+        # factored by trial division.
+        rng = random.Random(f"coprime-render/large/{seed}")
+        large = [n for n in range(2**21 - 300, 2**21 + 300) if prime_factors(n) == {n}]
+        small = [n for n in range(1025, 1200) if prime_factors(n) == {n}]
+        semiprimes = [p * q for p, q in zip(small, small[1:])]
+        assert min(semiprimes) >= 2**20
+        first = rng.sample(large, 3)
+        elements = set(first) | set(rng.sample(semiprimes, 4))
+        # Elements that bring those primes first, below or above them.
+        elements.update(2 * p for p in rng.sample(small, 3))
+        elements.update(3 * p for p in first[:1])
+        elements.update(rng.sample(range(1, 5000), 30))
+        horizon = max(elements) + rng.randint(0, 3000)
+        result = self.check(IntSetPrefix.of(elements, horizon))
+        assert 3 * first[0] in result.violations
+
+
 class TestDecodeGaps:
     """The '*' positions of the gap above the i-th element are J of the first
     i elements on that gap, up to the horizon for the last element."""
@@ -329,7 +406,7 @@ class TestPrefixStability:
 NON_MEMBER_CALLS = {
     "sumfree": {"add": 5, "forbidden_through": 1},
     "normk:7": {"forbids": 4, "next_allowed": 3, "add": 4},
-    "coprime": {"forbidden_in": 3, "forbids": 3, "next_allowed": 1, "add": 5},
+    "coprime": {"add": 5, "forbidden_through": 1},
     "fs": {"forbids": 5, "next_allowed": 3, "add": 5},
     "normk:4": {"add": 5, "forbidden_through": 1},
     "normk:9": {"forbids": 4, "next_allowed": 3, "add": 4},
@@ -364,8 +441,8 @@ class TestOracleCallCounts:
             assert counts.get("add", 0) == adds
             counts.clear()
             decode(op, accepted)
-            if op in SUM_MASK_OPERATORS:
-                # The adds, then one render of the final mask: no call per gap.
+            if op in ONE_RENDER_OPERATORS:
+                # The adds, then one render of the final set: no call per gap.
                 assert {"add": 0, **counts} == {"add": adds, "forbidden_through": 1}
                 continue
             assert counts.get("forbidden_in", 0) + counts.get("forbids", 0) == n + tail
@@ -379,8 +456,8 @@ class TestOracleCallCounts:
         # unless one more probe finds the last one found still allowed.  An
         # element below that position, and its gap, take no call.  Under
         # normk:7 and normk:9 the elements up to 5 forbid 6..12, so 8 is not
-        # added.  Under sumfree and normk:4 the decode has no stop rule: it
-        # adds every element and renders the final mask once.
+        # added.  Under sumfree, normk:4 and coprime the decode has no stop
+        # rule: it adds every element and renders the final set once.
         counts.clear()
         decode(op, IntSetPrefix((1, 2, 3, 5, 8), 12))
         assert counts == NON_MEMBER_CALLS[str(op)]
