@@ -272,15 +272,16 @@ class TestCoprimeRender:
         small = [n for n in range(1025, 1200) if prime_factors(n) == {n}]
         semiprimes = [p * q for p, q in zip(small, small[1:])]
         assert min(semiprimes) >= 2**20
-        first = rng.sample(large, 3)
-        elements = set(first) | set(rng.sample(semiprimes, 4))
-        # Elements that bring those primes first, below or above them.
+        primes = rng.sample(large, 3)
+        elements = set(primes) | set(rng.sample(semiprimes, 4))
+        # Small elements that bring some factors of the semiprimes first, and
+        # a multiple above a large prime that shares it.
         elements.update(2 * p for p in rng.sample(small, 3))
-        elements.update(3 * p for p in first[:1])
+        elements.add(3 * primes[0])
         elements.update(rng.sample(range(1, 5000), 30))
         horizon = max(elements) + rng.randint(0, 3000)
         result = self.check(IntSetPrefix.of(elements, horizon))
-        assert 3 * first[0] in result.violations
+        assert 3 * primes[0] in result.violations
 
 
 class TestDecodeGaps:
