@@ -153,6 +153,9 @@ def cmd_sufficient(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     op = parse_operator(args.op)
+    for option, value in (("--count", args.count), ("--max-len", args.max_len)):
+        if value < 0:
+            raise ValueError(f"{option} must be non-negative, got {value}")
     rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.count):

@@ -13,29 +13,9 @@ The decoder renders a prefix as a ternary word (member / forbidden-in-gap /
 neither) and deletes the forbidden marks; what remains is the bit word the
 encoder would have consumed.  Decoding accepts non-member prefixes and
 reports where their elements violate the family condition, which the orbit
-machinery in :mod:`sievecodec.dynamics` relies on.  It takes one of two
-paths, by whether the oracle has ``forbidden_through``:
-
-* Under ``sumfree`` and ``normk:2..4`` every value a set forbids lies above
-  each element that forbids it (a + b > a, b), so a later element never
-  changes an earlier gap or an element's own position.  Under ``coprime``
-  the elements below v forbid v exactly when v is a multiple of a prime p
-  above the first element p divides, so the final set, with each prime's
-  first element, gives every position too.  The decoder adds every element
-  below the horizon and renders [1, horizon] once from the final state; the
-  violations are the elements whose own byte says forbidden.
-* Under ``fs`` (the singleton {e} forbids e itself) and ``normk`` with
-  k >= 5 (a difference b - a) a later element can forbid an earlier
-  position, and the final state does not tell which elements forbade it,
-  so each gap between consecutive elements is read with one
-  ``forbidden_in`` call on the elements below it, run through the next
-  element so that its last byte says whether that element is forbidden
-  too.  The gaps' bytes are joined with the element marks, with no array
-  over the horizon.  Once the elements up to a violated one forbid every
-  position above it up to the horizon, the decoder stops there: the rest of
-  the word is forbidden marks and elements, and every remaining element is
-  a violation.  A member has no violated element, so its decode marks every
-  gap.
+machinery in :mod:`sievecodec.dynamics` relies on.  It renders the final set
+once under every operator but ``normk`` with k >= 5, and walks the gaps
+there; ``decode`` tells why each path is exact.
 
 Pure functions throughout; every call is independent.
 """
@@ -53,10 +33,10 @@ from .operators import OperatorKind, incremental_oracle
 #: ``normk:<k>`` with k >= 5 (``limit`` doubles from 16 until it reaches e)
 #: and as many again for the work space of ``CostTable.add``, big-int masks
 #: of about 2e bits for ``sumfree`` and ``normk:4`` (the pair sums) and none
-#: for ``normk:2`` and ``normk:3``, of sum(A) bits (the subset sums) for
-#: ``fs``, and one-byte ``coprime`` marks from 0 up to less than four times
-#: the largest integer scanned (twice, past ``operators._SPF_CAP``).  Under
-#: operators whose accepted elements grow geometrically (``normk`` with
+#: for ``normk:2`` and ``normk:3``, of sum(A) bits for ``fs`` (the sums of two
+#: or more members), and one-byte ``coprime`` marks from 0 up to less than
+#: four times the largest integer scanned (twice, past ``operators._SPF_CAP``).
+#: Under operators whose accepted elements grow geometrically (``normk`` with
 #: k >= 7, ``fs``) ordinary words of a few dozen bits reach it.
 DEFAULT_CANDIDATE_CEILING = 1_000_000
 
@@ -137,18 +117,20 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     of the gap above the i-th element are J of the first i elements on that
     gap (up to the horizon for the last element).
 
-    Under ``sumfree``, ``normk:2..4`` and ``coprime`` the oracle has
+    Under every operator but ``normk`` with k >= 5 the oracle has
     ``forbidden_through``: every element below the horizon is added, the
     whole word is rendered once from the final state, and each element's
     byte is read (a violation when it says forbidden) and then overwritten
-    with the element mark, in place.  The sums of the mask oracles lie above
-    the elements that make them; a ``coprime`` position is forbidden when it
-    is a multiple of a prime above the first element that prime divides, so
+    with the element mark, in place.  The final state tells which positions
+    the elements below each one forbid.  The masks of ``sumfree``,
+    ``normk:2..4`` and ``fs`` hold sums of two or more members, each above
+    the members in it.  A ``coprime`` position is forbidden when it is a
+    multiple of a prime above the first element that prime divides, and
     that oracle keeps each prime's first element.  That costs one ``add``
     per element and one render, with no work per gap.
 
-    Under ``fs`` and ``normk`` with k >= 5 a later element can forbid a
-    value below it, so their decode walks the gaps.  Each gap takes one
+    Under ``normk`` with k >= 5 a later element can forbid a value below
+    it (a difference b - a), so the decode walks the gaps.  Each gap takes one
     ``forbidden_in`` up to the point where the elements added forbid every
     later position.  That is tested only after a violated element:
     ``free``, the least position above it still allowed, comes from
@@ -185,8 +167,9 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
 
 
 def _walk_gaps(oracle, elements: tuple[int, ...], horizon: int) -> tuple[bytes, list[int]]:
-    """The per-gap decode of ``decode``: the marks 0, 1 (forbidden) and 2
-    (element) over [1, horizon], and the violated elements."""
+    """The per-gap decode of ``decode`` under ``normk`` with k >= 5: the
+    marks 0, 1 (forbidden) and 2 (element) over [1, horizon], and the
+    violated elements."""
     gaps: list[bytes] = []  # the gap below each element, then the tail
     violations: list[int] = []
     lo = 1

@@ -187,20 +187,19 @@ def _distinct_primes(n: int) -> list[int]:
 # * ``copy()`` is an independent oracle over the same set, so that a search
 #   can extend one set two ways without replaying it.
 #
-# The oracles of ``sumfree``, ``normk:2..4`` (``_SumMaskOracle``) and
-# ``coprime`` have a sixth call, ``forbidden_through(hi)``: a ``bytearray``
-# over [1, hi] whose (v-1)-th byte is 1 when the elements below v forbid v.
-# The decoder adds every element and renders the whole prefix once, with no
-# add after it, so the final state must tell which positions the elements
-# below each one forbid.  A sum a + b lies above a and b, so a later element
-# never changes an earlier bit of a sum mask.  A later element's prime p
-# forbids the multiples of p below it too, but a multiple v of p is forbidden
-# by the elements below v exactly when v lies above the first element p
-# divides, and the coprime oracle keeps that element.  The other oracles
-# lack the call: under ``fs`` the singleton {e} forbids e itself, and the
-# mask cannot tell whether e was forbidden before e was added; a ``normk``
-# table with k >= 5 forbids values below the elements that forbid them (a
-# difference b - a) and keeps no record of which elements a cost used.
+# Every oracle but ``normk`` for k >= 5 (``_NormOracle``) has a sixth call,
+# ``forbidden_through(hi)``: a ``bytearray`` over [1, hi] whose (v-1)-th byte
+# is 1 when the elements below v forbid v.  The decoder adds every element and
+# renders the whole prefix once, with no add after it, so the final state
+# must tell which positions the elements below each one forbid.  The mask
+# oracles hold sums of two or more members, and such a sum lies above each
+# member in it, so a later element never changes an earlier bit of the mask.
+# A later element's prime p forbids the multiples of p below it too, but a
+# multiple v of p is forbidden by the elements below v exactly when v lies
+# above the first element p divides, and the coprime oracle keeps that
+# element.  A ``normk`` table with k >= 5 forbids values below the elements
+# that forbid them (a difference b - a) and keeps no record of which elements
+# a cost used.
 #
 # The three queries answer only about values strictly above the largest
 # element added: the encoder, the decoder, the membership test and the
@@ -231,8 +230,19 @@ _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class _MaskOracle:
-    """Bit v of one big int is set when the current set forbids v, for every
-    v above the set.
+    """Bit v of one big int, ``_mask``, is set when the current set forbids
+    v, for every v above the set; ``_members`` has bit e set for each
+    element e.
+
+    The mask holds sums of two or more members: any two under ``sumfree``,
+    two distinct ones under ``normk:4``, two or more distinct ones under
+    ``fs``.  Above the set, ``fs`` forbids no other subset sum, since a sum
+    of one member is that member.  Each subclass defines only ``add``; left
+    empty, the mask serves ``normk:2`` and ``normk:3``, which forbid nothing
+    above the set.  A sum lies above each member in it, so bit v is set by
+    the elements below v alone, and no later ``add`` changes it: once the
+    elements are added, one ``forbidden_through(hi)`` reads, for every v in
+    [1, hi], whether the elements below v forbid it.
 
     ``next_allowed`` keeps the slice ``_window`` of the mask, the
     ``_MASK_WINDOW`` bits from ``_window_lo`` on, and the mask it was read
@@ -244,18 +254,18 @@ class _MaskOracle:
     one of them adds.
     """
 
-    __slots__ = ("_mask", "_window", "_window_lo", "_window_mask")
+    __slots__ = ("_mask", "_members", "_window", "_window_lo", "_window_mask")
 
     def __init__(self) -> None:
-        self._mask = 0
+        self._mask = self._members = 0
         self._window = self._window_lo = 0
         self._window_mask = None
 
     def copy(self) -> _MaskOracle:
         # Big ints are immutable, so the twin shares them.
         twin = object.__new__(type(self))
-        twin._mask, twin._window, twin._window_lo, twin._window_mask = (
-            self._mask, self._window, self._window_lo, self._window_mask)
+        twin._mask, twin._members, twin._window, twin._window_lo, twin._window_mask = (
+            self._mask, self._members, self._window, self._window_lo, self._window_mask)
         return twin
 
     def add(self, element: int) -> None:
@@ -289,54 +299,39 @@ class _MaskOracle:
         window = (self._mask >> lo) & ((1 << n) - 1)
         return bin(window | 1 << n)[:2:-1].encode("ascii").translate(_DIGIT_BYTES)
 
-
-class _SumMaskOracle(_MaskOracle):
-    """A mask whose every value lies above each element that forbids it, as
-    a sum of positive members does.  Left empty, it serves ``normk:2`` and
-    ``normk:3``, which forbid nothing above the set.
-
-    So bit v of the mask is set by the elements below v alone, and no later
-    ``add`` changes it: once the elements are added, one
-    ``forbidden_through(hi)`` reads, for every v in [1, hi], whether the
-    elements below v forbid it.
-    """
-
-    __slots__ = ()
-
     def forbidden_through(self, hi: int) -> bytearray:
         window = (self._mask >> 1) & ((1 << hi) - 1)
         return bytearray(bin(window | 1 << hi)[:2:-1], "ascii").translate(_DIGIT_BYTES)
 
 
-class _PairSumOracle(_SumMaskOracle):
-    """The mask holds the sums of two members, which ``_members`` holds:
-    any two under ``sumfree``, two distinct ones under ``normk:4``."""
-
-    __slots__ = ("distinct", "_members")
-
-    def __init__(self, distinct: bool = False) -> None:
-        super().__init__()
-        self.distinct = distinct
-        self._members = 0
-
-    def copy(self) -> _PairSumOracle:
-        twin = super().copy()
-        twin.distinct, twin._members = self.distinct, self._members
-        return twin
-
-    def add(self, element: int) -> None:
-        members = self._members | (1 << element)
-        self._mask |= (self._members if self.distinct else members) << element
-        self._members = members
-
-
-class _SubsetSumOracle(_MaskOracle):
-    """The mask holds the nonempty subset sums."""
+class _PairSumOracle(_MaskOracle):
+    """``sumfree``: the sums of any two members, a member with itself too."""
 
     __slots__ = ()
 
     def add(self, element: int) -> None:
-        self._mask |= (self._mask << element) | (1 << element)
+        self._members |= 1 << element
+        self._mask |= self._members << element
+
+
+class _DistinctPairSumOracle(_MaskOracle):
+    """``normk:4``: the sums of two distinct members."""
+
+    __slots__ = ()
+
+    def add(self, element: int) -> None:
+        self._mask |= self._members << element
+        self._members |= 1 << element
+
+
+class _SubsetSumOracle(_MaskOracle):
+    """``fs``: the sums of two or more distinct members."""
+
+    __slots__ = ()
+
+    def add(self, element: int) -> None:
+        self._mask |= (self._mask | self._members) << element
+        self._members |= 1 << element
 
 
 # Width of the first window a ``normk`` (k >= 5) ``next_allowed`` search
@@ -556,7 +551,7 @@ def incremental_oracle(op: OperatorKind):
     if op.k is None:
         return oracle()
     if op.k <= 4:
-        return _PairSumOracle(distinct=True) if op.k == 4 else _SumMaskOracle()
+        return _DistinctPairSumOracle() if op.k == 4 else _MaskOracle()
     return oracle(op.k)
 
 

@@ -7,11 +7,13 @@ ALL_OPERATORS = [sum_free(), norm_k(7), coprime(), finite_sums(), norm_k(4), nor
 EVERY_OPERATOR = [sum_free(), coprime(), finite_sums()] + [norm_k(k) for k in range(2, 17)]
 # The operators whose oracles have ``forbidden_through``: their final state
 # tells, for every position, whether the elements below it forbid it.  Under
-# ``sumfree`` and ``normk:2..4`` every forbidden value lies above each element
-# that forbids it; under ``coprime`` a position is forbidden by the elements
-# below it when it is a multiple of a prime above the first element that
-# prime divides.  The decoder renders their prefixes once.
-ONE_RENDER_OPERATORS = [sum_free(), norm_k(2), norm_k(3), norm_k(4), coprime()]
+# ``sumfree``, ``normk:2..4`` and ``fs`` the oracle's mask holds sums of two or
+# more members, each above the members in it; ``fs`` forbids no other value
+# above the set, since a sum of one member is that member.  Under ``coprime`` a
+# position is forbidden by the elements below it when it is a multiple of a
+# prime above the first element that prime divides.  The decoder renders their
+# prefixes once.
+ONE_RENDER_OPERATORS = [sum_free(), norm_k(2), norm_k(3), norm_k(4), coprime(), finite_sums()]
 
 
 @st.composite

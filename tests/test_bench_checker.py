@@ -128,8 +128,9 @@ def _decode_against_checker(capsys, op_text, start):
 
 
 def _dense_starts():
-    # Half the integers up to a horizon in [30, 120]: the decoder stops adding
-    # elements once those it has added forbid every later position.
+    # Half the integers up to a horizon in [30, 120].  Under normk:5..16 the
+    # decoder walks the gaps and stops adding elements once those it has
+    # added forbid every later position; the others render the start once.
     for op in ("sumfree", "coprime", "fs", "normk:4", "normk:5", "normk:7", "normk:9",
                "normk:12", "normk:16"):
         for seed in range(4):
@@ -147,11 +148,12 @@ def test_decodes_of_dense_non_members(capsys, op, start):
 
 
 def _gap_inputs():
-    # The decoder renders each gap from one window of bytes and joins the
-    # gaps with the element mark.  Per operator and seed: a sparse (density
-    # 1/8) and a dense (density 1/2) word, whose encoded set is decoded, and
-    # a 60-of-600 non-member start.  fs words stay short, below the
-    # candidate ceiling.
+    # All five operators here decode with one render of the final set; the
+    # walk over the gaps, under normk with k >= 5, meets the checker in
+    # ``_dense_starts``.  Per operator and seed: a sparse (density 1/8) and
+    # a dense (density 1/2) word, whose encoded set is decoded, and a
+    # 60-of-600 non-member start.  fs words stay short, below the candidate
+    # ceiling.
     for op in ("sumfree", "normk:3", "normk:4", "fs", "coprime"):
         for seed in range(2):
             rng = random.Random(f"ci-gaps/{op}/{seed}")
@@ -174,8 +176,10 @@ def test_decodes_agree_with_the_checker(capsys, op, given):
 
 
 def test_some_gap_start_stops_below_half_its_elements(capsys):
-    # Where the decoder stops, no position above the violated element it
-    # stops at is left "0"; the fs starts stop below half their elements.
+    # These operators' decodes render the whole start with no stop rule,
+    # yet some start has a violated element below its middle above which
+    # no position is left "0", as where the walk under normk with k >= 5
+    # would stop adding.
     closed = 0
     for param in _gap_inputs():
         op, start = param.values

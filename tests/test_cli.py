@@ -221,6 +221,13 @@ class TestRoundtripCommand:
         assert code == 0
         assert "failures=0" in out
 
+    @pytest.mark.parametrize("option", ["--count", "--max-len"])
+    def test_negative_sizes_are_malformed(self, capsys, option):
+        code, out, err = run(capsys, "roundtrip", "--op", "sumfree", option, "-3")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {option} must be non-negative, got -3\n"
+
 
 class TestRecordsFormat:
     def test_encode_records_are_reproducible_and_reparseable(self, capsys):

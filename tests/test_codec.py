@@ -208,44 +208,62 @@ class TestDecodeMatchesReference:
             assert result.violations[-1] == elements[-1]
 
 
-class TestCoprimeRender:
-    """The one-render decode under ``coprime`` against the per-gap walk on a
-    fresh oracle, which reads each gap off marks grown over it."""
+class TestOneRender:
+    """The one-render decode under ``coprime`` and ``fs`` against the
+    per-gap walk on a fresh oracle, which reads each gap off the elements
+    below it: marks grown over it, or the subset sums of those elements."""
 
     @staticmethod
-    def check(prefix):
-        raw, violations = codec._walk_gaps(
-            incremental_oracle(coprime()), prefix.elements, prefix.horizon
-        )
-        result = decode(coprime(), prefix)
+    def check(op, prefix):
+        raw, violations = codec._walk_gaps(incremental_oracle(op), prefix.elements, prefix.horizon)
+        result = decode(op, prefix)
         assert result.ternary == raw.translate(codec._SYMBOLS).decode("ascii")
         assert result.violations == tuple(violations)
         return result
 
-    @given(prefixes(max_horizon=300))
+    @pytest.mark.parametrize("op", [coprime(), finite_sums()], ids=str)
+    @given(prefix=prefixes(max_horizon=300))
     @settings(max_examples=200, deadline=None)
-    def test_drawn_prefixes(self, prefix):
-        self.check(prefix)
+    def test_drawn_prefixes(self, op, prefix):
+        self.check(op, prefix)
 
     @pytest.mark.parametrize(
-        "elements, horizon",
+        "op, elements, horizon",
         [
-            ((), 0),
-            ((1,), 1),
-            ((1,), 10),
-            ((1, 2, 3, 4), 10),
-            ((5,), 5),  # the first element of 5 at the horizon marks nothing
-            ((2, 4), 4),
-            ((3, 9), 9),
-            ((2, 3, 5, 7, 11), 11),
-            ((4, 8, 9, 27), 40),
-            ((6, 10, 15), 40),  # pairwise not coprime, with no common prime
-            ((4, 6, 9), 30),
+            (coprime(), (), 0),
+            (coprime(), (1,), 1),
+            (coprime(), (1,), 10),
+            (coprime(), (1, 2, 3, 4), 10),
+            (coprime(), (5,), 5),  # the first element of 5 at the horizon marks nothing
+            (coprime(), (2, 4), 4),
+            (coprime(), (3, 9), 9),
+            (coprime(), (2, 3, 5, 7, 11), 11),
+            (coprime(), (4, 8, 9, 27), 40),
+            (coprime(), (6, 10, 15), 40),  # pairwise not coprime, with no common prime
+            (coprime(), (4, 6, 9), 30),
+            (finite_sums(), (), 0),
+            (finite_sums(), (1,), 10),  # a single member forbids nothing above it
+            (finite_sums(), (1, 2, 3), 10),  # 3 = 1 + 2 is violated
+            (finite_sums(), (1, 2, 4, 7), 20),  # 7 = 1 + 2 + 4 is violated
+            (finite_sums(), (3, 5, 8, 13), 30),  # 8 = 3 + 5, and 13 = 5 + 8
+            (finite_sums(), (1, 2, 4), 4),  # an allowed element at the horizon
+            (finite_sums(), (2, 5, 7), 7),  # 7 = 2 + 5 at the horizon
         ],
     )
-    def test_edges(self, elements, horizon):
+    def test_edges(self, op, elements, horizon):
         prefix = IntSetPrefix(elements, horizon)
-        assert self.check(prefix) == reference_decode(coprime(), prefix)
+        assert self.check(op, prefix) == reference_decode(op, prefix)
+
+    def test_subset_sums_that_fill_an_interval(self):
+        # 1, 2, 4, ..., 2**19 forbid every position below 2**20 that is not
+        # one of them, and 2**20 is free.  The encoder refuses that word: its
+        # last candidate lies past the candidate ceiling.
+        prefix = IntSetPrefix(tuple(1 << i for i in range(20)), 1 << 20)
+        result = self.check(finite_sums(), prefix)
+        assert result.bits == "1" * 20 + "0"
+        assert result.violations == ()
+        with pytest.raises(CandidateCeilingExceeded):
+            encode(finite_sums(), result.bits)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_shared_primes_and_prime_powers(self, seed):
@@ -260,7 +278,7 @@ class TestCoprimeRender:
                 if p <= horizon:
                     elements.update(rng.randrange(p, horizon + 1, p) for _ in range(4))
             elements.update(rng.sample(range(1, horizon + 1), min(horizon, rng.randint(0, 40))))
-            violated += bool(self.check(IntSetPrefix.of(elements, horizon)).violations)
+            violated += bool(self.check(coprime(), IntSetPrefix.of(elements, horizon)).violations)
         assert violated >= 40
 
     @pytest.mark.parametrize("seed", range(3))
@@ -280,7 +298,7 @@ class TestCoprimeRender:
         elements.add(3 * primes[0])
         elements.update(rng.sample(range(1, 5000), 30))
         horizon = max(elements) + rng.randint(0, 3000)
-        result = self.check(IntSetPrefix.of(elements, horizon))
+        result = self.check(coprime(), IntSetPrefix.of(elements, horizon))
         assert 3 * primes[0] in result.violations
 
 
@@ -408,7 +426,7 @@ NON_MEMBER_CALLS = {
     "sumfree": {"add": 5, "forbidden_through": 1},
     "normk:7": {"forbids": 4, "next_allowed": 3, "add": 4},
     "coprime": {"add": 5, "forbidden_through": 1},
-    "fs": {"forbids": 5, "next_allowed": 3, "add": 5},
+    "fs": {"add": 5, "forbidden_through": 1},
     "normk:4": {"add": 5, "forbidden_through": 1},
     "normk:9": {"forbids": 4, "next_allowed": 3, "add": 4},
 }
@@ -457,8 +475,8 @@ class TestOracleCallCounts:
         # unless one more probe finds the last one found still allowed.  An
         # element below that position, and its gap, take no call.  Under
         # normk:7 and normk:9 the elements up to 5 forbid 6..12, so 8 is not
-        # added.  Under sumfree, normk:4 and coprime the decode has no stop
-        # rule: it adds every element and renders the final set once.
+        # added.  Under sumfree, normk:4, coprime and fs the decode has no
+        # stop rule: it adds every element and renders the final set once.
         counts.clear()
         decode(op, IntSetPrefix((1, 2, 3, 5, 8), 12))
         assert counts == NON_MEMBER_CALLS[str(op)]

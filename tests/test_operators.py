@@ -613,6 +613,6 @@ class TestCallersKeepTheProtocol:
     def test_only_the_one_render_operators_have_forbidden_through(self, op):
         # The decoder takes the one-render path exactly when the oracle has
         # the call, so no other oracle may have it, by inheritance or not:
-        # under fs and normk with k >= 5 the final state does not give the
-        # earlier gaps.
+        # under normk with k >= 5 the final state does not give the earlier
+        # gaps.
         assert hasattr(incremental_oracle(op), "forbidden_through") == (op in ONE_RENDER_OPERATORS)
