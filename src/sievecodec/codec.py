@@ -121,31 +121,28 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     ``forbidden_through``: every element below the horizon is added, the
     whole word is rendered once from the final state, and each element's
     byte is read (a violation when it says forbidden) and then overwritten
-    with the element mark, in place.  The final state tells which positions
-    the elements below each one forbid.  The masks of ``sumfree``,
-    ``normk:2..4`` and ``fs`` hold sums of two or more members, each above
-    the members in it.  A ``coprime`` position is forbidden when it is a
-    multiple of a prime above the first element that prime divides, and
-    that oracle keeps each prime's first element.  That costs one ``add``
-    per element and one render, with no work per gap.
+    with the element mark, in place.  That is exact because the final state
+    tells which positions the elements below each one forbid (the oracle
+    notes in :mod:`sievecodec.operators` say why), and it costs one
+    ``add`` per element and one render.  Told the horizon, the ``fs`` oracle
+    keeps no sum past it and stops shifting once its sums cover the rest.
 
     Under ``normk`` with k >= 5 a later element can forbid a value below
-    it (a difference b - a), so the decode walks the gaps.  Each gap takes one
-    ``forbidden_in`` up to the point where the elements added forbid every
-    later position.  That is tested only after a violated element:
+    it (a difference b - a), so the decode walks the gaps.  Each gap takes
+    one ``forbidden_in`` up to the point where the elements added forbid
+    every later position.  That is tested only after a violated element:
     ``free``, the least position above it still allowed, comes from
     ``next_allowed`` and is re-tested with one ``forbids`` after each later
-    violated element.  ``free`` only moves
-    forward, so these scans together cover the horizon at most once.  A gap
-    that ends below ``free`` is marked forbidden with no window, and its
-    element is a violation.  When ``free`` passes the horizon, the remaining
+    violated element.  ``free`` only moves forward, so these scans together
+    cover the horizon at most once.  A gap that ends below ``free`` is
+    marked forbidden with no window, and its element is a violation.  When ``free`` passes the horizon, the remaining
     gaps are runs of forbidden bytes with no further ``add`` or window, which
     is exact because every operator is monotone.  No array spans the
     horizon: each gap is a byte string, 1 forbidden and 0 not, and the gaps
     are joined with the element mark 2.
     """
-    oracle = incremental_oracle(op)
     elements, horizon = prefix.elements, prefix.horizon
+    oracle = incremental_oracle(op, horizon)
     render = getattr(oracle, "forbidden_through", None)
     if render is None:
         raw, violations = _walk_gaps(oracle, elements, horizon)

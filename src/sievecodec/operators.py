@@ -206,13 +206,16 @@ def _distinct_primes(n: int) -> list[int]:
 # fixed-point search walk a prefix left to right and ask nothing else.  So
 # the mask oracles hold only what forbids such values, and the ``normk``
 # oracle for k >= 5 tries only the multipliers they admit (``_NormOracle``).
+# The decoder and the membership test also name the last value they ask
+# about to ``incremental_oracle``, and the ``fs`` mask keeps no sum past it.
 # Every operator is monotone (adding an element never un-forbids a value), so
 # a value skipped as forbidden stays forbidden for good: the encoder can jump
 # straight to ``next_allowed``, and the decoder can mark a whole gap between
 # consecutive elements with one ``forbidden_in``.  For the same reason a value
 # forbidden by e_1..e_i stays forbidden by all the elements below it, so once
-# the elements added forbid every position up to the horizon, the decoder
-# marks the rest without adding the later elements.
+# the elements added forbid every position up to the horizon, the walk over
+# the gaps marks the rest without adding the later elements, and the ``fs``
+# oracle stops shifting its mask.
 #
 # Runs of rejected bits make ``next_allowed`` calls a few values apart with no
 # ``add`` between them, so two oracles keep what their last call read until
@@ -239,33 +242,35 @@ class _MaskOracle:
     ``fs``.  Above the set, ``fs`` forbids no other subset sum, since a sum
     of one member is that member.  Each subclass defines only ``add``; left
     empty, the mask serves ``normk:2`` and ``normk:3``, which forbid nothing
-    above the set.  A sum lies above each member in it, so bit v is set by
-    the elements below v alone, and no later ``add`` changes it: once the
-    elements are added, one ``forbidden_through(hi)`` reads, for every v in
-    [1, hi], whether the elements below v forbid it.
+    above the set.  An ``add(e)`` sets bits above e alone.
+
+    ``_settable`` has the bits an ``add`` may still set: -1, or the ones up
+    to the ``horizon`` the oracle is made for.  Only ``fs`` reads it, whose
+    sums reach far past the largest member.
 
     ``next_allowed`` keeps the slice ``_window`` of the mask, the
     ``_MASK_WINDOW`` bits from ``_window_lo`` on, and the mask it was read
     from, until the set changes: a run of rejected bits then reads each
     answer off that small int instead of shifting the whole mask.  Ints are
-    immutable, so every ``add`` that changes the set makes a new mask
+    immutable, so every ``add`` that changes the mask makes a new mask
     object, and the window is read only while ``_window_mask is _mask``.
     No ``add`` has to drop it, and a copy shares it with its original until
     one of them adds.
     """
 
-    __slots__ = ("_mask", "_members", "_window", "_window_lo", "_window_mask")
+    __slots__ = ("_mask", "_members", "_settable", "_window", "_window_lo", "_window_mask")
 
-    def __init__(self) -> None:
+    def __init__(self, horizon: int | None = None) -> None:
         self._mask = self._members = 0
+        self._settable = -1 if horizon is None else (1 << horizon + 1) - 1
         self._window = self._window_lo = 0
         self._window_mask = None
 
     def copy(self) -> _MaskOracle:
         # Big ints are immutable, so the twin shares them.
         twin = object.__new__(type(self))
-        twin._mask, twin._members, twin._window, twin._window_lo, twin._window_mask = (
-            self._mask, self._members, self._window, self._window_lo, self._window_mask)
+        for name in _MaskOracle.__slots__:
+            setattr(twin, name, getattr(self, name))
         return twin
 
     def add(self, element: int) -> None:
@@ -325,13 +330,22 @@ class _DistinctPairSumOracle(_MaskOracle):
 
 
 class _SubsetSumOracle(_MaskOracle):
-    """``fs``: the sums of two or more distinct members."""
+    """``fs``: the sums of two or more distinct members.  Once they cover
+    every value above an element up to the horizon, no later element sets a
+    new bit, and ``_settable`` drops to 0.  That test reads the whole mask,
+    so it is made only at an element with more binary digits than the last
+    one, at most twice the least element it would hold at."""
 
     __slots__ = ()
 
     def add(self, element: int) -> None:
-        self._mask |= (self._mask | self._members) << element
+        if not self._settable:
+            return
+        crossed = element.bit_length() > (self._members.bit_length() - 1).bit_length()
+        self._mask = (self._mask | (self._mask | self._members) << element) & self._settable
         self._members |= 1 << element
+        if crossed and self._mask | (1 << element + 1) - 1 == self._settable:
+            self._settable = 0
 
 
 # Width of the first window a ``normk`` (k >= 5) ``next_allowed`` search
@@ -540,14 +554,19 @@ _KINDS = {
 }
 
 
-def incremental_oracle(op: OperatorKind):
+def incremental_oracle(op: OperatorKind, horizon: int | None = None):
     """Fresh oracle for one left-to-right sweep under ``op``.
+
+    A sweep that asks about nothing past ``horizon`` may name it, and the
+    ``fs`` oracle then answers only up to it (other oracles ignore it).
 
     Above the set, ``normk:<k>`` with k <= 4 forbids nothing up to k = 3 and
     the sums of two distinct members at k = 4, which big-int masks hold; from
     k = 5 on it needs the ``CostTable`` of ``_NormOracle``.
     """
     _, oracle = _KINDS[op.kind]
+    if op.kind == "fs":
+        return oracle(horizon)
     if op.k is None:
         return oracle()
     if op.k <= 4:
@@ -567,7 +586,7 @@ def is_member(op: OperatorKind, prefix: IntSetPrefix) -> bool:
     elements = prefix.elements
     if len(elements) < 2:
         return True
-    oracle = incremental_oracle(op)
+    oracle = incremental_oracle(op, elements[-1])
     # Nothing reads the last element's add, so it is not made.
     for below, a in zip(elements, elements[1:]):
         oracle.add(below)

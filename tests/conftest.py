@@ -51,13 +51,15 @@ class ProtocolOracle:
     ``next_allowed`` and ``forbidden_in`` ask only about values strictly
     above the largest element added.  ``forbidden_through(hi)``, where the
     oracle has it, renders positions up to ``hi`` from the final set: ``hi``
-    is at least the largest element added, and no ``add`` follows it.  A
-    copy is checked the same way, from the set it was copied with; any other
+    is at least the largest element added, and no ``add`` follows it.  An
+    oracle made for a ``horizon`` is asked about no value past it.  A copy
+    is checked the same way, from the set it was copied with; any other
     attribute is read off the oracle, so a missing call stays missing."""
 
-    def __init__(self, inner, top=0):
+    def __init__(self, inner, top=0, horizon=None):
         self._inner = inner
         self._top = top
+        self._horizon = horizon
         self._rendered = False
 
     def __getattr__(self, name):
@@ -67,6 +69,7 @@ class ProtocolOracle:
 
         def forbidden_through(hi):
             assert hi >= self._top, f"forbidden_through({hi}) with {self._top} added"
+            self._within("forbidden_through", hi)
             self._rendered = True
             return call(hi)
 
@@ -74,6 +77,11 @@ class ProtocolOracle:
 
     def _above(self, call, value):
         assert value > self._top, f"{call}({value}) with {self._top} added"
+        self._within(call, value)
+
+    def _within(self, call, value):
+        assert self._horizon is None or value <= self._horizon, (
+            f"{call}({value}) past the horizon {self._horizon}")
 
     def add(self, element):
         assert not self._rendered, f"add({element}) after forbidden_through"
@@ -91,7 +99,8 @@ class ProtocolOracle:
 
     def forbidden_in(self, lo, hi):
         self._above("forbidden_in", lo)
+        self._within("forbidden_in", hi)
         return self._inner.forbidden_in(lo, hi)
 
     def copy(self):
-        return ProtocolOracle(self._inner.copy(), self._top)
+        return ProtocolOracle(self._inner.copy(), self._top, self._horizon)

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from sievecodec import decode, encode, parse_operator
+from sievecodec import codec, decode, encode, parse_operator
 from sievecodec.cli import main
+from conftest import CountingOracle
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import checker  # noqa: E402
@@ -150,10 +151,10 @@ def test_decodes_of_dense_non_members(capsys, op, start):
 def _gap_inputs():
     # All five operators here decode with one render of the final set; the
     # walk over the gaps, under normk with k >= 5, meets the checker in
-    # ``_dense_starts``.  Per operator and seed: a sparse (density 1/8) and
-    # a dense (density 1/2) word, whose encoded set is decoded, and a
-    # 60-of-600 non-member start.  fs words stay short, below the candidate
-    # ceiling.
+    # ``_dense_starts``, where it also stops.  Per operator and seed: a
+    # sparse (density 1/8) and a dense (density 1/2) word, whose encoded set
+    # is decoded, and a 60-of-600 non-member start.  fs words stay short,
+    # below the candidate ceiling.
     for op in ("sumfree", "normk:3", "normk:4", "fs", "coprime"):
         for seed in range(2):
             rng = random.Random(f"ci-gaps/{op}/{seed}")
@@ -175,17 +176,19 @@ def test_decodes_agree_with_the_checker(capsys, op, given):
     assert violations == [] and out["bits"] == given
 
 
-def test_some_gap_start_stops_below_half_its_elements(capsys):
-    # These operators' decodes render the whole start with no stop rule,
-    # yet some start has a violated element below its middle above which
-    # no position is left "0", as where the walk under normk with k >= 5
-    # would stop adding.
-    closed = 0
-    for param in _gap_inputs():
+def test_every_walked_dense_start_stops_below_half_its_elements(capsys, monkeypatch):
+    # Under normk:5..16 the decoder walks the gaps and stops adding elements
+    # once those it has added forbid every later position.  Each dense start
+    # stops below half its elements, and the checker still agrees with it.
+    counts = {}
+    make = codec.incremental_oracle
+    monkeypatch.setattr(codec, "incremental_oracle", lambda *a: CountingOracle(make(*a), counts))
+    stopped = []
+    for param in _dense_starts():
         op, start = param.values
-        if "@" in start:
-            out, violations = _decode_against_checker(capsys, op, start)
+        if parse_operator(op).kind == "normk" and parse_operator(op).k >= 5:
+            counts.clear()
+            _decode_against_checker(capsys, op, start)
             elements, _ = checker.parse_prefix(start)
-            half = elements[len(elements) // 2]
-            closed += any("0" not in out["ternary"][a:] for a in violations if a < half)
-    assert closed
+            stopped.append(counts["add"] < len(elements) // 2)
+    assert len(stopped) == 20 and all(stopped)

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from sievecodec import (
     roundtrip_ok,
     sum_free,
 )
-from sievecodec import codec
+from sievecodec import codec, operators
 from sievecodec.operators import incremental_oracle
 from conftest import (
     ALL_OPERATORS,
@@ -225,7 +226,9 @@ class TestOneRender:
     @given(prefix=prefixes(max_horizon=300))
     @settings(max_examples=200, deadline=None)
     def test_drawn_prefixes(self, op, prefix):
-        self.check(op, prefix)
+        # The walk's fs oracle makes the render's own add, so the reference,
+        # which sums the subsets itself, is what checks that add.
+        assert self.check(op, prefix) == reference_decode(op, prefix)
 
     @pytest.mark.parametrize(
         "op, elements, horizon",
@@ -300,6 +303,44 @@ class TestOneRender:
         horizon = max(elements) + rng.randint(0, 3000)
         result = self.check(coprime(), IntSetPrefix.of(elements, horizon))
         assert 3 * primes[0] in result.violations
+
+
+class TestSubsetSumWidth:
+    """A decode under ``fs`` keeps no subset sum past its horizon, and a
+    membership test none past its last element, so a dense prefix costs at
+    most one ``add`` per element over a mask as wide as the prefix, not as
+    wide as the sum of its elements (n**2 / 2 bits for 1..n).  Once the sums
+    cover the horizon, the adds stop shifting."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+        make = operators.incremental_oracle
+        for module in (codec, operators):
+            monkeypatch.setattr(module, "incremental_oracle", lambda *a: made.append(make(*a)) or made[-1])
+        return made
+
+    @pytest.mark.parametrize("n", [2_000, 20_000])
+    def test_a_dense_non_member(self, n, made):
+        result = decode(finite_sums(), IntSetPrefix(tuple(range(1, n + 1)), n + 1))
+        # Each element from 3 = 1 + 2 on is a sum of smaller ones, and so is n + 1.
+        assert result.ternary == "1" * n + "*"
+        assert result.violations == tuple(range(3, n + 1))
+        assert made[0]._mask.bit_length() <= n + 2
+        # The sums of 1..m cover [3, m * (m + 1) / 2], past the horizon once
+        # m is about sqrt(2 * n); the adds stop shifting by twice that m.
+        assert made[0]._members.bit_length() - 1 <= 2 * isqrt(2 * n) + 2
+
+    def test_a_dense_member(self, made):
+        # No two elements above n / 2 sum to n or less, so they are a member
+        # whose subset sums reach 3 * n**2 / 8.
+        n = 10_000
+        prefix = IntSetPrefix(tuple(range(n // 2 + 1, n + 1)), n)
+        result = decode(finite_sums(), prefix)
+        assert result.ternary == "0" * (n // 2) + "1" * (n // 2)
+        assert result.violations == ()
+        assert is_member(finite_sums(), prefix)
+        assert [oracle._mask.bit_length() <= n + 1 for oracle in made] == [True, True]
 
 
 class TestDecodeGaps:
@@ -440,7 +481,7 @@ class TestOracleCallCounts:
         counts: dict[str, int] = {}
         make = codec.incremental_oracle
         monkeypatch.setattr(
-            codec, "incremental_oracle", lambda op: CountingOracle(make(op), counts)
+            codec, "incremental_oracle", lambda *a: CountingOracle(make(*a), counts)
         )
         return counts
 

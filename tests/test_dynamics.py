@@ -149,7 +149,7 @@ class TestStep:
         counts = {}
         make = codec.incremental_oracle
         monkeypatch.setattr(
-            codec, "incremental_oracle", lambda op: CountingOracle(make(op), counts)
+            codec, "incremental_oracle", lambda *a: CountingOracle(make(*a), counts)
         )
         prefix = IntSetPrefix((3, *range(10, 201)), 200)
         passes = [

@@ -573,8 +573,8 @@ class TestCallersKeepTheProtocol:
     def test_every_entry_point(self, op, monkeypatch):
         made = []
 
-        def checked(op):
-            made.append(ProtocolOracle(incremental_oracle(op)))
+        def checked(op, horizon=None):
+            made.append(ProtocolOracle(incremental_oracle(op, horizon), horizon=horizon))
             return made[-1]
 
         for module in (codec, dynamics, operators):
