@@ -149,8 +149,9 @@ def is_encoder_fixed_point(op: OperatorKind, prefix: IntSetPrefix) -> bool:
     max S the word is all zeros, so the horizon plays no part.
     """
     members = prefix.members()
-    oracle = incremental_oracle(op)
-    for value in range(1, max(prefix.elements, default=0) + 1):
+    top = max(prefix.elements, default=0)
+    oracle = incremental_oracle(op, top)
+    for value in range(1, top + 1):
         if oracle.forbids(value):
             return False
         if value in members:

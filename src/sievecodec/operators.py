@@ -206,7 +206,7 @@ def _distinct_primes(n: int) -> list[int]:
 # fixed-point search walk a prefix left to right and ask nothing else.  So
 # the mask oracles hold only what forbids such values, and the ``normk``
 # oracle for k >= 5 tries only the multipliers they admit (``_NormOracle``).
-# The decoder and the membership test also name the last value they ask
+# The decoder and both membership tests also name the last value they ask
 # about to ``incremental_oracle``, and the ``fs`` mask keeps no sum past it.
 # Every operator is monotone (adding an element never un-forbids a value), so
 # a value skipped as forbidden stays forbidden for good: the encoder can jump

@@ -20,7 +20,7 @@ from sievecodec import (
     roundtrip_ok,
     sum_free,
 )
-from sievecodec import codec, operators
+from sievecodec import codec, dynamics, operators
 from sievecodec.operators import incremental_oracle
 from conftest import (
     ALL_OPERATORS,
@@ -306,8 +306,8 @@ class TestOneRender:
 
 
 class TestSubsetSumWidth:
-    """A decode under ``fs`` keeps no subset sum past its horizon, and a
-    membership test none past its last element, so a dense prefix costs at
+    """A decode under ``fs`` keeps no subset sum past its horizon, and the
+    membership tests none past the last element, so a dense prefix costs at
     most one ``add`` per element over a mask as wide as the prefix, not as
     wide as the sum of its elements (n**2 / 2 bits for 1..n).  Once the sums
     cover the horizon, the adds stop shifting."""
@@ -316,7 +316,7 @@ class TestSubsetSumWidth:
     def made(self, monkeypatch):
         made = []
         make = operators.incremental_oracle
-        for module in (codec, operators):
+        for module in (codec, dynamics, operators):
             monkeypatch.setattr(module, "incremental_oracle", lambda *a: made.append(make(*a)) or made[-1])
         return made
 
@@ -340,7 +340,8 @@ class TestSubsetSumWidth:
         assert result.ternary == "0" * (n // 2) + "1" * (n // 2)
         assert result.violations == ()
         assert is_member(finite_sums(), prefix)
-        assert [oracle._mask.bit_length() <= n + 1 for oracle in made] == [True, True]
+        assert dynamics.is_encoder_fixed_point(finite_sums(), prefix)
+        assert [oracle._mask.bit_length() <= n + 1 for oracle in made] == [True] * 3
 
 
 class TestDecodeGaps:

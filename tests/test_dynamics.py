@@ -252,7 +252,7 @@ class TestEncoderFixedPoints:
         counts = {}
         make = dynamics.incremental_oracle
         monkeypatch.setattr(
-            dynamics, "incremental_oracle", lambda op: CountingOracle(make(op), counts)
+            dynamics, "incremental_oracle", lambda *a: CountingOracle(make(*a), counts)
         )
         assert is_encoder_fixed_point(N7, IntSetPrefix((3, 5), 10**7))
         assert set(counts) <= {"forbids", "add"}
