@@ -334,7 +334,7 @@ class _SubsetSumOracle(_MaskOracle):
     every value above an element up to the horizon, no later element sets a
     new bit, and ``_settable`` drops to 0.  That test reads the whole mask,
     so it is made only at an element with more binary digits than the last
-    one, at most twice the least element it would hold at."""
+    one: the adds it lets past lie below twice the element it first holds at."""
 
     __slots__ = ()
 
