@@ -255,6 +255,9 @@ def main(argv=None) -> int:
     except (CandidateCeilingExceeded, FactorBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

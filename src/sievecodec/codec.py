@@ -128,18 +128,19 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     keeps no sum past it and stops shifting once its sums cover the rest.
 
     Under ``normk`` with k >= 5 a later element can forbid a value below
-    it (a difference b - a), so the decode walks the gaps.  Each gap takes
-    one ``forbidden_in`` up to the point where the elements added forbid
-    every later position.  That is tested only after a violated element:
-    ``free``, the least position above it still allowed, comes from
-    ``next_allowed`` and is re-tested with one ``forbids`` after each later
-    violated element.  ``free`` only moves forward, so these scans together
-    cover the horizon at most once.  A gap that ends below ``free`` is
-    marked forbidden with no window, and its element is a violation.  When ``free`` passes the horizon, the remaining
-    gaps are runs of forbidden bytes with no further ``add`` or window, which
-    is exact because every operator is monotone.  No array spans the
-    horizon: each gap is a byte string, 1 forbidden and 0 not, and the gaps
-    are joined with the element mark 2.
+    it (a difference b - a), so the decode walks the gaps, and ``forbidden_in``
+    is the walk's alone.  Each element and the gap below it are read off one
+    window, up to the point where the elements added forbid every later
+    position.  That is tested only after a violated element: ``free``, the
+    least position above it still allowed, comes from ``next_allowed`` and
+    is re-tested with one ``forbids`` after each later violated element.
+    ``free`` only moves forward, so these scans together cover the horizon
+    at most once.  A gap that ends below ``free`` is marked forbidden with no
+    window, and its element is a violation.  When ``free`` passes the
+    horizon, the remaining gaps are runs of forbidden bytes with no further
+    ``add`` or window, which is exact because every operator is monotone.
+    No array spans the horizon: each gap is a byte string, 1 forbidden and 0
+    not, and the gaps are joined with the element mark 2.
     """
     elements, horizon = prefix.elements, prefix.horizon
     oracle = incremental_oracle(op, horizon)
@@ -178,14 +179,11 @@ def _walk_gaps(oracle, elements: tuple[int, ...], horizon: int) -> tuple[bytes, 
         if element < free:  # its gap is forbidden already, and so is it
             gaps.append(b"\x01" * (element - lo))
             violated = True
-        elif element > lo:
+        else:
             # The window's last byte is the element's own.
             window = oracle.forbidden_in(lo, element)
             gaps.append(window[:-1])
             violated = window[-1]
-        else:
-            gaps.append(b"")
-            violated = oracle.forbids(element)
         if violated:
             violations.append(element)
         lo = element + 1

@@ -175,47 +175,47 @@ def _distinct_primes(n: int) -> list[int]:
 
 # --- incremental oracles -----------------------------------------------------
 #
-# An oracle holds a growing set and answers five calls about it:
+# An oracle holds a growing set and answers four calls about it:
 #
 # * ``add(e)`` admits one more element, larger than every element added,
 # * ``forbids(v)`` says whether the current set forbids v,
 # * ``next_allowed(c)`` is the least v >= c that the current set does not
 #   forbid,
-# * ``forbidden_in(lo, hi)`` is ``bytes`` with one byte per position, whose
-#   i-th byte is 1 when lo + i is forbidden and 0 otherwise (empty when
-#   hi < lo),
 # * ``copy()`` is an independent oracle over the same set, so that a search
 #   can extend one set two ways without replaying it.
 #
-# Every oracle but ``normk`` for k >= 5 (``_NormOracle``) has a sixth call,
-# ``forbidden_through(hi)``: a ``bytearray`` over [1, hi] whose (v-1)-th byte
-# is 1 when the elements below v forbid v.  The decoder adds every element and
-# renders the whole prefix once, with no add after it, so the final state
-# must tell which positions the elements below each one forbid.  The mask
-# oracles hold sums of two or more members, and such a sum lies above each
-# member in it, so a later element never changes an earlier bit of the mask.
-# A later element's prime p forbids the multiples of p below it too, but a
-# multiple v of p is forbidden by the elements below v exactly when v lies
-# above the first element p divides, and the coprime oracle keeps that
-# element.  A ``normk`` table with k >= 5 forbids values below the elements
-# that forbid them (a difference b - a) and keeps no record of which elements
-# a cost used.
+# Each has one render call more, the one ``codec.decode`` makes.  Every
+# oracle but ``normk`` for k >= 5 has ``forbidden_through(hi)``: a
+# ``bytearray`` over [1, hi] whose (v-1)-th byte is 1 when the elements below
+# v forbid v.  The decoder adds every element and renders the whole prefix
+# once, with no add after it, so the final state must tell which positions
+# the elements below each one forbid.  The mask oracles hold sums of two or
+# more members, and such a sum lies above each member in it, so a later
+# element never changes an earlier bit of the mask.  A later element's prime
+# p forbids the multiples of p below it too, but a multiple v of p is
+# forbidden by the elements below v exactly when v lies above the first
+# element p divides, and the coprime oracle keeps that element.  A ``normk``
+# table with k >= 5 forbids values below the elements that forbid them (a
+# difference b - a) and keeps no record of which elements a cost used, so
+# ``_NormOracle`` has ``forbidden_in(lo, hi)`` instead, for the decoder's
+# walk over the gaps: ``bytes`` whose i-th byte is 1 when lo + i is
+# forbidden and 0 otherwise (empty when hi < lo).
 #
-# The three queries answer only about values strictly above the largest
-# element added: the encoder, the decoder, the membership test and the
-# fixed-point search walk a prefix left to right and ask nothing else.  So
-# the mask oracles hold only what forbids such values, and the ``normk``
-# oracle for k >= 5 tries only the multipliers they admit (``_NormOracle``).
-# The decoder and both membership tests also name the last value they ask
-# about to ``incremental_oracle``, and the ``fs`` mask keeps no sum past it.
-# Every operator is monotone (adding an element never un-forbids a value), so
-# a value skipped as forbidden stays forbidden for good: the encoder can jump
-# straight to ``next_allowed``, and the decoder can mark a whole gap between
-# consecutive elements with one ``forbidden_in``.  For the same reason a value
-# forbidden by e_1..e_i stays forbidden by all the elements below it, so once
-# the elements added forbid every position up to the horizon, the walk over
-# the gaps marks the rest without adding the later elements, and the ``fs``
-# oracle stops shifting its mask.
+# ``forbids``, ``next_allowed`` and ``forbidden_in`` answer only about
+# values strictly above the largest element added: the encoder, the decoder,
+# the membership test and the fixed-point search walk a prefix left to right
+# and ask nothing else.  So the mask oracles hold only what forbids such
+# values, and the ``normk`` oracle for k >= 5 tries only the multipliers they
+# admit (``_NormOracle``).  The decoder and both membership tests also name
+# the last value they ask about to ``incremental_oracle``, and the ``fs`` mask
+# keeps no sum past it.  Every operator is monotone (adding an element never
+# un-forbids a value), so a value skipped as forbidden stays forbidden for
+# good: the encoder can jump straight to ``next_allowed``, and the decoder's
+# walk can read a whole gap between consecutive elements off one
+# ``forbidden_in``.  For the same reason a value forbidden by e_1..e_i stays
+# forbidden by all the elements below it, so once the elements added forbid
+# every position up to the horizon, the walk marks the rest without adding
+# the later elements, and the ``fs`` oracle stops shifting its mask.
 #
 # Runs of rejected bits make ``next_allowed`` calls a few values apart with no
 # ``add`` between them, so two oracles keep what their last call read until
@@ -228,7 +228,7 @@ def _distinct_primes(n: int) -> list[int]:
 # Width of the slice of a mask that ``next_allowed`` keeps between calls.
 _MASK_WINDOW = 256
 _MASK_WINDOW_ONES = (1 << _MASK_WINDOW) - 1
-# Binary digits to the bytes of ``forbidden_in``.
+# Binary digits to the bytes of ``forbidden_through``.
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -245,8 +245,9 @@ class _MaskOracle:
     above the set.  An ``add(e)`` sets bits above e alone.
 
     ``_settable`` has the bits an ``add`` may still set: -1, or the ones up
-    to the ``horizon`` the oracle is made for.  Only ``fs`` reads it, whose
-    sums reach far past the largest member.
+    to the ``_horizon`` the oracle is made for (-1 for none), built once a
+    sum passes it.  Only ``fs`` reads them, whose sums reach far past the
+    largest member.
 
     ``next_allowed`` keeps the slice ``_window`` of the mask, the
     ``_MASK_WINDOW`` bits from ``_window_lo`` on, and the mask it was read
@@ -258,11 +259,12 @@ class _MaskOracle:
     one of them adds.
     """
 
-    __slots__ = ("_mask", "_members", "_settable", "_window", "_window_lo", "_window_mask")
+    __slots__ = (
+        "_mask", "_members", "_horizon", "_settable", "_window", "_window_lo", "_window_mask")
 
     def __init__(self, horizon: int | None = None) -> None:
         self._mask = self._members = 0
-        self._settable = -1 if horizon is None else (1 << horizon + 1) - 1
+        self._horizon, self._settable = -1 if horizon is None else horizon, -1
         self._window = self._window_lo = 0
         self._window_mask = None
 
@@ -297,14 +299,9 @@ class _MaskOracle:
         # The whole slice is forbidden: read on past it.
         return c + (run ^ (run + 1)).bit_length() - 1
 
-    def forbidden_in(self, lo: int, hi: int) -> bytes:
-        # The sentinel bit n keeps the n digits, leading zeros included, in
-        # ``bin``; read backwards they run from lo up.
-        n = max(0, hi - lo + 1)
-        window = (self._mask >> lo) & ((1 << n) - 1)
-        return bin(window | 1 << n)[:2:-1].encode("ascii").translate(_DIGIT_BYTES)
-
     def forbidden_through(self, hi: int) -> bytearray:
+        # The sentinel bit hi keeps the hi digits, leading zeros included, in
+        # ``bin``; read backwards they run from position 1 up.
         window = (self._mask >> 1) & ((1 << hi) - 1)
         return bytearray(bin(window | 1 << hi)[:2:-1], "ascii").translate(_DIGIT_BYTES)
 
@@ -330,11 +327,12 @@ class _DistinctPairSumOracle(_MaskOracle):
 
 
 class _SubsetSumOracle(_MaskOracle):
-    """``fs``: the sums of two or more distinct members.  Once they cover
-    every value above an element up to the horizon, no later element sets a
-    new bit, and ``_settable`` drops to 0.  That test reads the whole mask,
-    so it is made only at an element with more binary digits than the last
-    one: the adds it lets past lie below twice the element it first holds at."""
+    """``fs``: the sums of two or more distinct members.  Once they pass the
+    horizon and cover every value above an element up to it, no later
+    element sets a new bit, and ``_settable`` drops to 0.  That test reads
+    the whole mask, so it is made only at an element with more binary digits
+    than the last one: the adds it lets past lie below twice the element it
+    first holds at."""
 
     __slots__ = ()
 
@@ -342,7 +340,10 @@ class _SubsetSumOracle(_MaskOracle):
         if not self._settable:
             return
         crossed = element.bit_length() > (self._members.bit_length() - 1).bit_length()
-        self._mask = (self._mask | (self._mask | self._members) << element) & self._settable
+        mask = self._mask | (self._mask | self._members) << element
+        if self._settable < 0 <= self._horizon < mask.bit_length() - 1:  # a sum passed it
+            self._settable = (1 << self._horizon + 1) - 1
+        self._mask = mask & self._settable
         self._members |= 1 << element
         if crossed and self._mask | (1 << element + 1) - 1 == self._settable:
             self._settable = 0
@@ -466,8 +467,8 @@ class _CoprimeOracle:
     ``_primes`` maps each such prime to the first element it divides.
 
     The marks are a ``bytearray``, so ``next_allowed`` is one C-level
-    ``find`` for a zero byte and ``forbidden_in`` one slice.  Growing them
-    marks the multiples of every prime in ``_primes`` over the new part.
+    ``find`` for a zero byte.  Growing them marks the multiples of every
+    prime in ``_primes`` over the new part.
 
     The first elements give ``forbidden_through``: the elements below v
     forbid v exactly when some prime p divides v and an element below v,
@@ -523,10 +524,6 @@ class _CoprimeOracle:
                 return any(value % p == 0 for p in self._primes)
             self._cover(value)
         return self._marks[value] == 1
-
-    def forbidden_in(self, lo: int, hi: int) -> bytes:
-        self._cover(hi)
-        return bytes(self._marks[lo : hi + 1])
 
     def forbidden_through(self, hi: int) -> bytearray:
         # Byte v - 1 is position v: the multiples of p above its first element.

@@ -111,6 +111,15 @@ class TestMemberCommand:
         prefix = f"{UNFACTORABLE},{2**61} @ {2**61}"
         assert_refused_unfactorable(capsys, "member", "--op", "coprime", prefix)
 
+    def test_a_far_last_element_costs_nothing_in_proportion(self, capsys):
+        # The fs mask keeps no sum past the last element, and builds the ones
+        # that cut it only once a sum passes it: 2 + 3 does not.
+        start = time.perf_counter()
+        far = 2**61 - 1
+        code, out, err = run(capsys, "member", "--op", "fs", f"2,3,{far} @ {far}")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (0, "member=true\n", "")
+
 
 class TestDynamicsCommand:
     def test_steps(self, capsys):
@@ -185,6 +194,29 @@ class TestUcCommand:
     def test_unfactorable_element_is_a_resource_limit(self, capsys):
         prefix = f"{UNFACTORABLE} @ {2**61}"
         assert_refused_unfactorable(capsys, "uc", "--op", "coprime", "--window", "1", prefix)
+
+
+class TestOutOfMemory:
+    """A command whose horizon needs more memory than can be allocated exits
+    5, the resource limit, not 1, which reads as "false"."""
+
+    # Each asks for a byte or a bit per position up to 2**61 at once, far
+    # past any address space, so the allocation fails before it takes any.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decode", "--op", "sumfree", f"2 @ {2**61}"),
+            ("uc", "--op", "coprime", "--window", "1", f"2 @ {2**61}"),
+            ("decode", "--op", "normk:7", f"2,3 @ {2**61}"),
+            ("dynamics", "--k", "7", "--limit", "4", f"2,3 @ {2**61}"),
+        ],
+        ids=lambda argv: " ".join(argv[:3]),
+    )
+    def test_a_failed_allocation_is_a_resource_limit(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 10
+        assert (code, out, err) == (5, "", f"error: {argv[0]} ran out of memory\n")
 
 
 class TestSufficientCommand:

@@ -136,6 +136,21 @@ class TestCoprimeMemory:
             assert peak < 2 * 2**20
 
 
+class TestSubsetSumMemory:
+    """The ``fs`` oracle keeps no sum past the last value a sweep asks
+    about, and builds the ones that cut its sums only once a sum passes it,
+    so a far last element allocates nothing in proportion to its size."""
+
+    @pytest.mark.parametrize("last", [10**9, 2**61 - 1], ids=str)
+    def test_a_far_last_element(self, last):
+        prefix = IntSetPrefix((2, 3, last), last)
+        member, peak = _peak_bytes(lambda: is_member(finite_sums(), prefix))
+        assert member and peak < 2**20
+        # 1 is allowed and not in the set, so the encoder would accept it.
+        fixed, peak = _peak_bytes(lambda: is_encoder_fixed_point(finite_sums(), prefix))
+        assert not fixed and peak < 2**20
+
+
 class TestApplyJ:
     """The reference J of ``reference.py``, which the oracles are tested against."""
 
@@ -263,12 +278,28 @@ def _first_allowed(oracle, c):
     return c
 
 
-def _checked_window(op, oracle, elements, lo, hi):
-    """``forbidden_in(lo, hi)``, checked: one byte per value, 1 where
-    ``forbids`` holds and 0 elsewhere, and 1 at the values the reference
-    forbids."""
+def _window(oracle, lo, hi):
+    """The bytes of [lo, hi], above the set, off the oracle's one render
+    call: ``forbidden_through(hi)`` from lo on where it has it, else
+    ``forbidden_in(lo, hi)``.  The render is asked of the wrapped oracle,
+    past the check that no ``add`` follows it: it changes no state, and the
+    walks here go on adding."""
+    inner = oracle._inner
+    if hasattr(inner, "forbidden_through"):
+        assert lo > oracle._top
+        render = inner.forbidden_through(hi)
+        assert type(render) is bytearray and len(render) == hi
+        return bytes(render[lo - 1 :])
     window = oracle.forbidden_in(lo, hi)
     assert type(window) is bytes
+    return window
+
+
+def _checked_window(op, oracle, elements, lo, hi):
+    """``_window(oracle, lo, hi)``, checked: one byte per value, 1 where
+    ``forbids`` holds and 0 elsewhere, and 1 at the values the reference
+    forbids."""
+    window = _window(oracle, lo, hi)
     assert len(window) == max(0, hi - lo + 1)
     assert list(window) == [int(oracle.forbids(v)) for v in range(lo, hi + 1)]
     marked = {lo + i for i, forbidden in enumerate(window) if forbidden}
@@ -284,7 +315,7 @@ def _checked_next_allowed(op, oracle, elements, c):
 
 
 class TestOracleProtocol:
-    """Above the set, ``forbidden_in`` and ``next_allowed`` agree with
+    """Above the set, the render call and ``next_allowed`` agree with
     ``forbids`` and with the reference ``apply_J``."""
 
     def check(self, op, elements, data):
@@ -329,15 +360,26 @@ class TestOracleProtocol:
         # the mask oracles' 256-bit slice, and one long window, at starts on
         # either side of a digit boundary, each just above a set drawn below
         # it.  The sets forbid values past the starts, so the windows hold
-        # forbidden values and allowed ones.
+        # forbidden values and allowed ones.  A one-render oracle also renders
+        # [1, width] whole at each width that holds the set, against the
+        # reference decode.
         rng = random.Random(f"widths/{op}")
         widths = [0, 1, 29, 30, 31, 63, 64, 65, 255, 256, 257, 3000]
+        renders = hasattr(incremental_oracle(op), "forbidden_through")
         for _ in range(2):
             for lo in (29, 30, 31, 59, 60, 61, 119, 120, 121):
                 elements = set(rng.sample(range(max(1, lo - 60), lo), 6))
                 oracle = _built(op, elements)
                 for width in widths:
                     _checked_window(op, oracle, elements, lo, lo + width - 1)
+                if renders:
+                    expected = reference.decode(op, IntSetPrefix.of(elements, widths[-1]))
+                    marks = bytes(
+                        int(symbol == "*" or v in expected.violations)
+                        for v, symbol in enumerate(expected.ternary, 1))
+                    for width in widths:
+                        if width >= max(elements):
+                            assert oracle._inner.forbidden_through(width) == marks[:width]
 
     @pytest.mark.parametrize("k", range(2, 17))
     def test_every_norm_bound(self, k):
@@ -373,9 +415,9 @@ class TestOracleProtocol:
             top = max(elements)
             oracle = _built(op, elements)
             edge = max(_window_edges(op, oracle, elements))  # nothing above it is forbidden
-            full = oracle.forbidden_in(top + 1, edge)
+            full = _window(oracle, top + 1, edge)
             cut = rng.randint(top + 1, edge)
-            assert oracle.forbidden_in(top + 1, cut) + oracle.forbidden_in(cut + 1, edge) == full
+            assert _window(oracle, top + 1, cut) + _window(oracle, cut + 1, edge) == full
             above = [v for v, forbidden in enumerate(full, top + 1) if forbidden]
             starts = [top + 1, rng.randint(top + 1, max(top + 1, edge))]
             starts += [max(top + 1, f - rng.randint(0, 3))
@@ -531,7 +573,7 @@ class TestOracleCopy:
             above = max(elements, default=0) + 1
             hi = max(_window_edges(op, fresh, elements)) + 70
             window = _checked_window(op, oracle, elements, above, hi)
-            assert window == fresh.forbidden_in(above, hi)
+            assert window == _window(fresh, above, hi)
             for start in (above, above + c, hi):
                 assert oracle.next_allowed(start) == fresh.next_allowed(start)
 
@@ -548,7 +590,7 @@ class TestOracleCopy:
 
         def check(oracle, elements, lo, hi):
             fresh = _built(op, elements)
-            assert _checked_window(op, oracle, elements, lo, hi) == fresh.forbidden_in(lo, hi)
+            assert _checked_window(op, oracle, elements, lo, hi) == _window(fresh, lo, hi)
             for start in (lo, (lo + hi) // 2, hi):
                 assert oracle.next_allowed(start) == fresh.next_allowed(start)
 
@@ -614,5 +656,8 @@ class TestCallersKeepTheProtocol:
         # The decoder takes the one-render path exactly when the oracle has
         # the call, so no other oracle may have it, by inheritance or not:
         # under normk with k >= 5 the final state does not give the earlier
-        # gaps.
-        assert hasattr(incremental_oracle(op), "forbidden_through") == (op in ONE_RENDER_OPERATORS)
+        # gaps.  Each oracle has one render call, the one decode makes: the
+        # walk's forbidden_in, or forbidden_through.
+        oracle = incremental_oracle(op)
+        assert hasattr(oracle, "forbidden_through") == (op in ONE_RENDER_OPERATORS)
+        assert hasattr(oracle, "forbidden_in") != hasattr(oracle, "forbidden_through")
