@@ -13,9 +13,11 @@ The decoder renders a prefix as a ternary word (member / forbidden-in-gap /
 neither) and deletes the forbidden marks; what remains is the bit word the
 encoder would have consumed.  Decoding accepts non-member prefixes and
 reports where their elements violate the family condition, which the orbit
-machinery in :mod:`sievecodec.dynamics` relies on.  It renders the final set
-once under every operator but ``normk`` with k >= 5, and walks the gaps
-there; ``decode`` tells why each path is exact.
+machinery in :mod:`sievecodec.dynamics` relies on.  Its two paths, one
+render of the final set and a walk over the gaps (``normk`` with k >= 5),
+fill the same bytes, 1 where the elements below a position forbid it, and
+one loop reads the violations off the elements' bytes; ``decode`` tells why
+each path is exact.
 
 Pure functions throughout; every call is independent.
 """
@@ -117,46 +119,50 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     of the gap above the i-th element are J of the first i elements on that
     gap (up to the horizon for the last element).
 
-    Under every operator but ``normk`` with k >= 5 the oracle has
-    ``forbidden_through``: every element below the horizon is added, the
-    whole word is rendered once from the final state, and each element's
-    byte is read (a violation when it says forbidden) and then overwritten
-    with the element mark, in place.  That is exact because the final state
-    tells which positions the elements below each one forbid (the oracle
-    notes in :mod:`sievecodec.operators` say why), and it costs one
-    ``add`` per element and one render.  Told the horizon, the ``fs`` oracle
-    keeps no sum past it and stops shifting once its sums cover the rest.
+    Both paths meet one contract, that of ``forbidden_through(horizon)``:
+    a ``bytearray`` whose byte v - 1 is 1 when the elements below v forbid
+    v and 0 otherwise, the elements' own bytes included.  One loop then
+    reads each element's byte (a violation when it is 1) and overwrites it
+    with the element mark 2, in place.
 
-    Under ``normk`` with k >= 5 a later element can forbid a value below
-    it (a difference b - a), so the decode walks the gaps, and ``forbidden_in``
-    is the walk's alone.  Each element and the gap below it are read off one
-    window, up to the point where the elements added forbid every later
-    position.  That is tested only after a violated element: ``free``, the
-    least position above it still allowed, comes from ``next_allowed`` and
-    is re-tested with one ``forbids`` after each later violated element.
-    ``free`` only moves forward, so these scans together cover the horizon
-    at most once.  A gap that ends below ``free`` is marked forbidden with no
-    window, and its element is a violation.  When ``free`` passes the
-    horizon, the remaining gaps are runs of forbidden bytes with no further
+    Under every operator but ``normk`` with k >= 5 the oracle has
+    ``forbidden_through``: every element below the horizon is added and the
+    whole word is rendered once from the final state.  That is exact because
+    the final state tells which positions the elements below each one forbid
+    (the oracle notes in :mod:`sievecodec.operators` say why), and it costs
+    one ``add`` per element and one render.  Told the horizon, the ``fs``
+    oracle keeps no sum past it and stops shifting once its sums cover the
+    rest.
+
+    Under ``normk`` with k >= 5 a later element can forbid a value below it
+    (a difference b - a), so ``_walk_gaps`` fills the bytes left to right:
+    each element's byte and the gap below it come from one ``forbidden_in``
+    window read before the element is added, so every byte is read off the
+    elements below it, which is exact.  The walk stops adding once the
+    elements added forbid every later position.  That is tested only after
+    a violated element: ``free``, the least position above it still allowed,
+    comes from ``next_allowed`` and is re-tested with one ``forbids`` after
+    each later violated element.  ``free`` only moves forward, so these
+    scans together cover the horizon at most once.  A gap below ``free`` is
+    a run of 1 bytes with no window, its element's byte included.  When
+    ``free`` passes the horizon, every later byte is 1 with no further
     ``add`` or window, which is exact because every operator is monotone.
-    No array spans the horizon: each gap is a byte string, 1 forbidden and 0
-    not, and the gaps are joined with the element mark 2.
     """
     elements, horizon = prefix.elements, prefix.horizon
     oracle = incremental_oracle(op, horizon)
     render = getattr(oracle, "forbidden_through", None)
     if render is None:
-        raw, violations = _walk_gaps(oracle, elements, horizon)
+        raw = _walk_gaps(oracle, elements, horizon)
     else:
         for element in elements:
             if element < horizon:  # nothing reads the add of one at the horizon
                 oracle.add(element)
         raw = render(horizon)
-        violations = []
-        for element in elements:
-            if raw[element - 1]:
-                violations.append(element)
-            raw[element - 1] = 2
+    violations = []
+    for element in elements:
+        if raw[element - 1]:
+            violations.append(element)
+        raw[element - 1] = 2
     return DecodeResult(
         raw.translate(_SYMBOLS).decode("ascii"),
         raw.translate(_SYMBOLS, b"\x01").decode("ascii"),  # the forbidden marks deleted
@@ -164,43 +170,33 @@ def decode(op: OperatorKind, prefix: IntSetPrefix) -> DecodeResult:
     )
 
 
-def _walk_gaps(oracle, elements: tuple[int, ...], horizon: int) -> tuple[bytes, list[int]]:
-    """The per-gap decode of ``decode`` under ``normk`` with k >= 5: the
-    marks 0, 1 (forbidden) and 2 (element) over [1, horizon], and the
-    violated elements."""
-    gaps: list[bytes] = []  # the gap below each element, then the tail
-    violations: list[int] = []
+def _walk_gaps(oracle, elements: tuple[int, ...], horizon: int) -> bytearray:
+    """``forbidden_through(horizon)`` of the elements under ``normk`` with
+    k >= 5, read gap by gap as ``decode`` tells."""
+    raw = bytearray(horizon)
     lo = 1
     # After a violated element: a position the elements added did not forbid
     # when it was found, and every position in [lo, free) is forbidden.  0
     # before any violated element.
     free = 0
-    for i, element in enumerate(elements):
-        if element < free:  # its gap is forbidden already, and so is it
-            gaps.append(b"\x01" * (element - lo))
-            violated = True
+    for element in elements:
+        # The gap below the element and the element's own byte.
+        if element < free:
+            raw[lo - 1 : element] = b"\x01" * (element - lo + 1)
         else:
-            # The window's last byte is the element's own.
-            window = oracle.forbidden_in(lo, element)
-            gaps.append(window[:-1])
-            violated = window[-1]
-        if violated:
-            violations.append(element)
+            raw[lo - 1 : element] = oracle.forbidden_in(lo, element)
         lo = element + 1
         if element == horizon:  # nothing reads the add of one at the horizon
             continue
         oracle.add(element)
-        if violated and (free < lo or oracle.forbids(free)):
+        if raw[element - 1] and (free < lo or oracle.forbids(free)):
             free = oracle.next_allowed(max(free, lo))
             if free > horizon:  # the elements added forbid every later one
-                later = elements[i + 1 :]
-                violations.extend(later)
-                bounds = (element, *later, horizon + 1)
-                gaps += [b"\x01" * (b - a - 1) for a, b in zip(bounds, bounds[1:])]
-                break
-    else:
-        gaps.append(oracle.forbidden_in(lo, horizon) if horizon >= lo else b"")
-    return b"\x02".join(gaps), violations
+                raw[element:] = b"\x01" * (horizon - element)
+                return raw
+    if horizon >= lo:
+        raw[lo - 1 :] = oracle.forbidden_in(lo, horizon)
+    return raw
 
 
 def roundtrip_ok(op: OperatorKind, word: str) -> bool:

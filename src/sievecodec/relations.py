@@ -44,9 +44,13 @@ def _cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     They are two halves of one allocation.  With two arrays per table the
     allocator handed most tables fresh pages (14k page faults per pass over
     114 lacunary codec words, codec calls 10-25 % slower); one block is
-    recycled as the cost array alone was.
+    recycled as the cost array alone was.  A table too long for numpy to
+    dimension raises ``MemoryError``, as one too large to allocate does.
     """
-    both = np.empty(2 * n, dtype=np.uint8)
+    try:
+        both = np.empty(2 * n, dtype=np.uint8)
+    except ValueError:  # "Maximum allowed dimension exceeded"
+        raise MemoryError(f"a cost table of {2 * n} cells") from None
     both[:n] = _INF
     return both[:n], both[n:]
 

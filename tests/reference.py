@@ -20,7 +20,8 @@ below the run of elements that ends at the horizon.
 
 ``decode`` marks every gap with ``apply_J`` of the elements below it and
 tests every element against its predecessors, where the library's decoder
-runs one oracle: under every operator but ``normk`` with k >= 5 it adds
+fills one byte per position from one oracle and reads the violations off
+the elements' bytes: under every operator but ``normk`` with k >= 5 it adds
 every element and renders the final state once, and under ``normk`` with
 k >= 5 it walks the gaps and stops adding once the elements added forbid
 every later position.

@@ -202,6 +202,8 @@ class TestOutOfMemory:
 
     # Each asks for a byte or a bit per position up to 2**61 at once, far
     # past any address space, so the allocation fails before it takes any.
+    # The last two ask for a norm table of about 2**67 one-byte cells, past
+    # even numpy's largest dimension.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -209,6 +211,8 @@ class TestOutOfMemory:
             ("uc", "--op", "coprime", "--window", "1", f"2 @ {2**61}"),
             ("decode", "--op", "normk:7", f"2,3 @ {2**61}"),
             ("dynamics", "--k", "7", "--limit", "4", f"2,3 @ {2**61}"),
+            ("sufficient", "--k", "16", f"2,{2**61 - 1} @ {2**61 - 1}"),
+            ("member", "--op", "normk:16", f"2,{2**61 - 1},{2**61} @ {2**61}"),
         ],
         ids=lambda argv: " ".join(argv[:3]),
     )

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -399,6 +400,24 @@ class TestDecodeGaps:
             below = tuple(a for a in kept if a < p)
             refused = not is_member(op, IntSetPrefix(below + (p,), p))
             assert (ternary[p - 1] == "*") == refused, p
+
+
+class TestWalkMemory:
+    """A ``normk`` decode for k >= 5 holds about four bytes per position at
+    its peak: the walk's one byte per position, the ternary word, and the
+    bit word with the translation it is decoded from."""
+
+    def test_peak_per_position(self):
+        horizon = 5_000_000
+        tracemalloc.start()
+        try:
+            result = decode(norm_k(7), IntSetPrefix((2, 3), horizon))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.ternary[:9] == "011*****0"
+        assert result.violations == ()
+        assert peak <= 5 * horizon
 
 
 class TestRoundTrip:
