@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     except (CandidateCeilingExceeded, FactorBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except MemoryError:
+    except (MemoryError, OverflowError):  # OverflowError: a size too large to allocate at all
         print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return EXIT_LIMIT
 

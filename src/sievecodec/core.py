@@ -74,7 +74,8 @@ class IntSetPrefix:
             horizon = int(right.strip())
         except ValueError:
             raise ValueError(f"bad horizon in set prefix {text!r}") from None
-        items = [piece.strip() for piece in left.split(",") if piece.strip()]
+        # Only a list empty as a whole is the empty set; an empty item is malformed.
+        items = left.split(",") if left.strip() else []
         try:
             elements = tuple(int(piece) for piece in items)
         except ValueError:

@@ -147,15 +147,19 @@ def is_encoder_fixed_point(op: OperatorKind, prefix: IntSetPrefix) -> bool:
     one of those steps, and is rejected either way.  With no forbidden
     integer, candidate i is i up to max S and the encoder accepts S; beyond
     max S the word is all zeros, so the horizon plays no part.
+
+    The empty set forbids nothing, so the walk starts past min S, and no
+    check reads the add of max S, so it is not made.
     """
-    members = prefix.members()
-    top = max(prefix.elements, default=0)
-    oracle = incremental_oracle(op, top)
-    for value in range(1, top + 1):
-        if oracle.forbids(value):
-            return False
-        if value in members:
-            oracle.add(value)
+    elements = prefix.elements
+    if len(elements) < 2:
+        return True
+    oracle = incremental_oracle(op, elements[-1])
+    for below, a in zip(elements, elements[1:]):
+        oracle.add(below)
+        for value in range(below + 1, a + 1):
+            if oracle.forbids(value):
+                return False
     return True
 
 

@@ -49,6 +49,10 @@ from .core import IntSetPrefix
 from .relations import CostTable, _check_norm_bound
 
 
+# Each operator kind and its command-line syntax.
+_KINDS = {"sumfree": "sumfree", "normk": "normk:<k>", "coprime": "coprime", "fs": "fs"}
+
+
 @dataclass(frozen=True)
 class OperatorKind:
     """Which forbidden-structure operator is in force."""
@@ -58,7 +62,8 @@ class OperatorKind:
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}; expected one of {tuple(_KINDS)}")
+            raise ValueError(
+                f"unknown operator kind {self.kind!r}; expected one of {tuple(_KINDS.values())}")
         if self.kind == "normk":
             if not isinstance(self.k, int):
                 raise ValueError("normk requires an integer norm bound k")
@@ -87,19 +92,12 @@ def finite_sums() -> OperatorKind:
 
 
 def parse_operator(text: str) -> OperatorKind:
-    """Parse ``sumfree | normk:<k> | coprime | fs``."""
-    name, _, param = text.strip().partition(":")
-    if name == "normk":
-        try:
-            return norm_k(int(param))
-        except ValueError as exc:
-            raise ValueError(f"bad operator {text!r}: {exc}") from None
-    if param:
-        raise ValueError(f"operator {name!r} takes no parameter")
-    if name not in _KINDS:
-        syntaxes = tuple(syntax for syntax, _ in _KINDS.values())
-        raise ValueError(f"unknown operator {text!r}; expected one of {syntaxes}")
-    return OperatorKind(name)
+    """Parse ``sumfree | normk:<k> | coprime | fs``; a colon needs a parameter."""
+    name, colon, param = text.strip().partition(":")
+    try:
+        return OperatorKind(name, int(param) if colon else None)
+    except ValueError as exc:
+        raise ValueError(f"bad operator {text!r}: {exc}") from None
 
 
 # --- prime factors -----------------------------------------------------------
@@ -542,15 +540,6 @@ class _CoprimeOracle:
             self._cover(max(c, len(self._marks)))
 
 
-# Each operator kind, its command-line syntax and its oracle class.
-_KINDS = {
-    "sumfree": ("sumfree", _PairSumOracle),
-    "normk": ("normk:<k>", _NormOracle),
-    "coprime": ("coprime", _CoprimeOracle),
-    "fs": ("fs", _SubsetSumOracle),
-}
-
-
 def incremental_oracle(op: OperatorKind, horizon: int | None = None):
     """Fresh oracle for one left-to-right sweep under ``op``.
 
@@ -561,14 +550,15 @@ def incremental_oracle(op: OperatorKind, horizon: int | None = None):
     the sums of two distinct members at k = 4, which big-int masks hold; from
     k = 5 on it needs the ``CostTable`` of ``_NormOracle``.
     """
-    _, oracle = _KINDS[op.kind]
+    if op.kind == "sumfree":
+        return _PairSumOracle()
+    if op.kind == "coprime":
+        return _CoprimeOracle()
     if op.kind == "fs":
-        return oracle(horizon)
-    if op.k is None:
-        return oracle()
-    if op.k <= 4:
-        return _DistinctPairSumOracle() if op.k == 4 else _MaskOracle()
-    return oracle(op.k)
+        return _SubsetSumOracle(horizon)
+    if op.k >= 5:
+        return _NormOracle(op.k)
+    return _DistinctPairSumOracle() if op.k == 4 else _MaskOracle()
 
 
 # --- the operator on a prefix ------------------------------------------------

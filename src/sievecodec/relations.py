@@ -99,8 +99,8 @@ class CostTable:
 
     Tracks, over the elements added so far, the cheapest integer vector y
     (cost sum(y**2), one coefficient per element) achieving every value of
-    sum(y_b * b).  The array covers the window [-budget * limit,
-    budget * limit], where ``limit`` is at least every element added.
+    sum(y_b * b).  The array covers the window [-reach, reach], where
+    ``reach`` is budget * limit and ``limit`` is at least every element added.
 
     Growth invariant: a vector of cost <= ``budget`` over elements <= ``limit``
     has |sum(y_b * b)| <= sum(|y_b|) * limit <= budget * limit, and so do all
@@ -121,31 +121,31 @@ class CostTable:
     a slice strided by y, and returns the boolean window itself.
     """
 
-    __slots__ = ("budget", "limit", "top", "_cost", "_work", "_offset")
+    __slots__ = ("budget", "limit", "reach", "top", "_cost", "_work")
 
     def __init__(self, budget: int) -> None:
         if budget < 1:
             raise ValueError("budget must be at least 1")
         self.budget = budget
         self.limit = _FIRST_LIMIT
-        self._offset = budget * self.limit
-        self._cost, self._work = _cells(2 * self._offset + 1)
-        self._cost[self._offset] = 0
+        self.reach = budget * self.limit  # also the index of value 0
+        self._cost, self._work = _cells(2 * self.reach + 1)
+        self._cost[self.reach] = 0
         self.top = 0  # the largest element
 
     def _grow(self, need: int) -> None:
         while self.limit < need:
             self.limit *= 2
-        old, offset = self._cost, self._offset
-        self._offset = self.budget * self.limit
-        self._cost, self._work = _cells(2 * self._offset + 1)
-        self._cost[self._offset - offset : self._offset + offset + 1] = old
+        old, reach = self._cost, self.reach
+        self.reach = self.budget * self.limit
+        self._cost, self._work = _cells(2 * self.reach + 1)
+        self._cost[self.reach - reach : self.reach + reach + 1] = old
 
     def copy(self) -> CostTable:
         """An independent table over the same elements, with its own work space."""
         twin = object.__new__(type(self))
-        twin.budget, twin.limit, twin._offset, twin.top = (
-            self.budget, self.limit, self._offset, self.top)
+        twin.budget, twin.limit, twin.reach, twin.top = (
+            self.budget, self.limit, self.reach, self.top)
         twin._cost, twin._work = _cells(len(self._cost))
         twin._cost[:] = self._cost
         return twin
@@ -156,7 +156,7 @@ class CostTable:
             raise ValueError("elements must be positive")
         if element > self.limit:
             self._grow(element)
-        cost, centre, top = self._cost, self._offset, self.top
+        cost, centre, top = self._cost, self.reach, self.top
         r = (self.budget - 1) * top
         step = self._work[: 2 * r + 1]
         np.add(cost[centre - r : centre + r + 1], 1, out=step)  # the old costs + 1
@@ -173,11 +173,6 @@ class CostTable:
             j += 1
         self.top = max(top, element)
 
-    @property
-    def reach(self) -> int:
-        """Largest value inside the window; every larger one costs more than budget."""
-        return self._offset
-
     def multiples_below(self, y: int, lo: int, hi: int, bound: int) -> np.ndarray:
         """Whether cost(y * v) < bound for v = lo, lo + 1, ..., as a fresh
         boolean array read straight off the cells.
@@ -185,15 +180,15 @@ class CostTable:
         It stops at hi or where y * v leaves the window, whichever comes
         first; every value beyond the window costs more than budget.
         """
-        last = min(hi, self._offset // y)
-        return self._cost[self._offset + y * lo : self._offset + y * last + 1 : y] < bound
+        last = min(hi, self.reach // y)
+        return self._cost[self.reach + y * lo : self.reach + y * last + 1 : y] < bound
 
     def min_cost(self, value: int) -> int | None:
         """Cheapest cost achieving ``value``, or None if above budget."""
         v = abs(value)
-        if v > self._offset:
+        if v > self.reach:
             return None
-        c = int(self._cost[self._offset + v])
+        c = int(self._cost[self.reach + v])
         return c if c <= self.budget else None
 
 
@@ -254,14 +249,6 @@ def _check_norm_bound(k: int) -> None:
         raise ValueError(f"norm bound {k} exceeds the supported maximum {DEFAULT_MAX_NORM_BOUND}")
 
 
-def _table_of(elements: set[int] | frozenset[int], k: int) -> CostTable:
-    """The costs of every sum over ``elements`` within norm bound k."""
-    table = CostTable(k - 1)
-    for b in sorted(elements):
-        table.add(b)
-    return table
-
-
 def find_anchored_relation(base, k: int) -> Relation | None:
     """Minimal relation on base | {1} with the coefficient of 1 pinned to 1
     and norm at most k - 2, or None.
@@ -276,10 +263,16 @@ def find_anchored_relation(base, k: int) -> Relation | None:
             raise ValueError(f"base set must contain positive integers, got {b!r}")
     if 1 in elements:
         raise ValueError("base set must not contain 1")
-    cost = _table_of(elements, k).min_cost(1)
-    if cost is None or cost + 1 > k - 2:
+    if k < 4:  # a norm of at most 1 leaves no room for an element
         return None
+    # A witness has norm cost(1) + 1 <= k - 2, so no larger cost is read.
     ordered = tuple(sorted(elements))
+    table = CostTable(k - 3)
+    for b in ordered:
+        table.add(b)
+    cost = table.min_cost(1)
+    if cost is None:
+        return None
     vector = _lex_min_witness(ordered, cost + 1)
     assert vector is not None, "existence and witness search disagree"
     return Relation(((1, 1),) + tuple((e, c) for e, c in zip(ordered, vector) if c), cost + 1)

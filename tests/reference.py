@@ -31,7 +31,7 @@ from math import isqrt
 
 from sievecodec import DecodeResult, IntSetPrefix, OperatorKind, from_characteristic
 from sievecodec.operators import incremental_oracle
-from sievecodec.relations import _table_of
+from sievecodec.relations import CostTable
 
 
 def characteristic(prefix: IntSetPrefix) -> str:
@@ -53,6 +53,14 @@ def prime_factors(n: int) -> set[int]:
     if n > 1:
         out.add(n)
     return out
+
+
+def cost_table(elements, k: int) -> CostTable:
+    """The costs of every sum over ``elements``, exact up to k - 1."""
+    table = CostTable(k - 1)
+    for b in sorted(elements):
+        table.add(b)
+    return table
 
 
 def apply_J(op, base, lo: int, hi: int) -> set[int]:
@@ -81,9 +89,9 @@ def apply_J(op, base, lo: int, hi: int) -> set[int]:
         return out
     if op.kind == "normk":
         # A member is tested against the other members: its table leaves it out.
-        whole = _table_of(elements, op.k)
+        whole = cost_table(elements, op.k)
         for value in range(lo, hi + 1):
-            table = _table_of(elements - {value}, op.k) if value in elements else whole
+            table = cost_table(elements - {value}, op.k) if value in elements else whole
             for y in range(1, isqrt(op.k - 1) + 1):
                 cost = table.min_cost(y * value)
                 if cost is not None and y * y + cost < op.k:

@@ -202,8 +202,10 @@ class TestOutOfMemory:
 
     # Each asks for a byte or a bit per position up to 2**61 at once, far
     # past any address space, so the allocation fails before it takes any.
-    # The last two ask for a norm table of about 2**67 one-byte cells, past
-    # even numpy's largest dimension.
+    # The last two of those ask for a norm table of about 2**67 one-byte
+    # cells, past even numpy's largest dimension.  Past 2**63 a size does not
+    # fit an index at all, and an int of 10**30 bits, such as a sumfree mask
+    # of that many positions, is past the largest Python builds.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -213,6 +215,14 @@ class TestOutOfMemory:
             ("dynamics", "--k", "7", "--limit", "4", f"2,3 @ {2**61}"),
             ("sufficient", "--k", "16", f"2,{2**61 - 1} @ {2**61 - 1}"),
             ("member", "--op", "normk:16", f"2,{2**61 - 1},{2**61} @ {2**61}"),
+            *(pytest.param(argv, id=" ".join(argv[:3]) + " past 2**63") for argv in [
+                ("decode", "--op", "normk:7", f"2,3 @ {2**64}"),
+                ("decode", "--op", "coprime", f"2 @ {2**64}"),
+                ("uc", "--op", "coprime", "--window", "1", f"2 @ {2**64}"),
+                ("dynamics", "--k", "7", "--limit", "4", f"2,3 @ {2**64}"),
+                ("decode", "--op", "sumfree", f"2 @ {10**30}"),
+                ("member", "--op", "sumfree", f"2,{10**30},{10**30 + 1} @ {10**30 + 1}"),
+            ]),
         ],
         ids=lambda argv: " ".join(argv[:3]),
     )

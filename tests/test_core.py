@@ -43,7 +43,8 @@ class TestIntSetPrefix:
             IntSetPrefix((), -1)
 
     def test_parse_rejects_garbage(self):
-        for bad in ("1,2", "1;2 @ 5", "1,2 @ x", "@"):
+        # Only an element list empty as a whole is the empty set.
+        for bad in ("1,2", "1;2 @ 5", "1,2 @ x", "@", "1,,2 @ 5", "1,2, @ 5", ",1 @ 5", ", @ 5"):
             with pytest.raises(ValueError):
                 IntSetPrefix.parse(bad)
 

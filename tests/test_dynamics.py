@@ -258,6 +258,17 @@ class TestEncoderFixedPoints:
         assert set(counts) <= {"forbids", "add"}
         assert counts["forbids"] <= 5
 
+    def test_walk_starts_at_the_smallest_element(self, monkeypatch):
+        # The empty set forbids nothing, and no check reads the add of max S:
+        # an add of 10**6 would grow a norm table to 2**20.
+        counts = {}
+        make = dynamics.incremental_oracle
+        monkeypatch.setattr(
+            dynamics, "incremental_oracle", lambda *a: CountingOracle(make(*a), counts)
+        )
+        assert is_encoder_fixed_point(N7, IntSetPrefix((10**6,), 10**6))
+        assert counts.get("forbids", 0) <= 1 and "add" not in counts
+
     def test_exhaustive_enumeration_matches_frozen_list(self):
         found = [p.elements for p in encoder_fixed_points(N7, 8)]
         assert found == sorted(FIXED_POINTS_K7_M8, key=lambda t: tuple(reversed(t)))

@@ -44,7 +44,8 @@ class TestOperatorKind:
         assert str(parse_operator(text)) == text
 
     def test_rejects_unknown_and_malformed(self):
-        for bad in ["sumfrei", "normk", "normk:x", "normk:1", "sumfree:3", "fs:2"]:
+        for bad in ["sumfrei", "normk", "normk:x", "normk:1", "sumfree:3", "fs:2",
+                    "normk:", "fs:", "sumfree:", "coprime:"]:
             with pytest.raises(ValueError):
                 parse_operator(bad)
 

@@ -375,6 +375,18 @@ class TestMemory:
             tracemalloc.stop()
         assert retained < 2**20
 
+    def test_anchored_table_reads_costs_up_to_k_minus_3(self):
+        # A witness has norm cost(1) + 1 <= k - 2, so the table's budget is
+        # k - 3: 2 * 2 * 2**22 cells and as much work space, 32 MiB, for an
+        # element near 2**22 at k = 5.  A budget of k - 1 takes 64 MiB.
+        tracemalloc.start()
+        try:
+            assert find_anchored_relation((3, 4_000_000), 5) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
+
 
 class TestRelationValidation:
     def test_rejects_zero_coefficients(self):
