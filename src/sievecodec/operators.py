@@ -43,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-import numpy as np
-
 from .core import IntSetPrefix
 from .relations import CostTable, _check_norm_bound
 
@@ -218,9 +216,9 @@ def _distinct_primes(n: int) -> list[int]:
 # Runs of rejected bits make ``next_allowed`` calls a few values apart with no
 # ``add`` between them, so two oracles keep what their last call read until
 # the set changes: the mask oracles a 256-bit slice of the mask, the
-# ``normk`` oracle for k >= 5 the boolean window it found a free value in.
-# The coprime oracle keeps one byte per integer from 0 up, which only grow,
-# and finds the next free value with one ``bytearray.find``.
+# ``normk`` oracle for k >= 5 the ``bytes`` window it found a free value in.
+# The coprime oracle keeps one byte per integer from 0 up, which only grow.
+# Both find the next free value with one ``find`` for a zero byte.
 
 
 # Width of the slice of a mask that ``next_allowed`` keeps between calls.
@@ -367,13 +365,11 @@ class _NormOracle:
     is at least y**2 + y + 1.  So only the y with y**2 + y + 1 < k are
     tried, kept as (y, k - y**2) pairs in ``_ys``, y = 1 first: y = 1 alone
     up to k = 7, y <= 2 up to k = 13.
-    ``_forbidden_window`` reads one boolean window per y off the table
-    (``CostTable.multiples_below``) and ORs them; when y = 1 alone is tried,
-    that window is the answer.  ``forbidden_in`` returns its bytes.
+    ``forbidden_in`` is the table's ``forbidden`` window over those pairs.
 
-    ``next_allowed`` keeps the boolean window it found a free value in,
-    ``_window`` starting at ``_window_lo``, until the next ``add``: a run of
-    rejected bits reads its next free value off it with ``argmin``.  A copy
+    ``next_allowed`` keeps the window it found a free value in, ``_window``
+    starting at ``_window_lo``, until the next ``add``: a run of rejected
+    bits reads its next free value off it with ``bytes.find``.  A copy
     starts without it.  It also keeps ``_width``, the width of that window,
     across ``add``: along a lacunary word the gaps the searches cross grow
     with the elements, so the next search starts at that width rather than
@@ -381,26 +377,23 @@ class _NormOracle:
     many windows are scanned, never the answer.
     """
 
-    __slots__ = ("k", "_table", "_ys", "_window", "_window_lo", "_width")
+    __slots__ = ("_table", "_ys", "_window", "_window_lo", "_width")
 
     def __init__(self, k: int) -> None:
-        self.k = k
         self._table = CostTable(k - 2)
         self._ys = tuple((y, k - y * y) for y in range(1, isqrt(k - 1) + 1) if y * y + y + 1 < k)
-        self._window = None
-        self._window_lo = 0
+        self._window, self._window_lo = b"", 0
         self._width = _FIRST_WINDOW
 
     def copy(self) -> _NormOracle:
         twin = object.__new__(_NormOracle)
-        twin.k, twin._table, twin._ys, twin._width = (
-            self.k, self._table.copy(), self._ys, self._width)
-        twin._window, twin._window_lo = None, 0
+        twin._table, twin._ys, twin._width = self._table.copy(), self._ys, self._width
+        twin._window, twin._window_lo = b"", 0
         return twin
 
     def add(self, element: int) -> None:
         self._table.add(element)
-        self._window = None
+        self._window = b""
 
     def forbids(self, value: int) -> bool:
         table = self._table
@@ -411,37 +404,26 @@ class _NormOracle:
         return False
 
     def forbidden_in(self, lo: int, hi: int) -> bytes:
-        return self._forbidden_window(lo, hi).tobytes()
-
-    def _forbidden_window(self, lo: int, hi: int) -> np.ndarray:
-        # Always a fresh array: ``next_allowed`` keeps it.
-        table, ys = self._table, self._ys
-        # y = 1 comes first and reaches furthest; past its reach nothing is forbidden.
-        out = table.multiples_below(1, lo, hi, ys[0][1])
-        if len(out) <= hi - lo:
-            out = np.concatenate((out, np.zeros(hi - lo + 1 - len(out), dtype=bool)))
-        for y, bound in ys[1:]:
-            hit = table.multiples_below(y, lo, hi, bound)
-            out[: len(hit)] |= hit
-        return out
+        return self._table.forbidden(self._ys, lo, hi)
 
     def next_allowed(self, c: int) -> int:
         window, lo = self._window, self._window_lo
-        if window is not None and lo <= c < lo + len(window):
-            i = c - lo + int(window[c - lo :].argmin())
-            if not window[i]:
+        if lo <= c < lo + len(window):
+            i = window.find(0, c - lo)
+            if i >= 0:
                 return lo + i
             lo += len(window)
         else:
             lo = c
         # Above the table's window every cost exceeds the budget.
-        edge = self._table.reach
+        table, ys = self._table, self._ys
+        edge = table.reach
         width = self._width
         while lo <= edge:
             hi = min(lo + width - 1, edge)
-            window = self._forbidden_window(lo, hi)
-            i = int(window.argmin())
-            if not window[i]:
+            window = table.forbidden(ys, lo, hi)
+            i = window.find(0)
+            if i >= 0:
                 self._window, self._window_lo = window, lo
                 self._width = max(width // 2, _FIRST_WINDOW) if 4 * i < width else width
                 return lo + i

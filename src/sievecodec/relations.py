@@ -15,7 +15,9 @@ The incremental :class:`CostTable` answers existence queries in O(1) after a
 vectorised update per added element; it backs the hot paths elsewhere in the
 package.  Every query here builds one table sized to its own bound and keeps
 nothing once it returns; each table owns its work space, so tables built in
-different threads share nothing.
+different threads share nothing.  This is the one module of the package
+that uses numpy: the table's cells are numpy arrays, and what it hands out
+is plain ints and ``bytes``.
 """
 
 from __future__ import annotations
@@ -116,9 +118,9 @@ class CostTable:
     in the window, copied into the table's work space (as long as the table,
     freed with it).  Its work follows ``top``, not the window; it allocates nothing.
 
-    Reads: ``min_cost`` gives one cell; ``multiples_below`` compares the cells
-    of y * v for a run of consecutive v with a bound in one numpy comparison,
-    a slice strided by y, and returns the boolean window itself.
+    Reads: ``min_cost`` gives one cell; ``forbidden`` compares the cells of
+    y * v for a run of consecutive v with a bound, one numpy comparison per
+    multiplier over a slice strided by y, ORs them and returns ``bytes``.
     """
 
     __slots__ = ("budget", "limit", "reach", "top", "_cost", "_work")
@@ -173,15 +175,21 @@ class CostTable:
             j += 1
         self.top = max(top, element)
 
-    def multiples_below(self, y: int, lo: int, hi: int, bound: int) -> np.ndarray:
-        """Whether cost(y * v) < bound for v = lo, lo + 1, ..., as a fresh
-        boolean array read straight off the cells.
+    def forbidden(self, ys, lo: int, hi: int) -> bytes:
+        """One byte per v in [lo, hi]: 1 when some (y, bound) in ``ys`` has
+        cost(y * v) < bound, else 0; ``b""`` when hi < lo.
 
-        It stops at hi or where y * v leaves the window, whichever comes
-        first; every value beyond the window costs more than budget.
+        ``ys`` starts with y = 1, which reaches furthest: past ``reach`` every
+        cost is above budget and every byte 0.
         """
-        last = min(hi, self.reach // y)
-        return self._cost[self.reach + y * lo : self.reach + y * last + 1 : y] < bound
+        cost, reach = self._cost, self.reach
+        out = cost[reach + lo : reach + min(hi, reach) + 1] < ys[0][1]
+        for y, bound in ys[1:]:
+            last = min(hi, reach // y)
+            hit = cost[reach + y * lo : reach + y * last + 1 : y] < bound
+            out[: len(hit)] |= hit
+        # The zero tail past the reach; hi < lo leaves the empty comparison.
+        return out.tobytes().ljust(hi - lo + 1, b"\0")
 
     def min_cost(self, value: int) -> int | None:
         """Cheapest cost achieving ``value``, or None if above budget."""

@@ -1,5 +1,7 @@
+import importlib
 import random
 import time
+from types import ModuleType
 
 import pytest
 
@@ -322,3 +324,18 @@ class TestRecordsFormat:
         with pytest.raises(SystemExit) as excinfo:
             main(["encode", "--op", "sumfree", "--bogus", "01"])
         assert excinfo.value.code == 2
+
+
+def test_numpy_is_bound_only_in_relations():
+    # The cost table's cells are the package's one numpy representation; the
+    # oracles, the codec, the dynamics and the CLI see only ints and bytes.
+    importlib.import_module("sievecodec.cli")
+
+    def binds_numpy(name):
+        module = importlib.import_module(f"sievecodec.{name}")
+        return any(isinstance(v, ModuleType) and v.__name__.partition(".")[0] == "numpy"
+                   for v in vars(module).values())
+
+    for name in ("core", "operators", "codec", "dynamics", "cli"):
+        assert not binds_numpy(name), name
+    assert binds_numpy("relations")

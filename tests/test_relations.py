@@ -4,12 +4,12 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from sievecodec import CostTable, Relation, find_anchored_relation, norm_k
+from sievecodec.operators import _NormOracle
 from reference import apply_J
 
 
@@ -285,12 +285,15 @@ class TestCostTable:
                 span = range(-fresh.reach - 2, fresh.reach + 3)
                 assert [copy.min_cost(v) for v in span] == [fresh.min_cost(v) for v in span]
 
-    def test_multiples_below_reads_min_cost(self):
+    def test_forbidden_reads_min_cost(self):
         # Windows straddle reach // y, past which y * v leaves the table and
-        # the array stops.  A last element equal to ``limit`` puts a cost-1
-        # value at the reach itself when the budget is 1.
+        # every byte is 0, and some lie wholly past the reach.  A last element
+        # equal to ``limit`` puts a cost-1 value at the reach itself when the
+        # budget is 1.  The multipliers are the normk oracle's for
+        # k = budget + 2 (it has none at budget 1), and y = 1 with one more y.
         rng = random.Random(19)
         for budget in (1, 3, 9, 14):
+            oracle_ys = _NormOracle(budget + 2)._ys
             for _ in range(4):
                 table = CostTable(budget)
                 for e in rng.sample(range(1, 300), rng.randint(1, 5)):
@@ -298,18 +301,21 @@ class TestCostTable:
                 table.add(table.limit)
                 for y in (1, 2, 3):
                     edge = table.reach // y
-                    for lo in (edge - rng.randint(0, 70), rng.randint(1, edge)):
+                    tried = [((1, rng.randint(1, budget + 1)), (y, rng.randint(1, budget + 1)))]
+                    if oracle_ys:
+                        tried.append(oracle_ys)
+                    for lo in (edge - rng.randint(0, 70), rng.randint(1, edge),
+                               table.reach + rng.randint(1, 70)):
                         lo = max(1, lo)
-                        hi = max(edge, lo) + rng.randint(-1, 70)
-                        bound = rng.randint(1, budget + 1)
-                        below = table.multiples_below(y, lo, hi, bound)
-                        assert below.dtype == bool
-                        assert not np.shares_memory(below, table._cost)
-                        assert len(below) == max(0, min(hi, edge) - lo + 1)
-                        costs = [table.min_cost(y * v) for v in range(lo, hi + 1)]
-                        expected = [c is not None and c < bound for c in costs]
-                        assert below.tolist() == expected[: len(below)]
-                        assert not any(expected[len(below) :])
+                        for hi in (max(edge, lo) + rng.randint(-1, 70), lo - 1):
+                            for ys in tried:
+                                window = table.forbidden(ys, lo, hi)
+                                assert type(window) is bytes
+                                assert len(window) == max(0, hi - lo + 1)
+                                assert window == bytes(
+                                    any(table.min_cost(m * v) is not None
+                                        and table.min_cost(m * v) < bound for m, bound in ys)
+                                    for v in range(lo, hi + 1))
 
     def test_existence_matches_naive_enumeration(self):
         # Some y < sqrt(k) with y * anchor of cost below k - y^2 exactly when
