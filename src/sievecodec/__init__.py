@@ -33,13 +33,8 @@ from .dynamics import (
 )
 from .operators import (
     OperatorKind,
-    coprime,
-    finite_sums,
     is_member,
-    norm_k,
     parse_operator,
-    prime_factors,
-    sum_free,
 )
 from .relations import (
     DEFAULT_MAX_NORM_BOUND,
@@ -62,21 +57,16 @@ __all__ = [
     "Relation",
     "SufficiencyEvidence",
     "completeness_sufficient_condition",
-    "coprime",
     "decode",
     "decode_orbit",
     "encode",
     "encoder_fixed_points",
     "find_anchored_relation",
     "find_limit",
-    "finite_sums",
     "from_characteristic",
     "is_encoder_fixed_point",
     "is_member",
-    "norm_k",
     "parse_operator",
-    "prime_factors",
     "roundtrip_ok",
-    "sum_free",
     "ultimately_complete_on",
 ]

@@ -23,7 +23,7 @@ from .dynamics import (
     find_limit,
     ultimately_complete_on,
 )
-from .operators import FactorBoundExceeded, is_member, norm_k, parse_operator
+from .operators import FactorBoundExceeded, OperatorKind, is_member, parse_operator
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -94,7 +94,7 @@ def cmd_dynamics(args) -> int:
     if args.split and args.limit is None:
         raise ValueError("--split needs --limit L; --steps finds no limit to split")
     prefix = _parse_prefix(args)
-    op = norm_k(args.k)
+    op = OperatorKind("normk", args.k)
     if args.steps is not None:
         record = decode_orbit(op, prefix, args.steps)
     else:
@@ -122,7 +122,7 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
-    points = encoder_fixed_points(norm_k(args.k), args.max_element)
+    points = encoder_fixed_points(OperatorKind("normk", args.k), args.max_element)
     for prefix in points:
         print(f"fixed-point set={prefix}")
     print(f"count={len(points)}")

@@ -270,7 +270,7 @@ def completeness_sufficient_condition(
     in_family = is_member(OperatorKind("normk", k), prefix)
     augmented = IntSetPrefix.of(set(prefix.elements) | {1}, max(prefix.horizon, 1))
     augmented_escapes = not is_member(OperatorKind("normk", k - 1), augmented)
-    if 1 in prefix.members():
+    if prefix.elements[:1] == (1,):
         # Adjoining 1 changes nothing, so the middle condition decides alone;
         # the pinned-coefficient search is only defined without 1.
         return SufficiencyEvidence(in_family, augmented_escapes, None, False)

@@ -73,22 +73,6 @@ class OperatorKind:
         return f"normk:{self.k}" if self.kind == "normk" else self.kind
 
 
-def sum_free() -> OperatorKind:
-    return OperatorKind("sumfree")
-
-
-def norm_k(k: int) -> OperatorKind:
-    return OperatorKind("normk", k)
-
-
-def coprime() -> OperatorKind:
-    return OperatorKind("coprime")
-
-
-def finite_sums() -> OperatorKind:
-    return OperatorKind("fs")
-
-
 def parse_operator(text: str) -> OperatorKind:
     """Parse ``sumfree | normk:<k> | coprime | fs``; a colon needs a parameter."""
     name, colon, param = text.strip().partition(":")
@@ -117,9 +101,8 @@ class FactorBoundExceeded(RuntimeError):
 
 
 def _ensure_spf(n: int) -> None:
+    # Grow the sieve past n; its caller has n >= len(_spf).
     global _spf
-    if n < len(_spf):
-        return
     size = min(max(n + 1, 2 * len(_spf)), _SPF_CAP)
     table = list(range(size))
     for p in range(2, isqrt(size - 1) + 1):
@@ -131,15 +114,10 @@ def _ensure_spf(n: int) -> None:
     _spf = table
 
 
-def prime_factors(n: int) -> frozenset[int]:
-    """Distinct prime factors of n (empty for n == 1)."""
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, in increasing order (none for n == 1)."""
     if n < 1:
         raise ValueError("prime_factors expects a positive integer")
-    return frozenset(_distinct_primes(n))
-
-
-def _distinct_primes(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, in increasing order."""
     out = []
     if n >= _SPF_CAP:
         m, p = n, 2
@@ -468,9 +446,8 @@ class _CoprimeOracle:
         return twin
 
     def _cover(self, hi: int) -> None:
+        # Grow the marks past hi; both callers have hi >= len(self._marks).
         n = len(self._marks)
-        if hi < n:
-            return
         size = n
         while size <= hi:
             size *= 4 if 4 * size <= _SPF_CAP else 2
@@ -487,7 +464,7 @@ class _CoprimeOracle:
         # the marks has no multiple in them yet.
         primes, marks = self._primes, self._marks
         n = len(marks)
-        for p in _distinct_primes(element):
+        for p in prime_factors(element):
             if p not in primes:
                 primes[p] = element
                 if p < n:

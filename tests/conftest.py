@@ -1,10 +1,12 @@
 import hypothesis.strategies as st
 
-from sievecodec import IntSetPrefix, coprime, finite_sums, norm_k, sum_free
+from sievecodec import IntSetPrefix, OperatorKind, parse_operator
 
-ALL_OPERATORS = [sum_free(), norm_k(7), coprime(), finite_sums(), norm_k(4), norm_k(9)]
+ALL_OPERATORS = [parse_operator(text) for text in (
+    "sumfree", "normk:7", "coprime", "fs", "normk:4", "normk:9")]
 # The three operators without a parameter and every norm bound.
-EVERY_OPERATOR = [sum_free(), coprime(), finite_sums()] + [norm_k(k) for k in range(2, 17)]
+EVERY_OPERATOR = [OperatorKind(kind) for kind in ("sumfree", "coprime", "fs")] + [
+    OperatorKind("normk", k) for k in range(2, 17)]
 # The operators whose oracles have ``forbidden_through``: their final state
 # tells, for every position, whether the elements below it forbid it.  Under
 # ``sumfree``, ``normk:2..4`` and ``fs`` the oracle's mask holds sums of two or
@@ -13,7 +15,8 @@ EVERY_OPERATOR = [sum_free(), coprime(), finite_sums()] + [norm_k(k) for k in ra
 # position is forbidden by the elements below it when it is a multiple of a
 # prime above the first element that prime divides.  The decoder renders their
 # prefixes once.
-ONE_RENDER_OPERATORS = [sum_free(), norm_k(2), norm_k(3), norm_k(4), coprime(), finite_sums()]
+ONE_RENDER_OPERATORS = [parse_operator(text) for text in (
+    "sumfree", "normk:2", "normk:3", "normk:4", "coprime", "fs")]
 
 
 @st.composite

@@ -5,6 +5,7 @@ from types import ModuleType
 
 import pytest
 
+import sievecodec
 from sievecodec import codec
 from sievecodec.cli import main
 
@@ -167,6 +168,13 @@ class TestDynamicsCommand:
         code, _, err = run(capsys, "dynamics", "--k", "7", "3,7 @ 7")
         assert code == 2
 
+    def test_steps_and_limit_are_exclusive(self, capsys):
+        code, out, err = run(capsys, "dynamics", "--k", "7", "--steps", "1", "--limit", "2",
+                             "3,7 @ 7")
+        assert code == 2
+        assert out == ""
+        assert "mutually exclusive" in err
+
 
 class TestFixedPointsCommand:
     def test_enumeration(self, capsys):
@@ -175,6 +183,12 @@ class TestFixedPointsCommand:
         assert "fixed-point set=1 @ 4" in out
         assert "fixed-point set=2 @ 4" in out
         assert "count=" in out
+
+    def test_max_element_below_1(self, capsys):
+        code, out, err = run(capsys, "fixed-points", "--k", "7", "--max-element", "0")
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err
 
 
 class TestUcCommand:
@@ -339,3 +353,23 @@ def test_numpy_is_bound_only_in_relations():
     for name in ("core", "operators", "codec", "dynamics", "cli"):
         assert not binds_numpy(name), name
     assert binds_numpy("relations")
+
+
+def test_public_surface():
+    # Operators are named by OperatorKind or parse_operator alone, and
+    # prime_factors stays in sievecodec.operators.  Past its submodules, the
+    # package binds exactly the names of __all__, and each resolves.
+    assert set(sievecodec.__all__) == {
+        "CandidateCeilingExceeded", "CompletenessVerdict", "CostTable", "DecodeResult",
+        "DEFAULT_CANDIDATE_CEILING", "DEFAULT_MAX_NORM_BOUND", "EncodeResult", "IntSetPrefix",
+        "OperatorKind", "OrbitRecord", "Relation", "SufficiencyEvidence",
+        "completeness_sufficient_condition", "decode", "decode_orbit", "encode",
+        "encoder_fixed_points", "find_anchored_relation", "find_limit", "from_characteristic",
+        "is_encoder_fixed_point", "is_member", "parse_operator", "roundtrip_ok",
+        "ultimately_complete_on",
+    }
+    public = {name for name, value in vars(sievecodec).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(sievecodec.__all__)
+    for name in sievecodec.__all__:
+        assert getattr(sievecodec, name) is not None, name

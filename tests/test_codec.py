@@ -9,19 +9,16 @@ import hypothesis.strategies as st
 from sievecodec import (
     CandidateCeilingExceeded,
     IntSetPrefix,
-    coprime,
+    OperatorKind,
     decode,
     encode,
-    finite_sums,
     from_characteristic,
     is_member,
-    norm_k,
     parse_operator,
-    prime_factors,
     roundtrip_ok,
-    sum_free,
 )
 from sievecodec import codec, dynamics, operators
+from sievecodec.operators import prime_factors
 from conftest import (
     ALL_OPERATORS,
     EVERY_OPERATOR,
@@ -60,21 +57,21 @@ class TestEncode:
             assert result.consumed == 0
 
     def test_coprime_sieve(self):
-        result = encode(coprime(), "0" + "1" * 9)
+        result = encode(OperatorKind("coprime"), "0" + "1" * 9)
         assert result.accepted.elements == FIRST_PRIMES
         assert result.rejected.elements == (1,)
 
     def test_coprime_all_ones_keeps_one(self):
-        result = encode(coprime(), "1" * 10)
+        result = encode(OperatorKind("coprime"), "1" * 10)
         assert result.accepted.elements == (1,) + FIRST_PRIMES
 
     def test_norm_seven_worked_pair(self):
-        result = encode(norm_k(7), "001001")
+        result = encode(OperatorKind("normk", 7), "001001")
         assert result.accepted.elements == (3, 7)
         assert result.consumed == 7
 
     def test_sum_free_all_ones_gives_odds(self):
-        result = encode(sum_free(), "1" * 8)
+        result = encode(OperatorKind("sumfree"), "1" * 8)
         assert result.accepted.elements == tuple(range(1, 16, 2))
 
     @given(st.sampled_from(ALL_OPERATORS), bit_words)
@@ -106,33 +103,33 @@ class TestEncode:
             match=r"ceiling 4 under sumfree with 2 of 5 bits classified; "
             r"largest accepted element 3$",
         ):
-            encode(sum_free(), "1" * 5)
+            encode(OperatorKind("sumfree"), "1" * 5)
 
 
 class TestDecode:
     def test_empty_set_prefix(self):
-        result = decode(sum_free(), IntSetPrefix((), 5))
+        result = decode(OperatorKind("sumfree"), IntSetPrefix((), 5))
         assert result.ternary == "00000"
         assert result.bits == "00000"
 
     def test_norm_seven_worked_pair(self):
-        result = decode(norm_k(7), IntSetPrefix((3, 7), 7))
+        result = decode(OperatorKind("normk", 7), IntSetPrefix((3, 7), 7))
         assert result.ternary == "00100*1"
         assert result.bits == "001001"
         assert from_characteristic(result.bits) == IntSetPrefix((3, 6), 6)
 
     def test_sum_free_odds(self):
-        result = decode(sum_free(), IntSetPrefix((1, 3, 5), 6))
+        result = decode(OperatorKind("sumfree"), IntSetPrefix((1, 3, 5), 6))
         assert result.ternary == "1*1*1*"
         assert result.bits == "111"
 
     def test_coprime_stars_at_multiples(self):
-        result = decode(coprime(), IntSetPrefix((2, 3), 10))
+        result = decode(OperatorKind("coprime"), IntSetPrefix((2, 3), 10))
         stars = {i + 1 for i, s in enumerate(result.ternary) if s == "*"}
         assert stars == {4, 6, 8, 9, 10}
 
     def test_reports_violations_of_non_members(self):
-        result = decode(sum_free(), IntSetPrefix((1, 2), 3))
+        result = decode(OperatorKind("sumfree"), IntSetPrefix((1, 2), 3))
         assert result.violations == (2,)
         assert result.ternary == "11*"  # membership wins over the forbidden mark
 
@@ -184,7 +181,7 @@ class TestDecodeMatchesReference:
             ),
             # Lacunary sets: gaps of up to 10^5 values.
             st.tuples(
-                st.sampled_from([finite_sums(), norm_k(9)]),
+                st.sampled_from([OperatorKind("fs"), OperatorKind("normk", 9)]),
                 st.sets(st.integers(1, 10**5), min_size=1, max_size=6),
             ),
         ),
@@ -220,7 +217,7 @@ class TestOneRender:
         assert result == reference_decode(op, prefix)
         return result
 
-    @pytest.mark.parametrize("op", [coprime(), finite_sums()], ids=str)
+    @pytest.mark.parametrize("op", [OperatorKind("coprime"), OperatorKind("fs")], ids=str)
     @given(prefix=prefixes(max_horizon=300))
     @settings(max_examples=200, deadline=None)
     def test_drawn_prefixes(self, op, prefix):
@@ -229,24 +226,26 @@ class TestOneRender:
     @pytest.mark.parametrize(
         "op, elements, horizon",
         [
-            (coprime(), (), 0),
-            (coprime(), (1,), 1),
-            (coprime(), (1,), 10),
-            (coprime(), (1, 2, 3, 4), 10),
-            (coprime(), (5,), 5),  # the first element of 5 at the horizon marks nothing
-            (coprime(), (2, 4), 4),
-            (coprime(), (3, 9), 9),
-            (coprime(), (2, 3, 5, 7, 11), 11),
-            (coprime(), (4, 8, 9, 27), 40),
-            (coprime(), (6, 10, 15), 40),  # pairwise not coprime, with no common prime
-            (coprime(), (4, 6, 9), 30),
-            (finite_sums(), (), 0),
-            (finite_sums(), (1,), 10),  # a single member forbids nothing above it
-            (finite_sums(), (1, 2, 3), 10),  # 3 = 1 + 2 is violated
-            (finite_sums(), (1, 2, 4, 7), 20),  # 7 = 1 + 2 + 4 is violated
-            (finite_sums(), (3, 5, 8, 13), 30),  # 8 = 3 + 5, and 13 = 5 + 8
-            (finite_sums(), (1, 2, 4), 4),  # an allowed element at the horizon
-            (finite_sums(), (2, 5, 7), 7),  # 7 = 2 + 5 at the horizon
+            (OperatorKind("coprime"), (), 0),
+            (OperatorKind("coprime"), (1,), 1),
+            (OperatorKind("coprime"), (1,), 10),
+            (OperatorKind("coprime"), (1, 2, 3, 4), 10),
+            # the first element of 5 at the horizon marks nothing
+            (OperatorKind("coprime"), (5,), 5),
+            (OperatorKind("coprime"), (2, 4), 4),
+            (OperatorKind("coprime"), (3, 9), 9),
+            (OperatorKind("coprime"), (2, 3, 5, 7, 11), 11),
+            (OperatorKind("coprime"), (4, 8, 9, 27), 40),
+            # pairwise not coprime, with no common prime
+            (OperatorKind("coprime"), (6, 10, 15), 40),
+            (OperatorKind("coprime"), (4, 6, 9), 30),
+            (OperatorKind("fs"), (), 0),
+            (OperatorKind("fs"), (1,), 10),  # a single member forbids nothing above it
+            (OperatorKind("fs"), (1, 2, 3), 10),  # 3 = 1 + 2 is violated
+            (OperatorKind("fs"), (1, 2, 4, 7), 20),  # 7 = 1 + 2 + 4 is violated
+            (OperatorKind("fs"), (3, 5, 8, 13), 30),  # 8 = 3 + 5, and 13 = 5 + 8
+            (OperatorKind("fs"), (1, 2, 4), 4),  # an allowed element at the horizon
+            (OperatorKind("fs"), (2, 5, 7), 7),  # 7 = 2 + 5 at the horizon
         ],
     )
     def test_edges(self, op, elements, horizon):
@@ -257,13 +256,13 @@ class TestOneRender:
         # one of them, and 2**20 is free.  The encoder refuses that word: its
         # last candidate lies past the candidate ceiling.
         prefix = IntSetPrefix(tuple(1 << i for i in range(20)), 1 << 20)
-        result = decode(finite_sums(), prefix)
+        result = decode(OperatorKind("fs"), prefix)
         assert result.ternary == "".join(
             "1" if v & (v - 1) == 0 else "*" for v in range(1, 1 << 20)) + "0"
         assert result.bits == "1" * 20 + "0"
         assert result.violations == ()
         with pytest.raises(CandidateCeilingExceeded):
-            encode(finite_sums(), result.bits)
+            encode(OperatorKind("fs"), result.bits)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_shared_primes_and_prime_powers(self, seed):
@@ -278,7 +277,8 @@ class TestOneRender:
                 if p <= horizon:
                     elements.update(rng.randrange(p, horizon + 1, p) for _ in range(4))
             elements.update(rng.sample(range(1, horizon + 1), min(horizon, rng.randint(0, 40))))
-            violated += bool(self.check(coprime(), IntSetPrefix.of(elements, horizon)).violations)
+            result = self.check(OperatorKind("coprime"), IntSetPrefix.of(elements, horizon))
+            violated += bool(result.violations)
         assert violated >= 40
 
     @pytest.mark.parametrize("seed", range(3))
@@ -286,8 +286,8 @@ class TestOneRender:
         # Primes near 2**21 and products of two primes above 2**10 are
         # factored by trial division.
         rng = random.Random(f"coprime-render/large/{seed}")
-        large = [n for n in range(2**21 - 300, 2**21 + 300) if prime_factors(n) == {n}]
-        small = [n for n in range(1025, 1200) if prime_factors(n) == {n}]
+        large = [n for n in range(2**21 - 300, 2**21 + 300) if prime_factors(n) == [n]]
+        small = [n for n in range(1025, 1200) if prime_factors(n) == [n]]
         semiprimes = [p * q for p, q in zip(small, small[1:])]
         assert min(semiprimes) >= 2**20
         primes = rng.sample(large, 3)
@@ -298,7 +298,7 @@ class TestOneRender:
         elements.add(3 * primes[0])
         elements.update(rng.sample(range(1, 5000), 30))
         horizon = max(elements) + rng.randint(0, 3000)
-        result = self.check(coprime(), IntSetPrefix.of(elements, horizon))
+        result = self.check(OperatorKind("coprime"), IntSetPrefix.of(elements, horizon))
         assert 3 * primes[0] in result.violations
 
 
@@ -319,7 +319,7 @@ class TestSubsetSumWidth:
 
     @pytest.mark.parametrize("n", [2_000, 20_000])
     def test_a_dense_non_member(self, n, made):
-        result = decode(finite_sums(), IntSetPrefix(tuple(range(1, n + 1)), n + 1))
+        result = decode(OperatorKind("fs"), IntSetPrefix(tuple(range(1, n + 1)), n + 1))
         # Each element from 3 = 1 + 2 on is a sum of smaller ones, and so is n + 1.
         assert result.ternary == "1" * n + "*"
         assert result.violations == tuple(range(3, n + 1))
@@ -333,11 +333,11 @@ class TestSubsetSumWidth:
         # whose subset sums reach 3 * n**2 / 8.
         n = 10_000
         prefix = IntSetPrefix(tuple(range(n // 2 + 1, n + 1)), n)
-        result = decode(finite_sums(), prefix)
+        result = decode(OperatorKind("fs"), prefix)
         assert result.ternary == "0" * (n // 2) + "1" * (n // 2)
         assert result.violations == ()
-        assert is_member(finite_sums(), prefix)
-        assert dynamics.is_encoder_fixed_point(finite_sums(), prefix)
+        assert is_member(OperatorKind("fs"), prefix)
+        assert dynamics.is_encoder_fixed_point(OperatorKind("fs"), prefix)
         assert [oracle._mask.bit_length() <= n + 1 for oracle in made] == [True] * 3
 
 
@@ -357,19 +357,19 @@ class TestDecodeGaps:
     def test_norm_seven_gap(self):
         # 6 - 2*3 = 0 has norm 5; 4 and 5 are free.
         prefix = IntSetPrefix((3, 7), 10)
-        assert self.gap(norm_k(7), prefix, 1) == (4, 6, "00*")
+        assert self.gap(OperatorKind("normk", 7), prefix, 1) == (4, 6, "00*")
 
     def test_sum_free_gap(self):
-        assert self.gap(sum_free(), IntSetPrefix((1, 3), 6), 1) == (2, 2, "*")
+        assert self.gap(OperatorKind("sumfree"), IntSetPrefix((1, 3), 6), 1) == (2, 2, "*")
 
     def test_tail_gap_runs_to_the_horizon(self):
         # 4 = 1 + 3 and 6 = 3 + 3; 5 is no sum of two of {1, 3}.
-        assert self.gap(sum_free(), IntSetPrefix((1, 3), 6), 2) == (4, 6, "*0*")
+        assert self.gap(OperatorKind("sumfree"), IntSetPrefix((1, 3), 6), 2) == (4, 6, "*0*")
 
     def test_adjacent_elements_leave_no_gap(self):
         prefix = IntSetPrefix((2, 3), 5)
-        assert self.gap(sum_free(), prefix, 1) == (3, 2, "")
-        assert self.gap(sum_free(), prefix, 2) == (4, 5, "**")
+        assert self.gap(OperatorKind("sumfree"), prefix, 1) == (3, 2, "")
+        assert self.gap(OperatorKind("sumfree"), prefix, 2) == (4, 5, "**")
 
     @given(st.sampled_from(ALL_OPERATORS), prefixes(max_horizon=60), st.data())
     @settings(max_examples=150, deadline=None)
@@ -411,7 +411,7 @@ class TestWalkMemory:
         horizon = 5_000_000
         tracemalloc.start()
         try:
-            result = decode(norm_k(7), IntSetPrefix((2, 3), horizon))
+            result = decode(OperatorKind("normk", 7), IntSetPrefix((2, 3), horizon))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -426,7 +426,7 @@ class TestRoundTrip:
         assert roundtrip_ok(op, "")
 
     def test_sieve_roundtrip(self):
-        assert roundtrip_ok(coprime(), "0111111111")
+        assert roundtrip_ok(OperatorKind("coprime"), "0111111111")
 
     @given(st.sampled_from(ALL_OPERATORS), bit_words)
     @settings(max_examples=250, deadline=None)
@@ -547,7 +547,7 @@ class TestOracleCallCounts:
         # elements under normk:9 forbid every later position.
         rng = random.Random("covered")
         start = IntSetPrefix(tuple(sorted(rng.sample(range(1, 2001), 200))), 2000)
-        result = decode(norm_k(9), start)
+        result = decode(OperatorKind("normk", 9), start)
         assert counts["add"] == 31
         assert result.violations[-169:] == start.elements[31:]
         assert set(result.ternary[start.elements[30] :]) == {"*", "1"}

@@ -9,18 +9,16 @@ from sievecodec import (
     CandidateCeilingExceeded,
     CostTable,
     IntSetPrefix,
+    OperatorKind,
     completeness_sufficient_condition,
-    coprime,
     decode,
     decode_orbit,
     encode,
     encoder_fixed_points,
-    finite_sums,
     find_limit,
     is_encoder_fixed_point,
     is_member,
-    norm_k,
-    sum_free,
+    parse_operator,
     ultimately_complete_on,
 )
 from conftest import EVERY_OPERATOR, CountingOracle
@@ -29,7 +27,7 @@ from reference import encoder_fixed_points as brute_force_fixed_points
 from reference import is_encoder_fixed_point as replayed_is_fixed
 from reference import step as full_decode_step
 
-N7 = norm_k(7)
+N7 = OperatorKind("normk", 7)
 
 # Exhaustive full-encode sweep over [1, 8] at norm bound 7; recomputed below
 # by the oracle, frozen here as a regression anchor.
@@ -200,7 +198,7 @@ class TestFindLimit:
             assert "*" not in decode(op, record.stabilized_prefix).ternary
             frozen_short += record.verdict == "insufficient-horizon"
         # Bounds 2 and 3 forbid nothing, so there the first pass freezes all.
-        assert (frozen_short > 0) == (op not in (norm_k(2), norm_k(3)))
+        assert (frozen_short > 0) == (str(op) not in ("normk:2", "normk:3"))
 
     def test_random_orbits_stabilize_and_stay_invariant(self):
         rng = random.Random(29)
@@ -299,11 +297,13 @@ class TestEncoderFixedPoints:
 
     @pytest.mark.parametrize("k", (3, 5, 7, 9, 16))
     def test_search_matches_brute_force_over_13(self, k):
-        assert encoder_fixed_points(norm_k(k), 13) == brute_force_fixed_points(norm_k(k), 13)
+        op = OperatorKind("normk", k)
+        assert encoder_fixed_points(op, 13) == brute_force_fixed_points(op, 13)
 
     @pytest.mark.parametrize(
         "op, count",
-        [(sum_free(), 127), (coprime(), 88), (finite_sums(), 304), (norm_k(5), 216)],
+        [(parse_operator(text), count)
+         for text, count in (("sumfree", 127), ("coprime", 88), ("fs", 304), ("normk:5", 216))],
         ids=str,
     )
     def test_walk_and_search_match_full_encodes_of_every_subset_of_12(self, op, count):
@@ -331,7 +331,7 @@ class TestEncoderFixedPoints:
             dynamics, "incremental_oracle", lambda op: built.append(op) or make(op)
         )
         monkeypatch.setattr(CostTable, "add", lambda table, e: adds.append(e) or add(table, e))
-        assert len(encoder_fixed_points(norm_k(k), m)) == fixed
+        assert len(encoder_fixed_points(OperatorKind("normk", k), m)) == fixed
         assert len(built) == 1
         assert len(adds) == added
 
@@ -356,7 +356,7 @@ class TestEncoderFixedPoints:
         for k in range(4, 10):
             violations = [
                 p.elements
-                for p in encoder_fixed_points(norm_k(k), 10)
+                for p in encoder_fixed_points(OperatorKind("normk", k), 10)
                 if p.elements and not max(p.elements) < 2 * min(p.elements)
             ]
             report[k] = len(violations)
@@ -367,30 +367,30 @@ class TestEncoderFixedPoints:
 class TestUltimateCompleteness:
     def test_odds_complete_from_two(self):
         odds = IntSetPrefix(tuple(range(1, 50, 2)), 50)
-        verdict = ultimately_complete_on(sum_free(), odds, 2)
+        verdict = ultimately_complete_on(OperatorKind("sumfree"), odds, 2)
         assert verdict.kind == "complete-on-window"
 
     def test_empty_set_incomplete_with_least_witness(self):
-        verdict = ultimately_complete_on(sum_free(), IntSetPrefix((), 10), 1)
+        verdict = ultimately_complete_on(OperatorKind("sumfree"), IntSetPrefix((), 10), 1)
         assert verdict.kind == "incomplete"
         assert verdict.witness == 1
 
     def test_window_beyond_horizon_is_undecided(self):
-        verdict = ultimately_complete_on(sum_free(), IntSetPrefix((), 10), 11)
+        verdict = ultimately_complete_on(OperatorKind("sumfree"), IntSetPrefix((), 10), 11)
         assert verdict.kind == "undecided"
 
     def test_rejects_window_below_one(self):
         with pytest.raises(ValueError):
-            ultimately_complete_on(sum_free(), IntSetPrefix((), 10), 0)
+            ultimately_complete_on(OperatorKind("sumfree"), IntSetPrefix((), 10), 0)
 
     def test_verdict_matches_zero_tail_of_decoded_word(self):
         rng = random.Random(61)
         for _ in range(40):
             word = "".join(rng.choice("01") for _ in range(40))
-            member = encode(sum_free(), word).accepted
+            member = encode(OperatorKind("sumfree"), word).accepted
             window = rng.randint(1, max(1, member.horizon))
-            verdict = ultimately_complete_on(sum_free(), member, window)
-            ternary = decode(sum_free(), member).ternary
+            verdict = ultimately_complete_on(OperatorKind("sumfree"), member, window)
+            ternary = decode(OperatorKind("sumfree"), member).ternary
             has_zero = "0" in ternary[window - 1 :]
             assert (verdict.kind == "incomplete") == has_zero
 
@@ -434,7 +434,7 @@ class TestSufficientCondition:
 class TestTwoElementLaws:
     @pytest.mark.parametrize("a", range(3, 13))
     def test_encode_bumps_the_double(self, a):
-        result = encode(norm_k(7), characteristic(IntSetPrefix((a, 2 * a), 2 * a)))
+        result = encode(OperatorKind("normk", 7), characteristic(IntSetPrefix((a, 2 * a), 2 * a)))
         assert result.accepted.elements == (a, 2 * a + 1)
 
     @pytest.mark.parametrize("a", range(3, 13))
@@ -450,13 +450,13 @@ class TestEncoderImage:
         rng = random.Random(83)
         for _ in range(20):
             prefix = random_prefix(rng, rng.randint(1, 40), rng.random())
-            image = encode(norm_k(7), characteristic(prefix))
-            assert is_member(norm_k(7), image.accepted)
+            image = encode(OperatorKind("normk", 7), characteristic(prefix))
+            assert is_member(OperatorKind("normk", 7), image.accepted)
             assert decode(N7, image.accepted).bits == characteristic(prefix)
 
     def test_image_of_an_encoder_fixed_point_is_itself(self):
         for elements in [(3,), (3, 5), (2, 3), (4, 6, 7)]:
             prefix = IntSetPrefix(elements, max(elements))
-            image = encode(norm_k(7), characteristic(prefix))
+            image = encode(OperatorKind("normk", 7), characteristic(prefix))
             kept = {a for a in image.accepted.elements if a <= prefix.horizon}
             assert kept == set(elements)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from sievecodec import CostTable, Relation, find_anchored_relation, norm_k
+from sievecodec import CostTable, OperatorKind, Relation, find_anchored_relation
 from sievecodec.operators import _NormOracle
 from reference import apply_J
 
@@ -60,30 +60,30 @@ class TestReferenceNorm:
 
     def test_doubling_relation(self):
         # 6 - 2*3 = 0 has norm 5; nothing relates 5 to 3 below norm 7.
-        assert apply_J(norm_k(7), {3}, 5, 6) == {6}
+        assert apply_J(OperatorKind("normk", 7), {3}, 5, 6) == {6}
 
     def test_three_term_relation(self):
         # 5 - 2*4 + 3 = 0 has norm 6.
-        assert apply_J(norm_k(7), {3, 4}, 5, 5) == {5}
-        assert apply_J(norm_k(6), {3, 4}, 5, 5) == set()
+        assert apply_J(OperatorKind("normk", 7), {3, 4}, 5, 5) == {5}
+        assert apply_J(OperatorKind("normk", 6), {3, 4}, 5, 5) == set()
 
     def test_symmetric_in_sign(self):
         # The same relation forbids 6 from {3} and 3 from {6}, with coefficient -2.
         for element, value in [(3, 6), (6, 3)]:
-            assert apply_J(norm_k(6), {element}, value, value + 1) == {value}
-            assert apply_J(norm_k(5), {element}, value, value) == set()
+            assert apply_J(OperatorKind("normk", 6), {element}, value, value + 1) == {value}
+            assert apply_J(OperatorKind("normk", 5), {element}, value, value) == set()
 
     def test_a_member_is_judged_by_the_others(self):
         # 3 and 6 each forbid the other at k = 6; alone, 3 - 3 = 0 does not count.
-        assert apply_J(norm_k(6), {3, 6}, 1, 6) == {3, 6}
-        assert apply_J(norm_k(16), {3}, 3, 3) == set()
+        assert apply_J(OperatorKind("normk", 6), {3, 6}, 1, 6) == {3, 6}
+        assert apply_J(OperatorKind("normk", 16), {3}, 3, 3) == set()
 
     @given(small_bases, st.integers(1, 40), st.integers(2, 9))
     @settings(max_examples=200)
     def test_agrees_with_naive_enumeration(self, base, anchor, k):
         base -= {anchor}
         oracle = naive_min_norm(base, anchor, isqrt(k - 1))
-        forbidden = anchor in apply_J(norm_k(k), base, anchor, anchor)
+        forbidden = anchor in apply_J(OperatorKind("normk", k), base, anchor, anchor)
         assert forbidden == (oracle is not None and oracle < k)
 
 
