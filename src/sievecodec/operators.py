@@ -40,6 +40,7 @@ All operations are pure; the prime-factor cache is grow-only and idempotent.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import isqrt
 
@@ -91,9 +92,11 @@ def parse_operator(text: str) -> OperatorKind:
 # allocates in proportion to its integer.  The coprime oracle's marks grow
 # 4-fold up to the cap and 2-fold past it, and a ``forbids`` probe never grows
 # them past it.  Rebuilds are idempotent, so a racing refill at worst
-# duplicates work.
+# duplicates work.  The sieve is a 4-byte ``array`` written by slices, not a
+# numpy array: numpy is imported only when a ``normk`` (k >= 5) cost table
+# is built, and the table-free operators never load it.
 _SPF_CAP = 1 << 20
-_spf: list[int] = [0, 1]
+_spf = array("I", [0, 1])
 
 
 class FactorBoundExceeded(RuntimeError):
@@ -104,13 +107,16 @@ def _ensure_spf(n: int) -> None:
     # Grow the sieve past n; its caller has n >= len(_spf).
     global _spf
     size = min(max(n + 1, 2 * len(_spf)), _SPF_CAP)
-    table = list(range(size))
-    for p in range(2, isqrt(size - 1) + 1):
-        if table[p] == p:
-            for multiple in range(p * p, size, p):
-                if table[multiple] == multiple:
-                    table[multiple] = p
-    table[1] = 1
+    root = isqrt(size - 1)
+    prime = bytearray([1]) * (root + 1)  # prime[p] for p <= root, sieved by slices too
+    for p in range(2, isqrt(root) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    table = array("I", range(size))
+    # Larger primes first, so the smallest prime factor writes last.
+    for p in range(root, 1, -1):
+        if prime[p]:
+            table[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
     _spf = table
 
 

@@ -17,15 +17,15 @@ package.  Every query here builds one table sized to its own bound and keeps
 nothing once it returns; each table owns its work space, so tables built in
 different threads share nothing.  This is the one module of the package
 that uses numpy: the table's cells are numpy arrays, and what it hands out
-is plain ints and ``bytes``.
+is plain ints and ``bytes``.  numpy is imported when the first table is
+allocated, so a process whose operators build none (``sumfree``,
+``coprime``, ``normk`` with k <= 4, ``fs``) never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-
-import numpy as np
 
 #: Largest norm bound the search machinery accepts; beyond it we refuse loudly
 #: instead of silently truncating the search space.
@@ -34,10 +34,12 @@ DEFAULT_MAX_NORM_BOUND = 16
 # Above every cost: costs never exceed DEFAULT_MAX_NORM_BOUND - 1 = 15, and
 # ``CostTable.add`` adds at most 3**2 (coefficients |j| <= isqrt(15)) to a
 # cell, so _INF + 9 still fits a one-byte cell.
-_INF = np.uint8(200)
+_INF = 200
 
 # A new CostTable covers elements up to this; it doubles as elements arrive.
 _FIRST_LIMIT = 16
+
+np = None  # numpy, bound by the first ``_cells`` call
 
 
 def _cells(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -49,6 +51,9 @@ def _cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     recycled as the cost array alone was.  A table too long for numpy to
     dimension raises ``MemoryError``, as one too large to allocate does.
     """
+    global np
+    if np is None:
+        import numpy as np
     try:
         both = np.empty(2 * n, dtype=np.uint8)
     except ValueError:  # "Maximum allowed dimension exceeded"

@@ -1,6 +1,10 @@
-import importlib
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -340,19 +344,61 @@ class TestRecordsFormat:
         assert excinfo.value.code == 2
 
 
+# Runs each argv of a JSON list through ``main`` in a fresh process and prints
+# the [code, stdout, stderr] of each, whether numpy was loaded, and the
+# sievecodec modules that bind a numpy module.  With ``blocked`` first,
+# ``sys.modules["numpy"] = None`` makes any numpy import raise ``ImportError``.
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from sievecodec.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+binders = sorted(name for name, module in sys.modules.items() if name.startswith("sievecodec")
+                 and any(isinstance(v, type(sys)) and v.__name__.partition(".")[0] == "numpy"
+                         for v in vars(module).values()))
+print(json.dumps([results, sys.modules.get("numpy") is not None, binders]))
+"""
+
+
+def _run_commands(mode, commands):
+    env = dict(os.environ, PYTHONPATH=str(Path(sievecodec.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, mode, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+def test_table_free_commands_never_import_numpy():
+    # Only a cost table needs numpy.  The other operators run on big-int
+    # masks and byte marks, and answer alike with numpy unimportable.
+    commands = []
+    for op in ("sumfree", "coprime", "normk:2", "normk:3", "normk:4", "fs"):
+        commands += [
+            ["encode", "--op", op, "0110100111011"],
+            ["decode", "--op", op, "2,3,7,10 @ 30"],
+            ["member", "--op", op, "2,3,7 @ 10"],
+            ["uc", "--op", op, "--window", "10", "2,3,7 @ 40"],
+            ["roundtrip", "--op", op, "--count", "20", "--max-len", "12", "--seed", "1"],
+        ]
+    blocked, _, _ = _run_commands("blocked", commands)
+    unblocked, loaded, _ = _run_commands("unblocked", commands)
+    assert blocked == unblocked
+    assert {code for code, _, _ in blocked} == {0, 1}
+    assert not loaded
+
+
 def test_numpy_is_bound_only_in_relations():
-    # The cost table's cells are the package's one numpy representation; the
+    # The first cost table loads numpy, and only relations binds it: the
     # oracles, the codec, the dynamics and the CLI see only ints and bytes.
-    importlib.import_module("sievecodec.cli")
-
-    def binds_numpy(name):
-        module = importlib.import_module(f"sievecodec.{name}")
-        return any(isinstance(v, ModuleType) and v.__name__.partition(".")[0] == "numpy"
-                   for v in vars(module).values())
-
-    for name in ("core", "operators", "codec", "dynamics", "cli"):
-        assert not binds_numpy(name), name
-    assert binds_numpy("relations")
+    results, loaded, binders = _run_commands("unblocked", [["encode", "--op", "normk:5", "0110"]])
+    assert results == [[0, "A = 2,3 @ 4\nB = 1,4 @ 4\nconsumed = 4\n", ""]]
+    assert loaded
+    assert binders == ["sievecodec.relations"]
 
 
 def test_public_surface():

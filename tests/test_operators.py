@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,20 @@ class TestPrimeFactors:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             prime_factors(0)
+
+    def test_fresh_sieve_matches_trial_division(self, monkeypatch):
+        # Grown by doublings from empty, as a first coprime query grows it.
+        monkeypatch.setattr(operators, "_spf", array("I", [0, 1]))
+        for n in range(1, 2**16):
+            assert prime_factors(n) == sorted(reference.prime_factors(n)), n
+
+    def test_sieve_at_the_cap_is_compact(self, monkeypatch):
+        # Four bytes per integer, written by slices: no int object per entry.
+        monkeypatch.setattr(operators, "_spf", array("I", [0, 1]))
+        _, peak = _peak_bytes(lambda: operators._ensure_spf(_SPF_CAP - 1))
+        assert len(operators._spf) == _SPF_CAP
+        assert peak < 8 * 2**20
+        assert prime_factors(_SPF_CAP - 1) == [3, 5, 11, 31, 41]
 
     def test_above_the_sieve(self):
         # Past the sieve's cap the factors come from trial division.
