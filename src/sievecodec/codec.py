@@ -32,13 +32,15 @@ from .operators import OperatorKind, incremental_oracle
 #: The encoder refuses a candidate above this that lies past a forbidden
 #: integer.  It bounds the oracle's state, which grows with the largest
 #: accepted element e: 2*(k-2)*limit one-byte ``CostTable`` cells for
-#: ``normk:<k>`` with k >= 5 (``limit`` doubles from 16 until it reaches e)
-#: and as many again for the work space of ``CostTable.add``, big-int masks
-#: of about 2e bits for ``sumfree`` and ``normk:4`` (the pair sums) and none
-#: for ``normk:2`` and ``normk:3``, of sum(A) bits for ``fs`` (the sums of two
-#: or more members), and one-byte ``coprime`` marks from 0 up to less than
-#: four times the largest integer scanned (twice, past ``operators._SPF_CAP``).
-#: Under operators whose accepted elements grow geometrically (``normk`` with
+#: ``normk:<k>`` with k >= 5 (``limit`` quadruples from 16 until it reaches e,
+#: so it is below 4e, and at most 2**20 = 16 * 4**8 under this ceiling; decode
+#: and membership have no ceiling and the same 4e) and as many again for the
+#: work space of ``CostTable.add``, big-int masks of about 2e bits for
+#: ``sumfree`` and ``normk:4`` (the pair sums) and none for ``normk:2`` and
+#: ``normk:3``, of sum(A) bits for ``fs`` (the sums of two or more members),
+#: and one-byte ``coprime`` marks from 0 up to less than four times the
+#: largest integer scanned (twice, past ``operators._SPF_CAP``).  Under
+#: operators whose accepted elements grow geometrically (``normk`` with
 #: k >= 7, ``fs``) ordinary words of a few dozen bits reach it.
 DEFAULT_CANDIDATE_CEILING = 1_000_000
 

@@ -392,6 +392,18 @@ def test_table_free_commands_never_import_numpy():
     assert not loaded
 
 
+def test_sufficient_at_k_four_never_imports_numpy():
+    # At k = 4 an anchored witness would need 1 +/- b == 0 for a base
+    # element b > 1, so no cost table is built.
+    commands = [["sufficient", "--k", "4", prefix]
+                for prefix in ("2,3 @ 5", "2,5,7 @ 10", "3,4,9 @ 12", "2 @ 3")]
+    blocked, _, _ = _run_commands("blocked", commands)
+    unblocked, loaded, _ = _run_commands("unblocked", commands)
+    assert blocked == unblocked
+    assert {code for code, _, _ in blocked} == {1}
+    assert not loaded
+
+
 def test_numpy_is_bound_only_in_relations():
     # The first cost table loads numpy, and only relations binds it: the
     # oracles, the codec, the dynamics and the CLI see only ints and bytes.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from sievecodec import CostTable, OperatorKind, Relation, find_anchored_relation
+from sievecodec import CostTable, OperatorKind, Relation, find_anchored_relation, relations
 from sievecodec.operators import _NormOracle
 from reference import apply_J
 
@@ -218,6 +218,19 @@ class TestCostTable:
         assert table.min_cost(37) == 2
         assert table.min_cost(3) == table.min_cost(40) == 1
 
+    def test_window_grows_fourfold(self, monkeypatch):
+        # Elements 2**5 .. 2**20 take ``limit`` from 16 to 2**20 = 16 * 4**8:
+        # one block for the new table and one per grow, eight grows where
+        # doubling would take sixteen.
+        blocks = []
+        cells = relations._cells
+        monkeypatch.setattr(relations, "_cells", lambda n: blocks.append(n) or cells(n))
+        table = CostTable(3)
+        for p in range(5, 21):
+            table.add(2**p)
+            assert table.limit == min(16 * 4**m for m in range(9) if 16 * 4**m >= 2**p)
+        assert len(blocks) <= 9
+
     def test_matches_brute_force_through_growth(self):
         # Elements from a few units up to about 2000 take each table through
         # several doublings of its window; after every add, each value must
@@ -259,20 +272,22 @@ class TestCostTable:
             assert list(pool.map(build, sets)) == serial
 
     def test_copies_grow_apart(self):
-        # One copy is taken before the original's window doubles and one
+        # One copy is taken before the original's window grows and one
         # after; each, grown on, matches a table built from its own elements.
+        # ``big`` lies past the first window and ``bigger`` past the grown one.
         rng = random.Random(13)
         for budget in range(1, 16):
             a, b, c, d = rng.sample(range(1, 17), 4)
-            big, bigger = rng.randint(17, 100), rng.randint(129, 400)
             table = CostTable(budget)
             for e in (a, b, c):
                 table.add(e)
             before = table.copy()
+            big = rng.randint(table.limit + 1, 6 * table.limit)
             table.add(big)
             assert table.limit > before.limit
             before.add(d)
             after = table.copy()
+            bigger = rng.randint(table.limit + 1, 3 * table.limit)
             after.add(bigger)
             assert after.limit > table.limit
             table.add(d)
