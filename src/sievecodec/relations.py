@@ -54,8 +54,8 @@ def _cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     ``limit``, which takes half as many blocks as doubling and leaves glibc
     fewer freed blocks to return to the OS: over 30 rounds of the
     ``codec-lacunary`` bench words (seed 41) in one process on glibc 2.36,
-    25,623 minor page faults fell to 331.  A table too long for numpy to dimension raises
-    ``MemoryError``, as one too large to allocate does.
+    25,483 minor page faults fell to 326.  A table too long for numpy to
+    dimension raises ``MemoryError``, as one too large to allocate does.
     """
     global np
     if np is None:
