@@ -30,6 +30,11 @@ def check_word(word: str) -> str:
     return word
 
 
+def _check_horizon(horizon) -> None:
+    if not isinstance(horizon, int) or horizon < 0:
+        raise ValueError(f"horizon must be a non-negative integer, got {horizon!r}")
+
+
 @dataclass(frozen=True)
 class IntSetPrefix:
     """A set of positive integers whose membership is decided on [1, horizon].
@@ -44,8 +49,7 @@ class IntSetPrefix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
-        if not isinstance(self.horizon, int) or self.horizon < 0:
-            raise ValueError(f"horizon must be a non-negative integer, got {self.horizon!r}")
+        _check_horizon(self.horizon)
         prev = 0
         for a in self.elements:
             if not isinstance(a, int) or a < 1:
@@ -58,6 +62,13 @@ class IntSetPrefix:
                 f"element {prev} exceeds horizon {self.horizon}; membership beyond "
                 "the horizon is not certified"
             )
+
+    @classmethod
+    def _trusted(cls, elements: tuple[int, ...], horizon: int) -> "IntSetPrefix":
+        """A prefix of ``elements`` already known to be valid, built unchecked."""
+        prefix = object.__new__(cls)
+        prefix.__dict__.update(elements=elements, horizon=horizon)
+        return prefix
 
     @classmethod
     def of(cls, elements, horizon: int) -> "IntSetPrefix":
@@ -92,7 +103,9 @@ class IntSetPrefix:
                 f"cannot extend horizon {self.horizon} to {new_horizon}: membership "
                 "beyond the horizon is unknown"
             )
-        return IntSetPrefix(self.elements[: bisect_right(self.elements, new_horizon)], new_horizon)
+        _check_horizon(new_horizon)
+        return IntSetPrefix._trusted(
+            self.elements[: bisect_right(self.elements, new_horizon)], new_horizon)
 
     def __str__(self) -> str:
         return f"{','.join(str(a) for a in self.elements)} @ {self.horizon}".lstrip()
@@ -101,5 +114,10 @@ class IntSetPrefix:
 def from_characteristic(word: str) -> IntSetPrefix:
     """The prefix of the indicator word ``word``: 1-positions become elements."""
     check_word(word)
-    elements = tuple(i for i, bit in enumerate(word, start=1) if bit == "1")
-    return IntSetPrefix(elements, len(word))
+    elements: list[int] = []
+    start, padded = word.find("1"), word + "0"
+    while start >= 0:  # one range per run of ones
+        end = padded.find("0", start)
+        elements.extend(range(start + 1, end + 1))
+        start = word.find("1", end)
+    return IntSetPrefix._trusted(tuple(elements), len(word))

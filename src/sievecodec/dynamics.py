@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .codec import decode
+from .codec import DecodeResult, decode
 from .core import IntSetPrefix, from_characteristic
 from .operators import OperatorKind, incremental_oracle, is_member
 from .relations import Relation, find_anchored_relation
@@ -56,28 +56,28 @@ class OrbitRecord:
     verdict: str
 
 
-def _ternary(op: OperatorKind, prefix: IntSetPrefix) -> str:
-    """The ternary word of ``prefix``, decoded only below its top run.
+def _below_top_run(op: OperatorKind, prefix: IntSetPrefix) -> tuple[DecodeResult, int]:
+    """The decode of ``prefix`` cut just below its top run, and the run's length.
 
     The top run is the run of consecutive elements that ends at the horizon.
     An element's position always reads '1', and position a of a decode pass
-    depends only on the elements below a, so the word is the decode of the
-    prefix cut just below the run followed by one '1' per run element.
+    depends only on the elements below a, so the decode of the whole prefix
+    is this one followed by one '1' per run element.
     """
     elements, horizon = prefix.elements, prefix.horizon
     n = len(elements)
     # elements[i] - i never decreases; the top run is where it reaches
     # horizon - n + 1, the most it can be.
     run = n - bisect_left(range(n), horizon - n + 1, key=lambda i: elements[i] - i)
-    return decode(op, prefix.truncate(horizon - run)).ternary + "1" * run
+    return decode(op, prefix.truncate(horizon - run)), run
 
 
 def _step(op: OperatorKind, prefix: IntSetPrefix) -> tuple[IntSetPrefix, int, int]:
     """One decode pass: next iterate, star count, leading star-free length."""
-    ternary = _ternary(op, prefix)
-    first_star = ternary.find("*")
+    result, run = _below_top_run(op, prefix)
+    first_star = result.ternary.find("*")
     frozen_len = prefix.horizon if first_star < 0 else first_star
-    return from_characteristic(ternary.replace("*", "")), ternary.count("*"), frozen_len
+    return from_characteristic(result.bits + "1" * run), result.ternary.count("*"), frozen_len
 
 
 def decode_orbit(op: OperatorKind, start: IntSetPrefix, steps: int) -> OrbitRecord:
@@ -235,8 +235,9 @@ def ultimately_complete_on(
         raise ValueError("window_start must be at least 1")
     if window_start > prefix.horizon:
         return CompletenessVerdict("undecided")
-    # A '0' in the ternary word is a non-member its predecessors do not forbid.
-    gap = _ternary(op, prefix).find("0", window_start - 1)
+    # A '0' in the ternary word is a non-member its predecessors do not
+    # forbid; the top run reads all '1'.
+    gap = _below_top_run(op, prefix)[0].ternary.find("0", window_start - 1)
     if gap < 0:
         return CompletenessVerdict("complete-on-window")
     return CompletenessVerdict("incomplete", gap + 1)

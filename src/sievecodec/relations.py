@@ -12,14 +12,15 @@ coefficient tuple, read along increasing elements, is lexicographically
 least.  Repeated calls return the identical object contents.
 
 The incremental :class:`CostTable` answers existence queries in O(1) after a
-vectorised update per added element; it backs the hot paths elsewhere in the
-package.  Every query here builds one table sized to its own bound and keeps
-nothing once it returns; each table owns its work space, so tables built in
-different threads share nothing.  This is the one module of the package
-that uses numpy: the table's cells are numpy arrays, and what it hands out
-is plain ints and ``bytes``.  numpy is imported when the first table is
-allocated, so a process whose operators build none (``sumfree``,
-``coprime``, ``normk`` with k <= 4, ``fs``) never loads it.
+vectorised update per added element; it backs the ``normk`` oracles of
+:mod:`sievecodec.operators`.  Each table owns its work space, so tables
+built in different threads share nothing.  :func:`find_anchored_relation`
+builds no table: it sweeps big-int masks, one per cost level, and keeps
+nothing once it returns.  This is the one module of the package that uses
+numpy: the table's cells are numpy arrays, and what it hands out is plain
+ints and ``bytes``.  numpy is imported when the first table is allocated,
+so a process whose operators build none (``sumfree``, ``coprime``,
+``normk`` with k <= 4, ``fs``) never loads it.
 """
 
 from __future__ import annotations
@@ -221,52 +222,27 @@ class CostTable:
         return c if c <= self.budget else None
 
 
-def _lex_min_witness(elements: tuple[int, ...], target: int) -> tuple[int, ...] | None:
-    """Lexicographically least coefficients on ``elements``, in increasing
-    order, that make 1 + sum(y_b * b) == 0 with 1 + sum(y_b ** 2) == target.
+def _admit(levels: list[int], element: int, unit: int, old_unit: int) -> list[int]:
+    """``levels`` once ``element`` joins: level r holds each sum s of cost <= r
+    as bit r * unit + s, where ``levels`` held it at r * old_unit + s.  With
+    unit at least every element, every shift is to the left."""
+    grow = unit - old_unit
+    based = [m << r * grow for r, m in enumerate(levels)] if grow else levels
+    out = based.copy()
+    j = 1
+    while j * j < len(out):
+        # Coefficient +-j on ``element`` lifts level r - j**2 to level r.
+        apart, up = 2 * j * element, j * j * unit - j * element
+        for r in range(j * j, len(out)):
+            q = based[r - j * j]
+            out[r] |= (q | q << apart) << up
+        j += 1
+    return out
 
-    Coefficients are assigned along increasing elements, each tried in
-    increasing numeric order, so the first full assignment found is the
-    lexicographic minimum.
-    """
-    n = len(elements)
-    largest = elements[-1]
-    out = [0] * n
-    bounds = [0] * n
-    # The partial total and norm before each element; the coefficient of 1
-    # is pinned to 1, so the search starts from its total and norm.
-    totals = [1] + [0] * n
-    used = [1] + [0] * n
-    i = 0
-    while True:
-        if i == n:
-            if totals[n] == 0 and used[n] == target:
-                return tuple(out)
-        else:
-            remaining = target - used[i]
-            # With remaining budget R every later contribution is at most R *
-            # max element (sum |y| <= sum y^2 for integers), so a larger
-            # imbalance is dead.
-            if abs(totals[i]) <= remaining * largest:
-                bound = isqrt(remaining)
-                bounds[i] = bound
-                out[i] = -bound
-                totals[i + 1] = totals[i] - bound * elements[i]
-                used[i + 1] = used[i] + bound * bound
-                i += 1
-                continue
-        # Back up to the deepest element with a larger coefficient left.
-        i -= 1
-        while i >= 0 and out[i] == bounds[i]:
-            out[i] = 0
-            i -= 1
-        if i < 0:
-            return None
-        out[i] += 1
-        y = out[i]
-        totals[i + 1] = totals[i] + y * elements[i]
-        used[i + 1] = used[i] + y * y
-        i += 1
+
+def _holds(levels: list[int], unit: int, r: int, s: int) -> bool:
+    """Does level r of ``levels`` (at ``unit``, as in :func:`_admit`) hold s?"""
+    return abs(s) <= r * unit and levels[r] >> r * unit + s & 1 == 1
 
 
 def _check_norm_bound(k: int) -> None:
@@ -284,6 +260,21 @@ def find_anchored_relation(base, k: int) -> Relation | None:
 
     Of the relations of that norm it returns the one whose coefficients, read
     along increasing elements, are lexicographically least.
+
+    The search is exact reachability on big-int masks: level r holds each
+    sum(y_b * b) of cost sum(y_b ** 2) <= r, the pinned 1 aside.  A forward
+    sweep along increasing elements, as wide as the largest element so far,
+    builds levels 0..2, and 0..k - 3 only if those hold no -1; the least
+    level holding -1 is the least norm less 1.  The walk then gives each
+    element in increasing order the least coefficient y whose remainder the
+    later elements hold at level spare - y**2.  A "<=" level may hold it at
+    a cost below the spare norm, but nothing holds -1 below the least norm,
+    so each choice starts a witness of exactly that norm.
+
+    Cost, for n elements, largest element E and L = k - 3: O(L**1.5) shifts
+    of at most 2 * L * E bits per element.  The later elements' masks are
+    built twice and kept at about sqrt(n) checkpoints and for one block of
+    about sqrt(n) elements: O(sqrt(n) * L**2 * E) bits at most.
     """
     _check_norm_bound(k)
     elements = frozenset(base)
@@ -292,16 +283,45 @@ def find_anchored_relation(base, k: int) -> Relation | None:
             raise ValueError(f"base set must contain positive integers, got {b!r}")
     if 1 in elements:
         raise ValueError("base set must not contain 1")
-    if k < 5:  # norm <= 2 leaves only 1 +/- b == 0 to solve, and b == 1 is excluded
+    # Norm <= 2 leaves only 1 +/- b == 0 to solve, and b == 1 is excluded.
+    if k < 5 or not elements:
         return None
-    # A witness has norm cost(1) + 1 <= k - 2, so no larger cost is read.
-    ordered = tuple(sorted(elements))
-    table = CostTable(k - 3)
-    for b in ordered:
-        table.add(b)
-    cost = table.min_cost(1)
-    if cost is None:
+    ordered, n = sorted(elements), len(elements)
+    last = ordered[-1]
+    # Norm 3 (some b and b + 1 in the base) is the least norm of 347 of the
+    # 408 limits the ``dynamics`` bench checks in 30 rounds, so levels 0..2
+    # come first.  The last element is read off for each coefficient j.
+    for cap in (2, k - 3) if k > 5 else (2,):
+        levels, top = [1] * (cap + 1), 0
+        for e in ordered[:-1]:
+            levels, top = _admit(levels, e, e, top), e
+        least = next((r for r in range(cap + 1) for j in range(-isqrt(r), isqrt(r) + 1)
+                      if _holds(levels, top, r - j * j, -1 - j * last)), None)
+        if least is not None:
+            break
+    else:
         return None
-    vector = _lex_min_witness(ordered, cost + 1)
-    assert vector is not None, "existence and witness search disagree"
-    return Relation(((1, 1),) + tuple((e, c) for e, c in zip(ordered, vector) if c), cost + 1)
+    # Suffix masks at unit ``last``, levels 0..least: ``stops[i]`` holds the
+    # sums over ordered[i:], kept at every ``block``-th i and at n.
+    block = isqrt(n) + 1
+    levels = [1 << r * last for r in range(least + 1)]
+    stops = {n: levels}
+    for i in range(n - 1, 0, -1):
+        levels = _admit(levels, ordered[i], last, last)
+        if i % block == 0:
+            stops[i] = levels
+    coeffs, target, spare = [], -1, least
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        after = [stops.pop(b)]  # after[-1] holds the sums over ordered[a + 1:]
+        for i in range(b - 1, a, -1):
+            after.append(_admit(after[-1], ordered[i], last, last))
+        for e in ordered[a:b]:
+            rest, bound = after.pop(), isqrt(spare)
+            for y in range(-bound, bound + 1):  # Relation checks the sum
+                if _holds(rest, last, spare - y * y, target - y * e):
+                    break
+            coeffs.append(y)
+            target -= y * e
+            spare -= y * y
+    return Relation(((1, 1),) + tuple((e, y) for e, y in zip(ordered, coeffs) if y), least + 1)

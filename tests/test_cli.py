@@ -233,7 +233,7 @@ class TestOutOfMemory:
             ("uc", "--op", "coprime", "--window", "1", f"2 @ {2**61}"),
             ("decode", "--op", "normk:7", f"2,3 @ {2**61}"),
             ("dynamics", "--k", "7", "--limit", "4", f"2,3 @ {2**61}"),
-            ("sufficient", "--k", "16", f"2,{2**61 - 1} @ {2**61 - 1}"),
+            ("sufficient", "--k", "16", f"2,{2**61 - 1},{2**61} @ {2**61}"),
             ("member", "--op", "normk:16", f"2,{2**61 - 1},{2**61} @ {2**61}"),
             *(pytest.param(argv, id=" ".join(argv[:3]) + " past 2**63") for argv in [
                 ("decode", "--op", "normk:7", f"2,3 @ {2**64}"),
@@ -263,9 +263,18 @@ class TestSufficientCommand:
         code, out, _ = run(capsys, "sufficient", "--k", "7", "@ 5")
         assert code == 1
 
+    def test_a_huge_last_element_needs_no_table(self, capsys):
+        # The least-norm pass reads the last element off the masks of the
+        # others, so an element near 2**61 takes no memory.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "sufficient", "--k", "16", f"2,{2**61 - 1} @ {2**61 - 1}")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (
+            1, "holds=false\nin-family=true\naugmented-escapes=true\nwitness=none\n")
+
     def test_witness_over_a_thousand_elements(self, capsys):
-        # The witness search walks every element, one level per element:
-        # a recursive search overflowed Python's stack here.
+        # The witness walk takes one step per element: a recursive search
+        # overflowed Python's stack here.
         elements = sorted(random.Random(5005).sample(range(2, 10000), 1000))
         code, out, _ = run(capsys, "sufficient", "--k", "5",
                            f"{','.join(map(str, elements))} @ 10000")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from sievecodec import IntSetPrefix, from_characteristic
@@ -51,8 +51,12 @@ class TestIntSetPrefix:
     def test_truncate_cannot_extend(self):
         prefix = IntSetPrefix((2, 5), 6)
         assert prefix.truncate(4) == IntSetPrefix((2,), 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot extend horizon 6 to 7"):
             prefix.truncate(7)
+
+    def test_truncate_refuses_a_negative_horizon(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            IntSetPrefix((2, 5), 6).truncate(-1)
 
     def test_of_sorts_and_deduplicates(self):
         assert IntSetPrefix.of([5, 2, 5, 3], 6) == IntSetPrefix((2, 3, 5), 6)
@@ -77,6 +81,7 @@ class TestIntSetPrefix:
         horizon = data.draw(st.integers(0, prefix.horizon))
         short = prefix.truncate(horizon)
         assert characteristic(short) == characteristic(prefix)[:horizon]
+        assert short == IntSetPrefix(short.elements, short.horizon)
         assert short.truncate(0) == prefix.truncate(0) == IntSetPrefix((), 0)
 
 
@@ -113,3 +118,13 @@ class TestCharacteristic:
     @given(bit_words)
     def test_roundtrip_from_word(self, word):
         assert characteristic(from_characteristic(word)) == word
+
+    @given(st.lists(st.tuples(st.sampled_from("01"), st.integers(1, 300)))
+           .map(lambda runs: "".join(bit * n for bit, n in runs)))
+    @example("")
+    @example("1" * 1000)
+    def test_reads_every_run_of_ones(self, word):
+        prefix = from_characteristic(word)
+        assert prefix.elements == tuple(i for i, bit in enumerate(word, start=1) if bit == "1")
+        assert prefix.horizon == len(word)
+        assert prefix == IntSetPrefix(prefix.elements, prefix.horizon)

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 import sievecodec.codec as codec
 import sievecodec.dynamics as dynamics
@@ -16,12 +18,13 @@ from sievecodec import (
     encode,
     encoder_fixed_points,
     find_limit,
+    from_characteristic,
     is_encoder_fixed_point,
     is_member,
     parse_operator,
     ultimately_complete_on,
 )
-from conftest import EVERY_OPERATOR, CountingOracle
+from conftest import EVERY_OPERATOR, CountingOracle, prefixes
 from reference import characteristic
 from reference import encoder_fixed_points as brute_force_fixed_points
 from reference import is_encoder_fixed_point as replayed_is_fixed
@@ -132,6 +135,19 @@ class TestStep:
                 prefix = expected[0]
         # Later iterates of the dense starts carry a top run.
         assert runs >= passes // 4
+
+    @given(st.integers(5, 9), prefixes(max_horizon=120), st.integers(0, 30))
+    def test_reads_the_ternary_word(self, k, prefix, run):
+        # Any prefix with a top run of up to ``run`` elements added.
+        horizon = prefix.horizon
+        top = range(horizon - min(run, horizon) + 1, horizon + 1)
+        prefix = IntSetPrefix.of(set(prefix.elements).union(top), horizon)
+        op = OperatorKind("normk", k)
+        ternary = decode(op, prefix).ternary
+        first_star = ternary.find("*")
+        assert dynamics._step(op, prefix) == (
+            from_characteristic(ternary.replace("*", "")), ternary.count("*"),
+            horizon if first_star < 0 else first_star)
 
     def test_all_element_prefix_decodes_nothing(self, monkeypatch):
         calls = []

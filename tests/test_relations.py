@@ -1,13 +1,19 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import sievecodec
 from sievecodec import CostTable, OperatorKind, Relation, find_anchored_relation, relations
 from sievecodec.operators import _NormOracle
 from reference import apply_J
@@ -172,6 +178,53 @@ class TestFindAnchoredRelation:
                 found += 1
                 threes += max(abs(y) for _, y in expected.coeffs) == 3
         assert found >= 150 and threes >= 6
+
+
+def witness_corpus():
+    """(label, base, k): 20 seeded bases of 6 to 40 elements from [2, 2000]
+    for each k in 5..16, then larger and sparser bases."""
+    for k in range(5, 17):
+        for i in range(20):
+            rng = random.Random(f"anchored/{k}/{i}")
+            yield f"k={k} draw={i}", sorted(rng.sample(range(2, 2001), rng.randint(6, 40))), k
+    for n, hi, s, k in ((1000, 10**4, 5005, 5), (40, 2000, 1, 16), (200, 2000, 2, 9),
+                        (400, 4000, 3, 16), (2000, 20000, 4, 16)):
+        yield f"k={k} n={n} hi={hi} seed={s}", sorted(random.Random(s).sample(range(2, hi), n)), k
+    yield "k=16 {2,10^6}", [2, 10**6], 16
+    yield "k=16 {3^i+1}", [3**i + 1 for i in range(1, 13)], 16
+
+
+def recorded_witnesses():
+    """label -> ``str(find_anchored_relation(base, k))``, as a backtracking
+    search over a full norm table found them."""
+    lines = (Path(__file__).parent / "anchored_witnesses.txt").read_text().splitlines()
+    return dict(line.split(": ", 1) for line in lines)
+
+
+class TestWitnessCorpus:
+    def test_matches_the_recorded_witnesses(self):
+        recorded = recorded_witnesses()
+        found = {label: str(find_anchored_relation(base, k)) for label, base, k in witness_corpus()}
+        assert found == recorded
+        assert sum(w != "None" for w in found.values()) >= 200
+
+    def test_needs_no_numpy(self):
+        # In a fresh process where any numpy import raises ``ImportError``.
+        cases = [(label, base, k) for label, base, k in witness_corpus()
+                 if k in (5, 9, 16) and len(base) <= 400]
+        script = (
+            'import json, sys\n'
+            'sys.modules["numpy"] = None\n'
+            'from sievecodec import find_anchored_relation\n'
+            'cases = json.loads(sys.stdin.read())\n'
+            'print(json.dumps([str(find_anchored_relation(base, k)) for base, k in cases]))\n')
+        env = dict(os.environ, PYTHONPATH=str(Path(sievecodec.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True,
+                              input=json.dumps([(base, k) for _, base, k in cases]))
+        recorded = recorded_witnesses()
+        assert json.loads(done.stdout) == [recorded[label] for label, _, _ in cases]
+        assert {k for _, _, k in cases} == {5, 9, 16} and len(cases) >= 60
 
 
 class TestProperties:
@@ -397,9 +450,9 @@ class TestMemory:
         assert retained < 2**20
 
     def test_anchored_table_reads_costs_up_to_k_minus_3(self):
-        # A witness has norm cost(1) + 1 <= k - 2, so the table's budget is
-        # k - 3: 2 * 2 * 2**22 cells and as much work space, 32 MiB, for an
-        # element near 2**22 at k = 5.  A budget of k - 1 takes 64 MiB.
+        # A witness has norm at most k - 2, so the search keeps cost levels
+        # up to k - 3 only, and it reads the last element off the masks of
+        # the others: 4_000_000 takes no mask of its width.
         tracemalloc.start()
         try:
             assert find_anchored_relation((3, 4_000_000), 5) is None
