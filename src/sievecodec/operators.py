@@ -329,13 +329,17 @@ class _SubsetSumOracle(_MaskOracle):
             self._settable = 0
 
 
-# Width of the first window a ``normk`` (k >= 5) ``next_allowed`` search
-# scans; each further window of the same call is twice as wide.  That oracle
-# starts each search at the width that last found a free value, keeping it
-# across ``add``, and halves it, down to this, when that value lay in the
-# window's first quarter.  The mask oracles keep a slice of fixed width,
-# ``_MASK_WINDOW``; the coprime oracle searches its marks to their end.
-_FIRST_WINDOW = 64
+# Width of the window a ``normk`` (k >= 5) ``next_allowed`` search starts
+# with, at the value asked about; each further window of the same call is
+# twice as wide, and no width is kept between calls.  A window costs about
+# its numpy calls, one comparison per multiplier, whatever its width up to a
+# thousand cells or so (at k = 16 on a 2-core Xeon: 3.5 us for 64 cells, 4.3
+# us for 512), and a second window costs those calls again, so a wide first
+# window beats one sized to the last gap.  1,024 cells are faster still on
+# lacunary words, but raised the peak RSS of the ``dynamics`` bench by 0.4
+# MiB.  The mask oracles keep a slice of fixed width, ``_MASK_WINDOW``; the
+# coprime oracle searches its marks to their end.
+_FIRST_WINDOW = 512
 
 
 class _NormOracle:
@@ -354,24 +358,22 @@ class _NormOracle:
     ``next_allowed`` keeps the window it found a free value in, ``_window``
     starting at ``_window_lo``, until the next ``add``: a run of rejected
     bits reads its next free value off it with ``bytes.find``.  A copy
-    starts without it.  It also keeps ``_width``, the width of that window,
-    across ``add``: along a lacunary word the gaps the searches cross grow
-    with the elements, so the next search starts at that width rather than
-    at ``_FIRST_WINDOW``.  Every window is exact, so the width changes how
-    many windows are scanned, never the answer.
+    starts without it.  Any other search starts at the value asked about,
+    with a ``_FIRST_WINDOW`` window that doubles until it holds a free value
+    or passes the table's reach.  Every window is exact, so the width
+    changes how many windows are scanned, never the answer.
     """
 
-    __slots__ = ("_table", "_ys", "_window", "_window_lo", "_width")
+    __slots__ = ("_table", "_ys", "_window", "_window_lo")
 
     def __init__(self, k: int) -> None:
         self._table = CostTable(k - 2)
         self._ys = tuple((y, k - y * y) for y in range(1, isqrt(k - 1) + 1) if y * y + y + 1 < k)
         self._window, self._window_lo = b"", 0
-        self._width = _FIRST_WINDOW
 
     def copy(self) -> _NormOracle:
         twin = object.__new__(_NormOracle)
-        twin._table, twin._ys, twin._width = self._table.copy(), self._ys, self._width
+        twin._table, twin._ys = self._table.copy(), self._ys
         twin._window, twin._window_lo = b"", 0
         return twin
 
@@ -402,14 +404,13 @@ class _NormOracle:
         # Above the table's window every cost exceeds the budget.
         table, ys = self._table, self._ys
         edge = table.reach
-        width = self._width
+        width = _FIRST_WINDOW
         while lo <= edge:
             hi = min(lo + width - 1, edge)
             window = table.forbidden(ys, lo, hi)
             i = window.find(0)
             if i >= 0:
                 self._window, self._window_lo = window, lo
-                self._width = max(width // 2, _FIRST_WINDOW) if 4 * i < width else width
                 return lo + i
             lo = hi + 1
             width *= 2

@@ -190,9 +190,11 @@ class CostTable:
             src = step[r - s : r + s + 1]
             if j > 1:
                 src += odd  # now the old costs + j**2
-            for lo in (centre - s + j * element, centre - s - j * element):
-                cells = cost[lo : lo + 2 * s + 1]
-                np.minimum(cells, src, out=cells)
+            lo, hi, shift = centre - s, centre + s + 1, j * element
+            up = cost[lo + shift : hi + shift]
+            np.minimum(up, src, out=up)
+            down = cost[lo - shift : hi - shift]
+            np.minimum(down, src, out=down)
         self.top = max(top, element)
 
     def forbidden(self, ys, lo: int, hi: int) -> bytes:

@@ -369,15 +369,16 @@ class TestOracleProtocol:
     @pytest.mark.parametrize(
         "op", [*ALL_OPERATORS, OperatorKind("normk", 2), OperatorKind("normk", 3)], ids=str)
     def test_window_widths(self, op):
-        # Widths around the 30-bit digits of an int, a 64-bit word and
-        # the mask oracles' 256-bit slice, and one long window, at starts on
-        # either side of a digit boundary, each just above a set drawn below
-        # it.  The sets forbid values past the starts, so the windows hold
-        # forbidden values and allowed ones.  A one-render oracle also renders
-        # [1, width] whole at each width that holds the set, against the
-        # reference decode.
+        # Widths around the 30-bit digits of an int, a 64-bit word, the mask
+        # oracles' 256-bit slice and the norm oracle's first window, and one
+        # long window, at starts on either side of a digit boundary, each
+        # just above a set drawn below it.  The sets forbid values past the
+        # starts, so the windows hold forbidden values and allowed ones.  A
+        # one-render oracle also renders [1, width] whole at each width that
+        # holds the set, against the reference decode.
         rng = random.Random(f"widths/{op}")
-        widths = [0, 1, 29, 30, 31, 63, 64, 65, 255, 256, 257, 3000]
+        widths = [0, 1, 29, 30, 31, 63, 64, 65, 255, 256, 257,
+                  _FIRST_WINDOW - 1, _FIRST_WINDOW, _FIRST_WINDOW + 1, 3000]
         renders = hasattr(incremental_oracle(op), "forbidden_through")
         for _ in range(2):
             for lo in (29, 30, 31, 59, 60, 61, 119, 120, 121):
@@ -441,15 +442,16 @@ class TestOracleProtocol:
 
     @pytest.mark.parametrize(
         "draw", [range(1, 10**5 + 1), range(1000, 1041)], ids=["lacunary", "clustered"])
-    def test_encoder_order_carries_the_width(self, draw):
+    def test_encoder_order_windows(self, draw):
         # The encoder adds each accepted candidate e, asks next_allowed(e + 1)
-        # and then walks a run of rejected ones.  The norm oracle starts each
-        # search at the width of the window that last found a free value, so
-        # a long gap can leave it wide for a short gap right after.  Each walk
-        # ends with rejections across the table's reach, where the windows
-        # are cut short.
-        rng = random.Random(f"width/{draw}")
-        short_after_long = cut_at_reach = 0
+        # and then walks a run of rejected ones.  The norm oracle starts every
+        # search at the value asked about with a _FIRST_WINDOW-wide window
+        # that doubles, and keeps no width, so the walks count answers in the
+        # first window, answers a window or more past the query, and searches
+        # whose first window the table's reach cuts short.  Each walk ends
+        # with rejections across the reach.
+        rng = random.Random(f"window/{draw}")
+        first = later = cut_at_reach = 0
         for k in range(5, 17):
             op = OperatorKind("normk", k)
             for _ in range(2):
@@ -459,15 +461,15 @@ class TestOracleProtocol:
                 for i in range(16):
                     if i == 12:
                         c = max(c, oracle._table.reach - rng.randint(0, 2 * _FIRST_WINDOW))
-                    wide = oracle._width > _FIRST_WINDOW
-                    cut_at_reach += c + oracle._width > oracle._table.reach
+                    cut_at_reach += c + _FIRST_WINDOW - 1 > oracle._table.reach
                     found = _checked_next_allowed(op, oracle, elements, c)
-                    short_after_long += wide and found - c < _FIRST_WINDOW
+                    first += found - c < _FIRST_WINDOW
+                    later += found - c >= _FIRST_WINDOW
                     if i < 12 and rng.random() < 0.4:
                         oracle.add(found)
                         elements = elements | {found}
                     c = found + 1
-        assert short_after_long and cut_at_reach
+        assert first and later and cut_at_reach
 
     @pytest.mark.parametrize("op", ALL_OPERATORS, ids=str)
     def test_long_runs_of_rejections(self, op):
