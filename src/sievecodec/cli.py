@@ -34,12 +34,11 @@ EXIT_LIMIT = 5
 
 
 def _parse_prefix(args) -> IntSetPrefix:
-    text = args.prefix
+    text, horizon = args.prefix, args.horizon
     if "@" in text:
-        if getattr(args, "horizon", None) is not None:
+        if horizon is not None:
             raise ValueError("give the horizon either inline ('@ N') or via --horizon, not both")
         return IntSetPrefix.parse(text)
-    horizon = getattr(args, "horizon", None)
     if horizon is None:
         raise ValueError(f"set prefix {text!r} lacks a horizon; add '@ N' or --horizon N")
     return IntSetPrefix.parse(f"{text} @ {horizon}")
@@ -108,9 +107,7 @@ def cmd_dynamics(args) -> int:
         print(f"stabilized={stable}")
     if record.iterations_to_stability is not None:
         print(f"iterations={record.iterations_to_stability}")
-    if args.split:
-        if stable is None:
-            raise ValueError("--split needs a stabilized limit; none was found")
+    if args.split and stable is not None:
         # Every prefix find_limit returns decodes with no star, so the whole of
         # it is its own decoder-fixed head.
         print(f"fixed={stable}")

@@ -15,12 +15,15 @@ The incremental :class:`CostTable` answers existence queries in O(1) after a
 vectorised update per added element; it backs the ``normk`` oracles of
 :mod:`sievecodec.operators`.  Each table owns its work space, so tables
 built in different threads share nothing.  :func:`find_anchored_relation`
-builds no table: it sweeps big-int masks, one per cost level, and keeps
-nothing once it returns.  This is the one module of the package that uses
-numpy: the table's cells are numpy arrays, and what it hands out is plain
-ints and ``bytes``.  numpy is imported when the first table is allocated,
-so a process whose operators build none (``sumfree``, ``coprime``,
-``normk`` with k <= 4, ``fs``) never loads it.
+builds no table.  Its least possible norm is 3, since 1 +/- b == 0 needs
+b == 1, and norm 3 means 1 + b - (b + 1) == 0: so when the base holds some
+b and b + 1 it returns that relation at the largest such b and builds
+nothing.  Otherwise it makes one sweep of big-int masks, one per cost
+level, and keeps nothing once it returns.  This is the one module of the
+package that uses numpy: the table's cells are numpy arrays, and what it
+hands out is plain ints and ``bytes``.  numpy is imported when the first
+table is allocated, so a process whose operators build none (``sumfree``,
+``coprime``, ``normk`` with k <= 4, ``fs``) never loads it.
 """
 
 from __future__ import annotations
@@ -263,20 +266,28 @@ def find_anchored_relation(base, k: int) -> Relation | None:
     Of the relations of that norm it returns the one whose coefficients, read
     along increasing elements, are lexicographically least.
 
-    The search is exact reachability on big-int masks: level r holds each
-    sum(y_b * b) of cost sum(y_b ** 2) <= r, the pinned 1 aside.  A forward
-    sweep along increasing elements, as wide as the largest element so far,
-    builds levels 0..2, and 0..k - 3 only if those hold no -1; the least
-    level holding -1 is the least norm less 1.  The walk then gives each
-    element in increasing order the least coefficient y whose remainder the
-    later elements hold at level spare - y**2.  A "<=" level may hold it at
-    a cost below the spare norm, but nothing holds -1 below the least norm,
-    so each choice starts a witness of exactly that norm.
+    No witness has norm below 3: norm 2 leaves 1 +/- b == 0, and b == 1 is
+    excluded.  Norm 3 puts +/-1 on two elements b < c, and of the four sums
+    only 1 + b - c can vanish, so c = b + 1: a witness of norm 3 exists
+    exactly when the base holds some b and b + 1.  Read along increasing
+    elements, the one at the largest such b is least: at a smaller pair's b
+    it has 0 where that pair has +1.
+
+    Past norm 3 the search is exact reachability on big-int masks: level r
+    holds each sum(y_b * b) of cost sum(y_b ** 2) <= r, the pinned 1 aside.
+    One forward sweep along increasing elements, as wide as the largest
+    element so far, builds levels 0..k - 3; the least level from 3 up
+    holding -1 is the least norm less 1.  The walk then gives each element
+    in increasing order the least coefficient y whose remainder the later
+    elements hold at level spare - y**2.  A "<=" level may hold it at a cost
+    below the spare norm, but nothing holds -1 below the least norm, so each
+    choice starts a witness of exactly that norm.
 
     Cost, for n elements, largest element E and L = k - 3: O(L**1.5) shifts
     of at most 2 * L * E bits per element.  The later elements' masks are
     built twice and kept at about sqrt(n) checkpoints and for one block of
-    about sqrt(n) elements: O(sqrt(n) * L**2 * E) bits at most.
+    about sqrt(n) elements: O(sqrt(n) * L**2 * E) bits at most.  At k = 5,
+    or with a pair b, b + 1, it builds no mask.
     """
     _check_norm_bound(k)
     elements = frozenset(base)
@@ -285,23 +296,22 @@ def find_anchored_relation(base, k: int) -> Relation | None:
             raise ValueError(f"base set must contain positive integers, got {b!r}")
     if 1 in elements:
         raise ValueError("base set must not contain 1")
-    # Norm <= 2 leaves only 1 +/- b == 0 to solve, and b == 1 is excluded.
-    if k < 5 or not elements:
+    # The norm-3 witness of the largest pair b, b + 1, if k - 2 admits norm 3;
+    # k = 5 admits no other.
+    pair = max((b for b in elements if b + 1 in elements), default=None)
+    if pair is not None and k >= 5:
+        return Relation(((1, 1), (pair, 1), (pair + 1, -1)), 3)
+    if k <= 5 or not elements:
         return None
     ordered, n = sorted(elements), len(elements)
     last = ordered[-1]
-    # Norm 3 (some b and b + 1 in the base) is the least norm of 347 of the
-    # 408 limits the ``dynamics`` bench checks in 30 rounds, so levels 0..2
-    # come first.  The last element is read off for each coefficient j.
-    for cap in (2, k - 3) if k > 5 else (2,):
-        levels, top = [1] * (cap + 1), 0
-        for e in ordered[:-1]:
-            levels, top = _admit(levels, e, e, top), e
-        least = next((r for r in range(cap + 1) for j in range(-isqrt(r), isqrt(r) + 1)
-                      if _holds(levels, top, r - j * j, -1 - j * last)), None)
-        if least is not None:
-            break
-    else:
+    # The last element is read off for each coefficient j, not admitted.
+    levels, top = [1] * (k - 2), 0
+    for e in ordered[:-1]:
+        levels, top = _admit(levels, e, e, top), e
+    least = next((r for r in range(3, k - 2) for j in range(-isqrt(r), isqrt(r) + 1)
+                  if _holds(levels, top, r - j * j, -1 - j * last)), None)
+    if least is None:
         return None
     # Suffix masks at unit ``last``, levels 0..least: ``stops[i]`` holds the
     # sums over ordered[i:], kept at every ``block``-th i and at n.

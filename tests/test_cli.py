@@ -162,11 +162,13 @@ class TestDynamicsCommand:
         assert "--limit" in err
 
     def test_split_without_a_limit_pass(self, capsys):
-        # The start horizon is below L: no decode pass runs, nothing froze.
-        code, out, err = run(capsys, "dynamics", "--k", "7", "--limit", "8", "--split", "3,7 @ 7")
-        assert code == 2
-        assert "none was found" in err
-        assert "fixed=" not in out
+        # The start horizon is below L: no decode pass runs, nothing froze,
+        # so nothing is split and the verdict's exit code stands.
+        for limit, start in (("8", "3,7 @ 7"), ("50", "3,7 @ 30")):
+            code, out, err = run(capsys, "dynamics", "--k", "7", "--limit", limit, "--split", start)
+            assert code == 3
+            assert out.endswith("verdict=insufficient-horizon\n")
+            assert "fixed=" not in out and err == ""
 
     def test_needs_steps_or_limit(self, capsys):
         code, _, err = run(capsys, "dynamics", "--k", "7", "3,7 @ 7")

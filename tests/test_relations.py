@@ -182,7 +182,8 @@ class TestFindAnchoredRelation:
 
 def witness_corpus():
     """(label, base, k): 20 seeded bases of 6 to 40 elements from [2, 2000]
-    for each k in 5..16, then larger and sparser bases."""
+    for each k in 5..16, then larger and sparser bases, then large bases
+    with no two consecutive elements, which have no witness of norm 3."""
     for k in range(5, 17):
         for i in range(20):
             rng = random.Random(f"anchored/{k}/{i}")
@@ -190,13 +191,18 @@ def witness_corpus():
     for n, hi, s, k in ((1000, 10**4, 5005, 5), (40, 2000, 1, 16), (200, 2000, 2, 9),
                         (400, 4000, 3, 16), (2000, 20000, 4, 16)):
         yield f"k={k} n={n} hi={hi} seed={s}", sorted(random.Random(s).sample(range(2, hi), n)), k
+    for n, hi, s, k in ((200, 2000, 2, 9), (1000, 10**4, 5, 6), (40, 2000, 1, 16)):
+        # The i-th least of n draws from [0, hi - 1 - n), moved up by 2 + i.
+        draws = sorted(random.Random(s).sample(range(hi - 1 - n), n))
+        yield f"k={k} n={n} hi={hi} seed={s} apart", [2 + i + x for i, x in enumerate(draws)], k
     yield "k=16 {2,10^6}", [2, 10**6], 16
     yield "k=16 {3^i+1}", [3**i + 1 for i in range(1, 13)], 16
 
 
 def recorded_witnesses():
     """label -> ``str(find_anchored_relation(base, k))``, as a backtracking
-    search over a full norm table found them."""
+    search over a full norm table found them; the rows marked ``apart``, as
+    the two-pass bitmask sweep found them."""
     lines = (Path(__file__).parent / "anchored_witnesses.txt").read_text().splitlines()
     return dict(line.split(": ", 1) for line in lines)
 
@@ -225,6 +231,20 @@ class TestWitnessCorpus:
         recorded = recorded_witnesses()
         assert json.loads(done.stdout) == [recorded[label] for label, _, _ in cases]
         assert {k for _, _, k in cases} == {5, 9, 16} and len(cases) >= 60
+
+    def test_a_consecutive_pair_gives_norm_three(self):
+        # 1 + b - (b + 1) = 0 at the largest such b, whatever k >= 5 allows;
+        # the large bases without a pair reach the mask sweep and the walk.
+        recorded, swept = recorded_witnesses(), 0
+        for label, base, k in witness_corpus():
+            members = set(base)
+            pairs = [b for b in base if b + 1 in members]
+            if pairs:
+                b = max(pairs)
+                assert recorded[label] == f"-1*{b + 1} + 1*{b} + 1*1 = 0 (norm 3)", label
+            else:
+                swept += len(base) >= 40 and recorded[label] != "None"
+        assert swept >= 3
 
 
 class TestProperties:
@@ -460,6 +480,27 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * 2**20
+
+    def test_a_pair_beside_a_huge_element_builds_no_mask(self):
+        # 1 + 2 - 3 = 0 is read off the pair; no mask follows 10**8.
+        tracemalloc.start()
+        try:
+            rel = find_anchored_relation([2, 3, 10**8], 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(rel) == "-1*3 + 1*2 + 1*1 = 0 (norm 3)"
+        assert peak < 2**20
+
+    def test_norm_bound_five_sweeps_no_masks(self, monkeypatch):
+        # k = 5 admits norm 3 alone, which needs no sweep.
+        calls = []
+        admit = relations._admit
+        monkeypatch.setattr(relations, "_admit", lambda *a: calls.append(a) or admit(*a))
+        assert find_anchored_relation(range(2, 2000, 2), 5) is None
+        assert str(find_anchored_relation([4, 9, 10, 700], 5)) == "-1*10 + 1*9 + 1*1 = 0 (norm 3)"
+        assert calls == []
+        assert find_anchored_relation([4, 9, 700], 16) is not None and calls
 
 
 class TestRelationValidation:
