@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands mirror the library operations; see README for the record format.
+Subcommands mirror the library operations.  Every one prints ``key=value``
+records only (see README).
 Exit codes: 0 success / true / complete, 1 false / incomplete / failures,
 2 malformed input, 3 horizon exhaustion, 4 undecided, 5 a resource limit
 was reached.
@@ -33,54 +34,26 @@ EXIT_UNDECIDED = 4
 EXIT_LIMIT = 5
 
 
-def _parse_prefix(args) -> IntSetPrefix:
-    text, horizon = args.prefix, args.horizon
-    if "@" in text:
-        if horizon is not None:
-            raise ValueError("give the horizon either inline ('@ N') or via --horizon, not both")
-        return IntSetPrefix.parse(text)
-    if horizon is None:
-        raise ValueError(f"set prefix {text!r} lacks a horizon; add '@ N' or --horizon N")
-    return IntSetPrefix.parse(f"{text} @ {horizon}")
-
-
-def _emit_set(label: str, prefix: IntSetPrefix, records: bool) -> None:
-    if records:
-        print(f"{label}={prefix}")
-    else:
-        print(f"{label} = {prefix}")
-
-
 def cmd_encode(args) -> int:
-    op = parse_operator(args.op)
-    result = encode(op, args.word)
-    records = args.format == "records"
-    _emit_set("accepted" if records else "A", result.accepted, records)
-    _emit_set("rejected" if records else "B", result.rejected, records)
-    print(f"consumed={result.consumed}" if records else f"consumed = {result.consumed}")
+    result = encode(parse_operator(args.op), args.word)
+    print(f"accepted={result.accepted}")
+    print(f"rejected={result.rejected}")
+    print(f"consumed={result.consumed}")
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
-    op = parse_operator(args.op)
-    prefix = _parse_prefix(args)
-    result = decode(op, prefix)
-    if args.format == "records":
-        print(f"ternary={result.ternary}")
-        print(f"bits={result.bits}")
-        print(f"certified={len(result.bits)}")
-        print(f"violations={','.join(str(v) for v in result.violations)}")
-    else:
-        print(f"ternary = {result.ternary}")
-        print(f"bits = {result.bits} (certified length {len(result.bits)})")
-        if result.violations:
-            print(f"violations = {','.join(str(v) for v in result.violations)}")
+    result = decode(parse_operator(args.op), IntSetPrefix.parse(args.prefix))
+    print(f"ternary={result.ternary}")
+    print(f"bits={result.bits}")
+    print(f"certified={len(result.bits)}")
+    print(f"violations={','.join(str(v) for v in result.violations)}")
     return EXIT_OK
 
 
 def cmd_member(args) -> int:
     op = parse_operator(args.op)
-    verdict = is_member(op, _parse_prefix(args))
+    verdict = is_member(op, IntSetPrefix.parse(args.prefix))
     print(f"member={'true' if verdict else 'false'}")
     return EXIT_OK if verdict else EXIT_FALSE
 
@@ -92,7 +65,7 @@ def cmd_dynamics(args) -> int:
         raise ValueError("--steps and --limit are mutually exclusive")
     if args.split and args.limit is None:
         raise ValueError("--split needs --limit L; --steps finds no limit to split")
-    prefix = _parse_prefix(args)
+    prefix = IntSetPrefix.parse(args.prefix)
     op = OperatorKind("normk", args.k)
     if args.steps is not None:
         record = decode_orbit(op, prefix, args.steps)
@@ -128,7 +101,7 @@ def cmd_fixed_points(args) -> int:
 
 def cmd_uc(args) -> int:
     op = parse_operator(args.op)
-    verdict = ultimately_complete_on(op, _parse_prefix(args), args.window)
+    verdict = ultimately_complete_on(op, IntSetPrefix.parse(args.prefix), args.window)
     print(f"verdict={verdict.kind}")
     if verdict.witness is not None:
         print(f"witness={verdict.witness}")
@@ -140,7 +113,7 @@ def cmd_uc(args) -> int:
 
 
 def cmd_sufficient(args) -> int:
-    evidence = completeness_sufficient_condition(args.k, _parse_prefix(args))
+    evidence = completeness_sufficient_condition(args.k, IntSetPrefix.parse(args.prefix))
     print(f"holds={'true' if evidence.holds else 'false'}")
     print(f"in-family={'true' if evidence.in_family else 'false'}")
     print(f"augmented-escapes={'true' if evidence.augmented_escapes else 'false'}")
@@ -177,22 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_op(p):
         p.add_argument("--op", required=True, help="sumfree | normk:<k> | coprime | fs")
 
-    def add_format(p):
-        p.add_argument("--format", choices=("human", "records"), default="human")
-
     def add_prefix(p):
         p.add_argument("prefix", help="set prefix, e.g. '2,3,5 @ 10'")
-        p.add_argument("--horizon", type=int, help="horizon when the prefix has no '@ N'")
 
     p = sub.add_parser("encode", help="bit word -> accepted/rejected sets")
     add_op(p)
-    add_format(p)
     p.add_argument("word", help="word over 01 (may be empty)")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="set prefix -> ternary and bit words")
     add_op(p)
-    add_format(p)
     add_prefix(p)
     p.set_defaults(func=cmd_decode)
 

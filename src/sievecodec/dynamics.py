@@ -265,16 +265,25 @@ class SufficiencyEvidence:
 def completeness_sufficient_condition(
     k: int, prefix: IntSetPrefix
 ) -> SufficiencyEvidence:
-    """Evaluate the sufficient condition at norm bound k (k >= 3)."""
+    """Evaluate the sufficient condition at norm bound k (k >= 3).
+
+    A witness makes the escape test needless, so it runs only without one.
+    Take a witness 1 + sum(c_b * b) == 0 of norm at most k - 2, and let w be
+    its largest element.  Rearranged, it reads
+    |c_w| * w == -+(1 + sum over b < w of c_b * b), a relation of the same
+    norm, below k - 1, on w and the elements of S | {1} below w.  So those
+    elements forbid w at bound k - 1, and S | {1} escapes.
+    """
     if k < 3:
         raise ValueError("the condition needs k >= 3 so that k - 1 is a valid bound")
     in_family = is_member(OperatorKind("normk", k), prefix)
-    augmented = IntSetPrefix.of(set(prefix.elements) | {1}, max(prefix.horizon, 1))
-    augmented_escapes = not is_member(OperatorKind("normk", k - 1), augmented)
-    if prefix.elements[:1] == (1,):
-        # Adjoining 1 changes nothing, so the middle condition decides alone;
-        # the pinned-coefficient search is only defined without 1.
-        return SufficiencyEvidence(in_family, augmented_escapes, None, False)
-    witness = find_anchored_relation(prefix.elements, k)
+    # With 1 in the set, adjoining it changes nothing and the pinned-coefficient
+    # search is undefined: there is no witness, and the escape test decides
+    # the middle part alone.
+    witness = None if prefix.elements[:1] == (1,) else find_anchored_relation(prefix.elements, k)
+    augmented_escapes = witness is not None or not is_member(
+        OperatorKind("normk", k - 1),
+        IntSetPrefix.of(set(prefix.elements) | {1}, max(prefix.horizon, 1)),
+    )
     holds = in_family and augmented_escapes and witness is not None
     return SufficiencyEvidence(in_family, augmented_escapes, witness, holds)

@@ -209,11 +209,10 @@ class CostTable:
         """
         cost, reach = self._cost, self.reach
         out = cost[reach + lo : reach + min(hi, reach) + 1] < ys[0][1]
-        if len(ys) > 1:
-            for y, bound in ys[1:]:
-                last = min(hi, reach // y)
-                hit = cost[reach + y * lo : reach + y * last + 1 : y] < bound
-                out[: len(hit)] |= hit
+        for y, bound in ys[1:]:
+            last = min(hi, reach // y)
+            hit = cost[reach + y * lo : reach + y * last + 1 : y] < bound
+            out[: len(hit)] |= hit
         if hi <= reach:  # hi < lo leaves the empty comparison
             return out.tobytes()
         return out.tobytes().ljust(hi - lo + 1, b"\0")  # the zero tail past the reach

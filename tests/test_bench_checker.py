@@ -76,7 +76,7 @@ def _encode_words():
 
 @pytest.mark.parametrize("op, word", _encode_words())
 def test_mask_oracle_encodes_across_window_edges(capsys, op, word):
-    assert main(["encode", "--op", op, "--format", "records", word]) == 0
+    assert main(["encode", "--op", op, word]) == 0
     out = checker.records(capsys.readouterr().out)
     accepted, rejected = (checker.parse_prefix(out[key])[0] for key in ("accepted", "rejected"))
     assert list(accepted) == checker.encode(checker.parse_op(op), word)
@@ -109,7 +109,7 @@ def _decode_against_checker(capsys, op_text, start):
     checker's violations.  The checker marks every position where it can
     (``forbidden_flags``: sumfree, coprime, fs) and tests each one otherwise.
     """
-    assert main(["decode", "--op", op_text, "--format", "records", start]) == 0
+    assert main(["decode", "--op", op_text, start]) == 0
     out = checker.records(capsys.readouterr().out)
     op = checker.parse_op(op_text)
     elements, horizon = checker.parse_prefix(start)
@@ -170,7 +170,7 @@ def test_decodes_agree_with_the_checker(capsys, op, given):
     if "@" in given:
         _decode_against_checker(capsys, op, given)
         return
-    assert main(["encode", "--op", op, "--format", "records", given]) == 0
+    assert main(["encode", "--op", op, given]) == 0
     accepted = checker.records(capsys.readouterr().out)["accepted"]
     out, violations = _decode_against_checker(capsys, op, accepted)
     assert violations == [] and out["bits"] == given

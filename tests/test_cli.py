@@ -41,17 +41,17 @@ class TestEncodeCommand:
     def test_sieve(self, capsys):
         code, out, _ = run(capsys, "encode", "--op", "coprime", "0111111111")
         assert code == 0
-        assert "A = 2,3,5,7,11,13,17,19,23 @ 23" in out
+        assert "accepted=2,3,5,7,11,13,17,19,23 @ 23" in out
 
     def test_empty_word(self, capsys):
         code, out, _ = run(capsys, "encode", "--op", "sumfree", "")
         assert code == 0
-        assert "A = @ 0" in out
+        assert out == "accepted=@ 0\nrejected=@ 0\nconsumed=0\n"
 
     def test_norm_k_pair(self, capsys):
         code, out, _ = run(capsys, "encode", "--op", "normk:7", "001001")
         assert code == 0
-        assert "A = 3,7 @ 7" in out
+        assert "accepted=3,7 @ 7" in out
 
     def test_malformed_word(self, capsys):
         code, _, err = run(capsys, "encode", "--op", "sumfree", "0121")
@@ -82,18 +82,8 @@ class TestDecodeCommand:
         assert code == 0
         assert "00000" in out
 
-    def test_horizon_flag(self, capsys):
-        code, out, _ = run(capsys, "decode", "--op", "coprime", "2,3", "--horizon", "10")
-        assert code == 0
-        stars = out.split("ternary = ")[1].split()[0]
-        assert {i + 1 for i, s in enumerate(stars) if s == "*"} == {4, 6, 8, 9, 10}
-
     def test_missing_horizon(self, capsys):
         code, _, err = run(capsys, "decode", "--op", "coprime", "2,3")
-        assert code == 2
-
-    def test_conflicting_horizons(self, capsys):
-        code, _, err = run(capsys, "decode", "--op", "coprime", "2,3 @ 10", "--horizon", "9")
         assert code == 2
 
     def test_unfactorable_element_is_a_resource_limit(self, capsys):
@@ -308,7 +298,7 @@ class TestRoundtripCommand:
 
 class TestRecordsFormat:
     def test_encode_records_are_reproducible_and_reparseable(self, capsys):
-        args = ["encode", "--op", "normk:7", "--format", "records", "001001"]
+        args = ["encode", "--op", "normk:7", "001001"]
         code, first, _ = run(capsys, *args)
         assert code == 0
         code, second, _ = run(capsys, *args)
@@ -317,9 +307,7 @@ class TestRecordsFormat:
         assert fields["accepted"] == "3,7 @ 7"
         assert fields["consumed"] == "7"
         # feed the parsed set back through decode and recover the input word
-        code, out, _ = run(
-            capsys, "decode", "--op", "normk:7", "--format", "records", fields["accepted"]
-        )
+        code, out, _ = run(capsys, "decode", "--op", "normk:7", fields["accepted"])
         assert code == 0
         decoded = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert decoded["bits"] == "001001"
@@ -333,26 +321,31 @@ class TestRecordsFormat:
     def test_consecutive_calls_share_no_state(self, capsys):
         # One parser serves every call in a process; no flag or subcommand of
         # one call may carry into the next.
-        code, out, _ = run(
-            capsys, "dynamics", "--k", "7", "--limit", "6", "--split", "--horizon", "30", "3,7"
-        )
+        code, out, _ = run(capsys, "dynamics", "--k", "7", "--limit", "6", "--split", "3,7 @ 30")
         assert code == 0
         assert "fixed=3,6 @ 6" in out
-        code, _, err = run(capsys, "decode", "--op", "coprime", "2,3")
-        assert code == 2
-        assert "lacks a horizon" in err
+        code, out, err = run(capsys, "dynamics", "--k", "7", "--limit", "6", "3,7")
+        assert (code, out) == (2, "")
+        assert "lacks an '@ horizon' part" in err
         code, out, _ = run(capsys, "dynamics", "--k", "7", "--limit", "6", "3,7 @ 30")
         assert code == 0
         assert "fixed=" not in out
-        _, out, _ = run(capsys, "decode", "--op", "normk:7", "--format", "records", "3,7 @ 7")
-        assert out.startswith("ternary=")
-        _, out, _ = run(capsys, "decode", "--op", "normk:7", "3,7 @ 7")
-        assert out.startswith("ternary = ")
+        code, out, err = run(capsys, "decode", "--op", "normk:7", "3,7 @ 7")
+        assert (code, err) == (0, "")
+        assert out.startswith("ternary=00100*1\n")
 
-    def test_unknown_flag_rejected(self, capsys):
+    # A prefix carries its horizon only as '@ N', and every command prints
+    # records only, so --horizon and --format are unknown flags too.
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--op", "sumfree", "--bogus", "01"],
+        ["decode", "--op", "coprime", "2,3", "--horizon", "10"],
+        ["encode", "--op", "sumfree", "--format", "records", "01"],
+    ], ids=["--bogus", "--horizon", "--format"])
+    def test_unknown_flag_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
-            main(["encode", "--op", "sumfree", "--bogus", "01"])
+            main(argv)
         assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 # Runs each argv of a JSON list through ``main`` in a fresh process and prints
@@ -419,7 +412,7 @@ def test_numpy_is_bound_only_in_relations():
     # The first cost table loads numpy, and only relations binds it: the
     # oracles, the codec, the dynamics and the CLI see only ints and bytes.
     results, loaded, binders = _run_commands("unblocked", [["encode", "--op", "normk:5", "0110"]])
-    assert results == [[0, "A = 2,3 @ 4\nB = 1,4 @ 4\nconsumed = 4\n", ""]]
+    assert results == [[0, "accepted=2,3 @ 4\nrejected=1,4 @ 4\nconsumed=4\n", ""]]
     assert loaded
     assert binders == ["sievecodec.relations"]
 

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import sievecodec.codec as codec
@@ -12,11 +12,13 @@ from sievecodec import (
     CostTable,
     IntSetPrefix,
     OperatorKind,
+    SufficiencyEvidence,
     completeness_sufficient_condition,
     decode,
     decode_orbit,
     encode,
     encoder_fixed_points,
+    find_anchored_relation,
     find_limit,
     from_characteristic,
     is_encoder_fixed_point,
@@ -445,6 +447,20 @@ class TestSufficientCondition:
                 seen += 1
                 assert evidence.augmented_escapes
         assert seen > 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(5, 16), prefixes(max_horizon=40, min_horizon=1), st.booleans())
+    def test_equals_its_three_parts_computed_apart(self, k, prefix, with_one):
+        # The escape test runs only when no witness exists; every part must
+        # read as if each were computed on its own.
+        prefix = IntSetPrefix.of(prefix.members() | {1} if with_one else prefix.members() - {1},
+                                 prefix.horizon)
+        in_family = is_member(OperatorKind("normk", k), prefix)
+        escapes = not is_member(OperatorKind("normk", k - 1),
+                                IntSetPrefix.of(prefix.members() | {1}, prefix.horizon))
+        witness = None if with_one else find_anchored_relation(prefix.elements, k)
+        assert completeness_sufficient_condition(k, prefix) == SufficiencyEvidence(
+            in_family, escapes, witness, in_family and escapes and witness is not None)
 
 
 class TestTwoElementLaws:
