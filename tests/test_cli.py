@@ -86,6 +86,14 @@ class TestDecodeCommand:
         code, _, err = run(capsys, "decode", "--op", "coprime", "2,3")
         assert code == 2
 
+    def test_horizon_sets_the_star_positions(self, capsys):
+        # The '@ N' part alone sets how far the elements' stars reach.
+        code, out, _ = run(capsys, "decode", "--op", "coprime", "2,3 @ 10")
+        assert code == 0
+        ternary = dict(line.split("=", 1) for line in out.splitlines())["ternary"]
+        assert len(ternary) == 10
+        assert {i + 1 for i, s in enumerate(ternary) if s == "*"} == {4, 6, 8, 9, 10}
+
     def test_unfactorable_element_is_a_resource_limit(self, capsys):
         # The decoder factors the element before it renders the horizon.
         prefix = f"{UNFACTORABLE} @ {2**61}"
@@ -340,12 +348,49 @@ class TestRecordsFormat:
         ["encode", "--op", "sumfree", "--bogus", "01"],
         ["decode", "--op", "coprime", "2,3", "--horizon", "10"],
         ["encode", "--op", "sumfree", "--format", "records", "01"],
-    ], ids=["--bogus", "--horizon", "--format"])
+        ["decode", "--op", "coprime", "--format", "records", "2,3 @ 10"],
+        ["member", "--op", "sumfree", "2,3", "--horizon", "10"],
+        ["dynamics", "--k", "7", "--steps", "1", "3,7", "--horizon", "12"],
+        ["uc", "--op", "sumfree", "--window", "2", "2,3", "--horizon", "10"],
+        ["sufficient", "--k", "7", "2,3", "--horizon", "5"],
+    ], ids=["--bogus", "--horizon", "--format", "decode --format", "member --horizon",
+            "dynamics --horizon", "uc --horizon", "sufficient --horizon"])
     def test_unknown_flag_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
+
+    # Every command that takes a prefix refuses one without '@ N' by
+    # IntSetPrefix.parse, before it computes anything.
+    @pytest.mark.parametrize("argv", [
+        ["decode", "--op", "coprime"],
+        ["member", "--op", "sumfree"],
+        ["dynamics", "--k", "7", "--limit", "6"],
+        ["uc", "--op", "sumfree", "--window", "2"],
+        ["sufficient", "--k", "7"],
+    ], ids=lambda argv: argv[0])
+    def test_prefix_without_a_horizon_is_malformed(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "2,3")
+        assert (code, out) == (2, "")
+        assert "lacks an '@ horizon' part" in err
+
+    # The golden encode word under each golden operator: the accepted record
+    # of encode, fed to decode as it stands, gives the word back.
+    @pytest.mark.parametrize("op", ["sumfree", "normk:4", "normk:7", "normk:9", "coprime", "fs"])
+    def test_encode_records_decode_back_under_every_operator(self, capsys, op):
+        word = "0110100111010"
+        code, out, err = run(capsys, "encode", "--op", op, word)
+        assert (code, err) == (0, "")
+        encoded = dict(line.split("=", 1) for line in out.splitlines())
+        assert list(encoded) == ["accepted", "rejected", "consumed"]
+        assert encoded["accepted"].endswith(f"@ {encoded['consumed']}")
+        code, out, err = run(capsys, "decode", "--op", op, encoded["accepted"])
+        assert (code, err) == (0, "")
+        decoded = dict(line.split("=", 1) for line in out.splitlines())
+        assert list(decoded) == ["ternary", "bits", "certified", "violations"]
+        assert decoded["bits"] == word
+        assert decoded["violations"] == ""
 
 
 # Runs each argv of a JSON list through ``main`` in a fresh process and prints
