@@ -27,12 +27,13 @@ from dataclasses import dataclass
 
 from .codec import DecodeResult, decode
 from .core import IntSetPrefix, from_characteristic
-from .operators import OperatorKind, incremental_oracle, is_member
+from .operators import OperatorKind, branching_oracle, incremental_oracle, is_member
 from .relations import Relation, find_anchored_relation
 
 #: ``encoder_fixed_points`` refuses ground sets [1, M] larger than this.  Its
 #: search does work in proportion to the fixed points it finds, whose number
-#: still grows exponentially with M, and it keeps no node budget.
+#: still grows exponentially with M, and it keeps no node budget.  A node
+#: makes at most one ``add`` and a few ``forbids`` calls.
 FIXED_POINT_ENUMERATION_BOUND = 32
 
 
@@ -174,9 +175,10 @@ def encoder_fixed_points(op: OperatorKind, max_element: int) -> list[IntSetPrefi
     the branch with a fixed point.  A branch that takes an integer extends a
     copy of its parent's oracle, and only once an integer is left to decide,
     so the search builds one oracle and makes at most one ``add`` per fixed
-    point found.  The result is ordered by the mask sum of 2**(e - 1) over
-    the elements e.  Refuses ground sets beyond
-    ``FIXED_POINT_ENUMERATION_BOUND``.
+    point found.  Under ``normk`` with k >= 5 the ``branching_oracle`` keeps
+    its cost levels in big ints that copies share, and no cost table.
+    The result is ordered by the mask sum of 2**(e - 1) over the elements e.
+    Refuses ground sets beyond ``FIXED_POINT_ENUMERATION_BOUND``.
     """
     if max_element < 1:
         raise ValueError("max_element must be at least 1")
@@ -190,7 +192,7 @@ def encoder_fixed_points(op: OperatorKind, max_element: int) -> list[IntSetPrefi
     # oracle holding S without its last element, and that element (0 for
     # none).  Branches only ever call ``forbids`` on the oracle they hold, so
     # siblings share their parent's.
-    branches = [(1, 0, incremental_oracle(op), 0)]
+    branches = [(1, 0, branching_oracle(op, max_element), 0)]
     while branches:
         value, mask, oracle, taken = branches.pop()
         if taken and value <= max_element:

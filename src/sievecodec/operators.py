@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .core import IntSetPrefix
-from .relations import CostTable, _check_norm_bound
+from .relations import CostTable, _admit, _check_norm_bound, _holds
 
 
 # Each operator kind and its command-line syntax.
@@ -155,31 +155,34 @@ def prime_factors(n: int) -> list[int]:
 
 # --- incremental oracles -----------------------------------------------------
 #
-# An oracle holds a growing set and answers four calls about it:
+# An oracle holds a growing set and answers three calls about it:
 #
 # * ``add(e)`` admits one more element, larger than every element added,
 # * ``forbids(v)`` says whether the current set forbids v,
 # * ``next_allowed(c)`` is the least v >= c that the current set does not
-#   forbid,
-# * ``copy()`` is an independent oracle over the same set, so that a search
-#   can extend one set two ways without replaying it.
+#   forbid.
 #
-# Each has one render call more, the one ``codec.decode`` makes.  Every
-# oracle but ``normk`` for k >= 5 has ``forbidden_through(hi)``: a
-# ``bytearray`` over [1, hi] whose (v-1)-th byte is 1 when the elements below
-# v forbid v.  The decoder adds every element and renders the whole prefix
-# once, with no add after it, so the final state must tell which positions
-# the elements below each one forbid.  The mask oracles hold sums of two or
-# more members, and such a sum lies above each member in it, so a later
-# element never changes an earlier bit of the mask.  A later element's prime
-# p forbids the multiples of p below it too, but a multiple v of p is
-# forbidden by the elements below v exactly when v lies above the first
-# element p divides, and the coprime oracle keeps that element.  A ``normk``
-# table with k >= 5 forbids values below the elements that forbid them (a
-# difference b - a) and keeps no record of which elements a cost used, so
-# ``_NormOracle`` has ``forbidden_in(lo, hi)`` instead, for the decoder's
-# walk over the gaps: ``bytes`` whose i-th byte is 1 when lo + i is
-# forbidden and 0 otherwise (empty when hi < lo).
+# ``copy()``, an independent oracle over the same set, is answered by the
+# oracles a search branches from (``branching_oracle``): the mask and coprime
+# oracles, and ``_NormLevels`` (``normk``, k >= 5; no ``next_allowed``).  The
+# windowed ``_NormOracle`` serves encode, decode and the membership tests.
+#
+# Each ``incremental_oracle`` has one render call more, the one
+# ``codec.decode`` makes.  Every oracle but ``normk`` for k >= 5 has
+# ``forbidden_through(hi)``: a ``bytearray`` over [1, hi] whose (v-1)-th byte
+# is 1 when the elements below v forbid v.  The decoder adds every element and
+# renders the whole prefix once, with no add after it, so the final state must
+# tell which positions the elements below each one forbid.  The mask oracles
+# hold sums of two or more members, and such a sum lies above each member in
+# it, so a later element never changes an earlier bit of the mask.  A later
+# element's prime p forbids the multiples of p below it too, but a multiple v
+# of p is forbidden by the elements below v exactly when v lies above the
+# first element p divides, and the coprime oracle keeps that element.  A
+# ``normk`` table with k >= 5 forbids values below the elements that forbid
+# them (a difference b - a) and keeps no record of which elements a cost used,
+# so ``_NormOracle`` has ``forbidden_in(lo, hi)`` instead, for the decoder's
+# walk over the gaps: ``bytes`` whose i-th byte is 1 when lo + i is forbidden
+# and 0 otherwise (empty when hi < lo).
 #
 # ``forbids``, ``next_allowed`` and ``forbidden_in`` answer only about
 # values strictly above the largest element added: the encoder, the decoder,
@@ -342,6 +345,11 @@ class _SubsetSumOracle(_MaskOracle):
 _FIRST_WINDOW = 512
 
 
+def _forbidding_multipliers(k: int) -> tuple[tuple[int, int], ...]:
+    # (y, k - y**2) for each y that can forbid above the set (``_NormOracle``).
+    return tuple((y, k - y * y) for y in range(1, isqrt(k - 1) + 1) if y * y + y + 1 < k)
+
+
 class _NormOracle:
     """``normk:<k>`` for k >= 5.  A value v is forbidden when some y >= 1 has
     cost(y * v) + y**2 < k in the ``CostTable`` of the set.  Such a cost is
@@ -357,25 +365,19 @@ class _NormOracle:
 
     ``next_allowed`` keeps the window it found a free value in, ``_window``
     starting at ``_window_lo``, until the next ``add``: a run of rejected
-    bits reads its next free value off it with ``bytes.find``.  A copy
-    starts without it.  Any other search starts at the value asked about,
-    with a ``_FIRST_WINDOW`` window that doubles until it holds a free value
-    or passes the table's reach.  Every window is exact, so the width
-    changes how many windows are scanned, never the answer.
+    bits reads its next free value off it with ``bytes.find``.  Any other
+    search starts at the value asked about, with a ``_FIRST_WINDOW`` window
+    that doubles until it holds a free value or passes the table's reach.
+    Every window is exact, so the width changes how many windows are
+    scanned, never the answer.
     """
 
     __slots__ = ("_table", "_ys", "_window", "_window_lo")
 
     def __init__(self, k: int) -> None:
         self._table = CostTable(k - 2)
-        self._ys = tuple((y, k - y * y) for y in range(1, isqrt(k - 1) + 1) if y * y + y + 1 < k)
+        self._ys = _forbidding_multipliers(k)
         self._window, self._window_lo = b"", 0
-
-    def copy(self) -> _NormOracle:
-        twin = object.__new__(_NormOracle)
-        twin._table, twin._ys = self._table.copy(), self._ys
-        twin._window, twin._window_lo = b"", 0
-        return twin
 
     def add(self, element: int) -> None:
         self._table.add(element)
@@ -415,6 +417,36 @@ class _NormOracle:
             lo = hi + 1
             width *= 2
         return lo
+
+
+class _NormLevels:
+    """``normk:<k>`` for k >= 5 with no window: the k - 1 levels of
+    ``relations._admit`` at a fixed ``unit``, no less than any element.  v is
+    forbidden when level k - 1 - y**2 holds y * v for a multiplier y of
+    ``_NormOracle``.  Ints are immutable, so a copy shares the level list."""
+
+    __slots__ = ("_levels", "_unit", "_ys")
+
+    def __init__(self, k: int, unit: int) -> None:
+        self._levels, self._unit = [1 << r * unit for r in range(k - 1)], unit
+        self._ys = tuple((y, bound - 1) for y, bound in _forbidding_multipliers(k))
+
+    def copy(self) -> _NormLevels:
+        twin = object.__new__(_NormLevels)
+        twin._levels, twin._unit, twin._ys = self._levels, self._unit, self._ys
+        return twin
+
+    def add(self, element: int) -> None:
+        if element > self._unit:
+            raise ValueError(f"element {element} is above the unit {self._unit}")
+        self._levels = _admit(self._levels, element, self._unit, self._unit)
+
+    def forbids(self, value: int) -> bool:
+        levels, unit = self._levels, self._unit
+        for y, r in self._ys:
+            if _holds(levels, unit, r, y * value):
+                return True
+        return False
 
 
 # Length of a fresh coprime oracle's marks.  They grow 4-fold while the new
@@ -525,6 +557,14 @@ def incremental_oracle(op: OperatorKind, horizon: int | None = None):
     if op.k >= 5:
         return _NormOracle(op.k)
     return _DistinctPairSumOracle() if op.k == 4 else _MaskOracle()
+
+
+def branching_oracle(op: OperatorKind, bound: int):
+    """Fresh oracle for a search that branches by ``copy()`` and adds or asks
+    about nothing past ``bound``: ``_NormLevels`` for ``normk`` with k >= 5."""
+    if op.kind == "normk" and op.k >= 5:
+        return _NormLevels(op.k, bound)
+    return incremental_oracle(op, bound)
 
 
 # --- the operator on a prefix ------------------------------------------------

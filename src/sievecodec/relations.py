@@ -12,18 +12,20 @@ coefficient tuple, read along increasing elements, is lexicographically
 least.  Repeated calls return the identical object contents.
 
 The incremental :class:`CostTable` answers existence queries in O(1) after a
-vectorised update per added element; it backs the ``normk`` oracles of
-:mod:`sievecodec.operators`.  Each table owns its work space, so tables
-built in different threads share nothing.  :func:`find_anchored_relation`
-builds no table.  Its least possible norm is 3, since 1 +/- b == 0 needs
-b == 1, and norm 3 means 1 + b - (b + 1) == 0: so when the base holds some
-b and b + 1 it returns that relation at the largest such b and builds
-nothing.  Otherwise it makes one sweep of big-int masks, one per cost
-level, and keeps nothing once it returns.  This is the one module of the
-package that uses numpy: the table's cells are numpy arrays, and what it
-hands out is plain ints and ``bytes``.  numpy is imported when the first
-table is allocated, so a process whose operators build none (``sumfree``,
-``coprime``, ``normk`` with k <= 4, ``fs``) never loads it.
+vectorised update per added element; it backs the windowed ``normk``
+oracle of :mod:`sievecodec.operators`.  Each table owns its work space, so
+tables built in different threads share nothing.  The searches that need no
+window keep big-int masks instead, one per cost level (:func:`_admit`): the
+encoder fixed-point walk, whose branches share them, and
+:func:`find_anchored_relation`.  Its least possible norm is 3, since
+1 +/- b == 0 needs b == 1, and norm 3 means 1 + b - (b + 1) == 0: so when
+the base holds some b and b + 1 it returns that relation at the largest such
+b and builds nothing.  Otherwise it makes one sweep of the masks and keeps
+nothing once it returns.  This is the one module of the package that uses
+numpy: the table's cells are numpy arrays, and what it hands out is plain
+ints and ``bytes``.  numpy is imported when the first table is allocated, so
+a process that builds none (``sumfree``, ``coprime``, ``normk`` with k <= 4,
+``fs``, the fixed-point walk) never loads it.
 """
 
 from __future__ import annotations
@@ -167,15 +169,6 @@ class CostTable:
         self.reach = self.budget * self.limit
         self._cost, self._work = _cells(2 * self.reach + 1)
         self._cost[self.reach - reach : self.reach + reach + 1] = old
-
-    def copy(self) -> CostTable:
-        """An independent table over the same elements, with its own work space."""
-        twin = object.__new__(type(self))
-        twin.budget, twin.limit, twin.reach, twin.top, twin._plan = (
-            self.budget, self.limit, self.reach, self.top, self._plan)
-        twin._cost, twin._work = _cells(len(self._cost))
-        twin._cost[:] = self._cost
-        return twin
 
     def add(self, element: int) -> None:
         """Admit one more element; relaxes every sum over its coefficients."""

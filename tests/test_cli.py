@@ -453,6 +453,17 @@ def test_sufficient_at_k_four_never_imports_numpy():
     assert not loaded
 
 
+def test_fixed_points_never_import_numpy():
+    # The fixed-point walk reads big-int cost levels under normk, not a cost
+    # table; k = 16 takes the most levels and multipliers.
+    commands = [["fixed-points", "--k", str(k), "--max-element", "20"] for k in (5, 7, 16)]
+    blocked, _, _ = _run_commands("blocked", commands)
+    unblocked, loaded, _ = _run_commands("unblocked", commands)
+    assert blocked == unblocked
+    assert {code for code, _, _ in blocked} == {0}
+    assert not loaded
+
+
 def test_numpy_is_bound_only_in_relations():
     # The first cost table loads numpy, and only relations binds it: the
     # oracles, the codec, the dynamics and the CLI see only ints and bytes.

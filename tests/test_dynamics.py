@@ -9,7 +9,6 @@ import sievecodec.codec as codec
 import sievecodec.dynamics as dynamics
 from sievecodec import (
     CandidateCeilingExceeded,
-    CostTable,
     IntSetPrefix,
     OperatorKind,
     SufficiencyEvidence,
@@ -344,23 +343,33 @@ class TestEncoderFixedPoints:
         # made only when an integer is left to decide: fewer adds than fixed
         # points.
         built, adds = [], []
-        make, add = dynamics.incremental_oracle, CostTable.add
-        monkeypatch.setattr(
-            dynamics, "incremental_oracle", lambda op: built.append(op) or make(op)
-        )
-        monkeypatch.setattr(CostTable, "add", lambda table, e: adds.append(e) or add(table, e))
+        make = dynamics.branching_oracle
+
+        def counted(op, bound):
+            # Counts the adds on the oracle made and on every copy of it.
+            oracle = make(op, bound)
+            add = type(oracle).add
+            monkeypatch.setattr(type(oracle), "add", lambda self, e: adds.append(e) or add(self, e))
+            built.append(op)
+            return oracle
+
+        monkeypatch.setattr(dynamics, "branching_oracle", counted)
         assert len(encoder_fixed_points(OperatorKind("normk", k), m)) == fixed
         assert len(built) == 1
         assert len(adds) == added
 
-    def test_search_reaches_the_bound(self):
-        # The 1,015 sets at k = 7 over [1, 32] were confirmed by an independent
-        # search. One test per subset would take about a day: 2^18 tests take 5 s.
-        found = encoder_fixed_points(N7, 32)
+    @pytest.mark.parametrize("k, count", [(7, 1015), (16, 425)])
+    def test_search_reaches_the_bound(self, k, count):
+        # Both counts over [1, 32] were confirmed by an independent search.
+        # One test per subset would take about a day: 2^18 tests take 5 s.
+        # At k = 16 the walk's levels are the deepest: 15 of them, lifted by
+        # coefficients up to 3, and read for multipliers up to 3.
+        op = OperatorKind("normk", k)
+        found = encoder_fixed_points(op, 32)
         masks = [sum(1 << (e - 1) for e in p.elements) for p in found]
-        assert len(found) == 1015
+        assert len(found) == count
         assert masks == sorted(set(masks))
-        assert all(p.horizon == 32 and is_encoder_fixed_point(N7, p) for p in found)
+        assert all(p.horizon == 32 and is_encoder_fixed_point(op, p) for p in found)
 
     def test_enumeration_bound_is_enforced(self):
         with pytest.raises(ValueError):

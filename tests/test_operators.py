@@ -28,6 +28,9 @@ from sievecodec.operators import (
     _MASK_WINDOW,
     _SPF_CAP,
     FactorBoundExceeded,
+    _NormLevels,
+    _NormOracle,
+    branching_oracle,
     incremental_oracle,
     prime_factors,
 )
@@ -562,12 +565,17 @@ class TestMaskWindow:
                 c += rng.randint(1, 300)
 
 
+# The operators whose ``incremental_oracle`` answers ``copy()``: all but
+# ``normk`` with k >= 5, whose branching searches take ``_NormLevels``.
+COPYING_OPERATORS = [op for op in ALL_OPERATORS if hasattr(incremental_oracle(op), "copy")]
+
+
 class TestOracleCopy:
     """A copy and its original, each grown further, answer like fresh
     oracles over their own sets."""
 
     @given(
-        st.sampled_from(ALL_OPERATORS),
+        st.sampled_from(COPYING_OPERATORS),
         st.sets(st.integers(1, 60), max_size=8),
         st.sets(st.integers(1, 200), max_size=3),
         st.sets(st.integers(1, 200), max_size=3),
@@ -620,6 +628,67 @@ class TestOracleCopy:
                 assert len(oracle._marks) > edge
                 other, other_elements = pairs[1 - turn]
                 check(other, other_elements, max(other_elements) + 1, len(other._marks) - 1)
+
+
+# The unit of the levels below: every element and every value asked about.
+_UNIT = 64
+
+
+def _levels(k, elements):
+    oracle = _NormLevels(k, _UNIT)
+    for e in sorted(elements):
+        oracle.add(e)
+    return oracle
+
+
+class TestNormLevels:
+    """The window-free ``normk`` (k >= 5) levels that a branching search
+    extends answer as the windowed oracle and the reference do."""
+
+    @given(st.integers(5, 16), st.sets(st.integers(1, _UNIT), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_table_oracle_and_the_reference(self, k, elements):
+        op = OperatorKind("normk", k)
+        levels, table = _levels(k, elements), _NormOracle(k)
+        for e in sorted(elements):
+            table.add(e)
+        above = max(elements, default=0) + 1
+        forbidden = apply_J(op, elements, above, _UNIT)
+        assert [v for v in range(above, _UNIT + 1) if levels.forbids(v)] == sorted(forbidden)
+        assert [v for v in range(above, _UNIT + 1) if table.forbids(v)] == sorted(forbidden)
+
+    @given(
+        st.integers(5, 16),
+        st.sets(st.integers(1, 40), max_size=5),
+        st.sets(st.integers(1, 24), max_size=3),
+        st.sets(st.integers(1, 24), max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_copies_grow_apart(self, k, base, more, other):
+        # Each grows by its own elements above the shared set.
+        top = max(base, default=0)
+        more, other = ({top + d for d in extra} for extra in (more, other))
+        original = _levels(k, base)
+        twin = original.copy()
+        for oracle, extra in ((original, more), (twin, other)):
+            for e in sorted(extra):
+                oracle.add(e)
+        for oracle, elements in ((original, base | more), (twin, base | other)):
+            fresh = _levels(k, elements)
+            span = range(max(elements, default=0) + 1, _UNIT + 1)
+            assert [oracle.forbids(v) for v in span] == [fresh.forbids(v) for v in span]
+
+    def test_refuses_an_element_above_the_unit(self):
+        oracle = _levels(7, {3, 5})
+        with pytest.raises(ValueError, match="above the unit"):
+            oracle.add(_UNIT + 1)
+        assert oracle.forbids(8) and not oracle.forbids(9)  # 3 + 5; and unchanged
+
+    @pytest.mark.parametrize("op", EVERY_OPERATOR, ids=str)
+    def test_branching_oracle_takes_the_levels_only_for_norm_tables(self, op):
+        oracle = branching_oracle(op, _UNIT)
+        assert isinstance(oracle, _NormLevels) == (op.kind == "normk" and op.k >= 5)
+        assert hasattr(oracle, "copy")
 
 
 class TestCallersKeepTheProtocol:

@@ -344,35 +344,6 @@ class TestCostTable:
         with ThreadPoolExecutor(max_workers=4) as pool:
             assert list(pool.map(build, sets)) == serial
 
-    def test_copies_grow_apart(self):
-        # One copy is taken before the original's window grows and one
-        # after; each, grown on, matches a table built from its own elements.
-        # ``big`` lies past the first window and ``bigger`` past the grown one.
-        rng = random.Random(13)
-        for budget in range(1, 16):
-            a, b, c, d = rng.sample(range(1, 17), 4)
-            table = CostTable(budget)
-            for e in (a, b, c):
-                table.add(e)
-            before = table.copy()
-            big = rng.randint(table.limit + 1, 6 * table.limit)
-            table.add(big)
-            assert table.limit > before.limit
-            before.add(d)
-            after = table.copy()
-            bigger = rng.randint(table.limit + 1, 3 * table.limit)
-            after.add(bigger)
-            assert after.limit > table.limit
-            table.add(d)
-            for copy, elements in ((table, (a, b, c, big, d)), (before, (a, b, c, d)),
-                                   (after, (a, b, c, big, bigger))):
-                fresh = CostTable(budget)
-                for e in sorted(elements):
-                    fresh.add(e)
-                assert copy.limit == fresh.limit
-                span = range(-fresh.reach - 2, fresh.reach + 3)
-                assert [copy.min_cost(v) for v in span] == [fresh.min_cost(v) for v in span]
-
     def test_forbidden_reads_min_cost(self):
         # Windows straddle reach // y, past which y * v leaves the table and
         # every byte is 0, and some lie wholly past the reach.  A last element
