@@ -93,8 +93,7 @@ def cmd_dynamics(args) -> int:
 
 def cmd_fixed_points(args) -> int:
     points = encoder_fixed_points(OperatorKind("normk", args.k), args.max_element)
-    for prefix in points:
-        print(f"fixed-point set={prefix}")
+    sys.stdout.write("".join([f"fixed-point set={prefix}\n" for prefix in points]))
     print(f"count={len(points)}")
     return EXIT_OK
 

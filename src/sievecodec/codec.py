@@ -104,9 +104,10 @@ def encode(op: OperatorKind, word: str) -> EncodeResult:
                 oracle.add(candidate)
         else:
             rejected.append(candidate)
+    # Candidates rise strictly from 1 to ``consumed``: both prefixes are valid.
     return EncodeResult(
-        IntSetPrefix(tuple(accepted), consumed),
-        IntSetPrefix(tuple(rejected), consumed),
+        IntSetPrefix._trusted(tuple(accepted), consumed),
+        IntSetPrefix._trusted(tuple(rejected), consumed),
         consumed,
     )
 

@@ -108,7 +108,7 @@ class IntSetPrefix:
             self.elements[: bisect_right(self.elements, new_horizon)], new_horizon)
 
     def __str__(self) -> str:
-        return f"{','.join(str(a) for a in self.elements)} @ {self.horizon}".lstrip()
+        return f"{','.join([str(a) for a in self.elements])} @ {self.horizon}".lstrip()
 
 
 def from_characteristic(word: str) -> IntSetPrefix:

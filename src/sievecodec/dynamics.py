@@ -177,7 +177,11 @@ def encoder_fixed_points(op: OperatorKind, max_element: int) -> list[IntSetPrefi
     so the search builds one oracle and makes at most one ``add`` per fixed
     point found.  Under ``normk`` with k >= 5 the ``branching_oracle`` keeps
     its cost levels in big ints that copies share, and no cost table.
-    The result is ordered by the mask sum of 2**(e - 1) over the elements e.
+    Each branch carries its elements beside its mask.  The results, ordered
+    by the mask sum of 2**(e - 1) over the elements e, are built unchecked:
+    the search decides 1..max_element in increasing order, so each tuple
+    rises strictly within [1, max_element].  Checking them took about three
+    quarters of the walk's own time at k = 5, M = 10.
     Refuses ground sets beyond ``FIXED_POINT_ENUMERATION_BOUND``.
     """
     if max_element < 1:
@@ -187,31 +191,24 @@ def encoder_fixed_points(op: OperatorKind, max_element: int) -> list[IntSetPrefi
             f"exhaustive enumeration over [1, {max_element}] exceeds the bound "
             f"{FIXED_POINT_ENUMERATION_BOUND}"
         )
-    found: list[int] = []
-    # Open branches: the next integer to decide, the mask of S below it, an
-    # oracle holding S without its last element, and that element (0 for
-    # none).  Branches only ever call ``forbids`` on the oracle they hold, so
-    # siblings share their parent's.
-    branches = [(1, 0, branching_oracle(op, max_element), 0)]
+    found: list[tuple[int, tuple[int, ...]]] = []
+    # Open branches: the next integer to decide, the mask and the elements of
+    # S below it, and an oracle holding S without its last element.  Branches
+    # only ever call ``forbids`` on the oracle they hold, so siblings share
+    # their parent's.
+    branches = [(1, 0, (), branching_oracle(op, max_element))]
     while branches:
-        value, mask, oracle, taken = branches.pop()
-        if taken and value <= max_element:
+        value, mask, elements, oracle = branches.pop()
+        if elements and value <= max_element:
             oracle = oracle.copy()
-            oracle.add(taken)
+            oracle.add(elements[-1])
         while value <= max_element and not oracle.forbids(value):
             # This branch leaves the value out of S; the pushed one takes it.
-            branches.append((value + 1, mask | 1 << (value - 1), oracle, value))
+            branches.append((value + 1, mask | 1 << (value - 1), elements + (value,), oracle))
             value += 1
-        found.append(mask)
-    fixed = []
-    for mask in sorted(found):
-        elements = []
-        while mask:  # one step per element: bit e - 1 is the lowest set bit
-            low = mask & -mask
-            elements.append(low.bit_length())
-            mask ^= low
-        fixed.append(IntSetPrefix(tuple(elements), max_element))
-    return fixed
+        found.append((mask, elements))
+    found.sort()  # masks are distinct, so no two element tuples are compared
+    return [IntSetPrefix._trusted(elements, max_element) for _, elements in found]
 
 
 @dataclass(frozen=True)

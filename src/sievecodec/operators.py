@@ -42,10 +42,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress
 from math import isqrt
 
 from .core import IntSetPrefix
-from .relations import CostTable, _admit, _check_norm_bound, _holds
+from .relations import CostTable, _admit, _check_norm_bound
 
 
 # Each operator kind and its command-line syntax.
@@ -87,8 +89,10 @@ def parse_operator(text: str) -> OperatorKind:
 
 # Smallest-prime-factor sieve, grown on demand up to ``_SPF_CAP``, which
 # covers every encoder candidate below ``codec.DEFAULT_CANDIDATE_CEILING``;
-# larger integers by trial division up to the cap, which proves a cofactor
-# left below the cap squared prime and refuses a larger one.  So no query
+# larger integers by trial division by the primes below the cap, which proves
+# a cofactor left below the cap squared prime and refuses a larger one.  Those
+# primes come from a sieve of the odd numbers, built on the first such
+# integer: 512 KiB for the sieve and 4 bytes per prime kept.  So no query
 # allocates in proportion to its integer.  The coprime oracle's marks grow
 # 4-fold up to the cap and 2-fold past it, and a ``forbids`` probe never grows
 # them past it.  Rebuilds are idempotent, so a racing refill at worst
@@ -120,19 +124,36 @@ def _ensure_spf(n: int) -> None:
     _spf = table
 
 
+@cache
+def _trial_primes() -> array:
+    # The primes below _SPF_CAP, in increasing order.
+    half = _SPF_CAP // 2
+    odd = bytearray([1]) * half  # odd[i] for 2 * i + 1, sieved by slices
+    odd[0] = 0
+    for i in range(1, (isqrt(_SPF_CAP - 1) + 1) // 2):
+        if odd[i]:  # p = 2i + 1 crosses out its odd multiples from p * p on
+            start, p = 2 * i * (i + 1), 2 * i + 1
+            odd[start::p] = bytes(len(range(start, half, p)))
+    primes = array("I", [2])
+    primes.extend(compress(range(1, _SPF_CAP, 2), odd))  # in place: no second copy
+    return primes
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, in increasing order (none for n == 1)."""
     if n < 1:
         raise ValueError("prime_factors expects a positive integer")
     out = []
     if n >= _SPF_CAP:
-        m, p = n, 2
-        while p * p <= m and p < _SPF_CAP:
+        m = n
+        for p in _trial_primes():
+            if p * p > m:
+                break
             if m % p == 0:
                 out.append(p)
+                m //= p
                 while m % p == 0:
                     m //= p
-            p += 1 if p == 2 else 2
         if m >= _SPF_CAP * _SPF_CAP:
             raise FactorBoundExceeded(
                 f"cannot factor {n}: trial division stops at the bound {_SPF_CAP}, "
@@ -444,7 +465,8 @@ class _NormLevels:
     def forbids(self, value: int) -> bool:
         levels, unit = self._levels, self._unit
         for y, r in self._ys:
-            if _holds(levels, unit, r, y * value):
+            # y * value > 0, and level r has no bit past 2r * unit: no range test.
+            if levels[r] >> r * unit + y * value & 1:
                 return True
         return False
 

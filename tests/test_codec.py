@@ -95,6 +95,24 @@ class TestEncode:
     def test_output_is_a_member(self, op, word):
         assert is_member(op, encode(op, word).accepted)
 
+    @pytest.mark.parametrize("op", EVERY_OPERATOR, ids=str)
+    def test_prefixes_pass_the_checked_construction(self, op):
+        # encode builds both prefixes unchecked; the checks must pass on them.
+        rng = random.Random(0)
+        words = ["".join(rng.choice("01") for _ in range(rng.randint(0, 16)))
+                 for _ in range(200)]
+        refused = []
+        for word in words:
+            try:
+                result = encode(op, word)
+            except CandidateCeilingExceeded:
+                refused.append(word)
+                continue
+            for prefix in (result.accepted, result.rejected):
+                assert IntSetPrefix(prefix.elements, prefix.horizon) == prefix, word
+        # No word of 16 bits or fewer among these reaches the ceiling.
+        assert refused == []
+
     def test_candidate_ceiling_guard(self, monkeypatch):
         monkeypatch.setattr(codec, "DEFAULT_CANDIDATE_CEILING", 4)
         # Accepts 1 and 3; the third bit's scan passes 4 (2 and 4 are sums).

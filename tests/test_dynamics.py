@@ -310,7 +310,10 @@ class TestEncoderFixedPoints:
     @pytest.mark.parametrize("op", EVERY_OPERATOR, ids=str)
     def test_search_matches_brute_force(self, op):
         for m in range(1, 11):
-            assert encoder_fixed_points(op, m) == brute_force_fixed_points(op, m)
+            found = encoder_fixed_points(op, m)
+            assert found == brute_force_fixed_points(op, m)
+            # The search builds its prefixes unchecked; the checks must pass.
+            assert all(IntSetPrefix(p.elements, p.horizon) == p for p in found)
 
     @pytest.mark.parametrize("k", (3, 5, 7, 9, 16))
     def test_search_matches_brute_force_over_13(self, k):

@@ -93,6 +93,17 @@ class TestPrimeFactors:
         for n in draws:
             assert prime_factors(n) == sorted(reference.prime_factors(n)), n
 
+    def test_trial_primes_past_the_sieve(self):
+        # Past the sieve only primes divide; plain trial division by every
+        # integer is the reference.  The products of two primes just below
+        # 2**20 need the last primes of the list.
+        rng = random.Random(5)
+        draws = [rng.randrange(2**20, 2**40) for _ in range(40)]
+        top = [p for p in range(2**20 - 1, 2**20 - 100, -1) if reference.prime_factors(p) == {p}]
+        draws += [p * q for p in top[:3] for q in top[:3]]
+        for n in draws:
+            assert prime_factors(n) == sorted(reference.prime_factors(n)), n
+
     def test_cofactors_at_the_bound(self):
         # Trial division stops at 2**20, so a cofactor left below 2**40 is
         # prime and one of 2**40 or more is refused, prime or not.
