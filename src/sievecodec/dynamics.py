@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from .codec import DecodeResult, decode
 from .core import IntSetPrefix, from_characteristic
@@ -81,22 +82,23 @@ def _step(op: OperatorKind, prefix: IntSetPrefix) -> tuple[IntSetPrefix, int, in
     return from_characteristic(result.bits + "1" * run), result.ternary.count("*"), frozen_len
 
 
+def _passes(op: OperatorKind, start: IntSetPrefix, floor: int):
+    """Each decode pass from ``start`` while the horizon is at least ``floor``:
+    (iterate, next iterate, stars shed, frozen length)."""
+    while start.horizon >= floor:
+        nxt, shed, frozen_len = _step(op, start)
+        yield start, nxt, shed, frozen_len
+        start = nxt
+
+
 def decode_orbit(op: OperatorKind, start: IntSetPrefix, steps: int) -> OrbitRecord:
     """Apply the decoder ``steps`` times, recording every iterate."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    iterates = [start]
-    stars: list[int] = []
-    current = start
-    verdict = "ok"
-    for _ in range(steps):
-        if current.horizon < 1:
-            verdict = "horizon-exhausted"
-            break
-        current, shed, _ = _step(op, current)
-        iterates.append(current)
-        stars.append(shed)
-    return OrbitRecord(tuple(iterates), tuple(stars), None, None, verdict)
+    passes = list(islice(_passes(op, start, 1), steps))
+    verdict = "ok" if len(passes) == steps else "horizon-exhausted"
+    iterates = (start, *(nxt for _, nxt, _, _ in passes))
+    return OrbitRecord(iterates, tuple(shed for _, _, shed, _ in passes), None, None, verdict)
 
 
 def find_limit(op: OperatorKind, start: IntSetPrefix, prefix_len: int) -> OrbitRecord:
@@ -108,33 +110,22 @@ def find_limit(op: OperatorKind, start: IntSetPrefix, prefix_len: int) -> OrbitR
     verdict is ``"insufficient-horizon"`` and the largest prefix that did
     freeze is reported instead; a wrong limit is never returned.  Either
     prefix precedes the first star of a pass, so it decodes with no star.
+
+    The largest frozen prefix is the last pass's: the positions below a
+    pass's first star carry into the next iterate unchanged, and a position
+    decodes from the elements below it alone, so they decode alike there and
+    the frozen length never falls.
     """
     if prefix_len < 1:
         raise ValueError("prefix_len must be at least 1")
-    iterates = [start]
-    stars: list[int] = []
-    best_frozen: IntSetPrefix | None = None
-    current = start
-    iteration = 0
-    while current.horizon >= prefix_len:
-        nxt, shed, frozen_len = _step(op, current)
+    iterates, stars, frozen = [start], [], None
+    for iteration, (current, nxt, shed, frozen_len) in enumerate(_passes(op, start, prefix_len)):
         iterates.append(nxt)
         stars.append(shed)
-        if best_frozen is None or frozen_len > best_frozen.horizon:
-            best_frozen = current.truncate(frozen_len)
+        frozen = current.truncate(min(frozen_len, prefix_len))
         if frozen_len >= prefix_len:
-            return OrbitRecord(
-                tuple(iterates),
-                tuple(stars),
-                current.truncate(prefix_len),
-                iteration,
-                "stabilized",
-            )
-        current = nxt
-        iteration += 1
-    return OrbitRecord(
-        tuple(iterates), tuple(stars), best_frozen, None, "insufficient-horizon"
-    )
+            return OrbitRecord(tuple(iterates), tuple(stars), frozen, iteration, "stabilized")
+    return OrbitRecord(tuple(iterates), tuple(stars), frozen, None, "insufficient-horizon")
 
 
 def is_encoder_fixed_point(op: OperatorKind, prefix: IntSetPrefix) -> bool:

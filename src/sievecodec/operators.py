@@ -87,18 +87,18 @@ def parse_operator(text: str) -> OperatorKind:
 
 # --- prime factors -----------------------------------------------------------
 
-# Smallest-prime-factor sieve, grown on demand up to ``_SPF_CAP``, which
+# Smallest-prime-factor table, grown on demand up to ``_SPF_CAP``, which
 # covers every encoder candidate below ``codec.DEFAULT_CANDIDATE_CEILING``;
 # larger integers by trial division by the primes below the cap, which proves
-# a cofactor left below the cap squared prime and refuses a larger one.  Those
-# primes come from a sieve of the odd numbers, built on the first such
-# integer: 512 KiB for the sieve and 4 bytes per prime kept.  So no query
-# allocates in proportion to its integer.  The coprime oracle's marks grow
-# 4-fold up to the cap and 2-fold past it, and a ``forbids`` probe never grows
-# them past it.  Rebuilds are idempotent, so a racing refill at worst
-# duplicates work.  The sieve is a 4-byte ``array`` written by slices, not a
-# numpy array: numpy is imported only when a ``normk`` (k >= 5) cost table
-# is built, and the table-free operators never load it.
+# a cofactor left below the cap squared prime and refuses a larger one.  Both
+# take their primes from one sieve of the odd numbers, built up to the power
+# of two past the square root asked for and kept per size, 4 bytes a prime.
+# So no query allocates in proportion to its integer.  The coprime oracle's
+# marks grow 4-fold up to the cap and 2-fold past it, and a ``forbids`` probe
+# never grows them past it.  Rebuilds are idempotent, so a racing refill at
+# worst duplicates work.  The table is a 4-byte ``array`` written by slices,
+# not a numpy array: numpy is imported only when a ``normk`` (k >= 5) cost
+# table is built, and the table-free operators never load it.
 _SPF_CAP = 1 << 20
 _spf = array("I", [0, 1])
 
@@ -107,36 +107,31 @@ class FactorBoundExceeded(RuntimeError):
     """Trial division up to ``_SPF_CAP`` left a cofactor of ``_SPF_CAP**2`` or more."""
 
 
-def _ensure_spf(n: int) -> None:
-    # Grow the sieve past n; its caller has n >= len(_spf).
-    global _spf
-    size = min(max(n + 1, 2 * len(_spf)), _SPF_CAP)
-    root = isqrt(size - 1)
-    prime = bytearray([1]) * (root + 1)  # prime[p] for p <= root, sieved by slices too
-    for p in range(2, isqrt(root) + 1):
-        if prime[p]:
-            prime[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
-    table = array("I", range(size))
-    # Larger primes first, so the smallest prime factor writes last.
-    for p in range(root, 1, -1):
-        if prime[p]:
-            table[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
-    _spf = table
-
-
 @cache
-def _trial_primes() -> array:
-    # The primes below _SPF_CAP, in increasing order.
-    half = _SPF_CAP // 2
+def _primes_below(bound: int) -> array:
+    # The primes below ``bound``, a power of two up to _SPF_CAP, in increasing order.
+    half = bound // 2
     odd = bytearray([1]) * half  # odd[i] for 2 * i + 1, sieved by slices
     odd[0] = 0
-    for i in range(1, (isqrt(_SPF_CAP - 1) + 1) // 2):
+    for i in range(1, (isqrt(bound - 1) + 1) // 2):
         if odd[i]:  # p = 2i + 1 crosses out its odd multiples from p * p on
             start, p = 2 * i * (i + 1), 2 * i + 1
             odd[start::p] = bytes(len(range(start, half, p)))
-    primes = array("I", [2])
-    primes.extend(compress(range(1, _SPF_CAP, 2), odd))  # in place: no second copy
+    primes = array("I", [2] if bound > 2 else [])
+    primes.extend(compress(range(1, bound, 2), odd))  # in place: no second copy
     return primes
+
+
+def _ensure_spf(n: int) -> None:
+    # Grow the table past n; its caller has n >= len(_spf).
+    global _spf
+    size = min(max(n + 1, 2 * len(_spf)), _SPF_CAP)
+    table = array("I", range(size))
+    # Larger primes first, so the smallest prime factor writes last.  A prime
+    # past the root of size writes an empty slice.
+    for p in reversed(_primes_below(1 << isqrt(size - 1).bit_length())):
+        table[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
+    _spf = table
 
 
 def prime_factors(n: int) -> list[int]:
@@ -146,7 +141,7 @@ def prime_factors(n: int) -> list[int]:
     out = []
     if n >= _SPF_CAP:
         m = n
-        for p in _trial_primes():
+        for p in _primes_below(min(1 << isqrt(n).bit_length(), _SPF_CAP)):
             if p * p > m:
                 break
             if m % p == 0:

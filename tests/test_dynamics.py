@@ -230,6 +230,46 @@ class TestFindLimit:
             assert [a for a, bit in enumerate(again.bits, 1) if bit == "1"] == kept
 
 
+def orbit_starts(op):
+    rng = random.Random(f"passes/{op}")
+    return [random_prefix(rng, rng.randint(1, 400), rng.random()) for _ in range(60)]
+
+
+class TestPasses:
+    """What the one pass loop behind ``decode_orbit`` and ``find_limit``
+    relies on, along every pass of seeded random orbits."""
+
+    @pytest.mark.parametrize("op", EVERY_OPERATOR, ids=str)
+    def test_frozen_prefix_carries_over_and_never_shrinks(self, op):
+        for prefix in orbit_starts(op):
+            frozen_len = 0
+            while prefix.horizon >= 1:
+                nxt, shed, now = dynamics._step(op, prefix)
+                assert now >= frozen_len
+                assert nxt.truncate(now) == prefix.truncate(now)
+                if shed == 0:  # a pass with no star gives back its iterate
+                    assert nxt == prefix
+                    break
+                prefix, frozen_len = nxt, now
+
+    @pytest.mark.parametrize("op", EVERY_OPERATOR, ids=str)
+    def test_find_limit_agrees_with_the_passes(self, op):
+        rng = random.Random(f"limit-passes/{op}")
+        short = 0
+        for start in orbit_starts(op):
+            record = find_limit(op, start, rng.randint(1, start.horizon))
+            passes = len(record.stars_per_step)
+            orbit = decode_orbit(op, start, passes)
+            assert (orbit.iterates, orbit.stars_per_step, orbit.verdict) == (
+                record.iterates, record.stars_per_step, "ok")
+            if record.verdict == "insufficient-horizon":
+                short += 1
+                last = record.iterates[-2]
+                assert record.stabilized_prefix == last.truncate(dynamics._step(op, last)[2])
+        # Bounds 2 and 3 forbid nothing, so there the first pass freezes all.
+        assert (short > 0) == (str(op) not in ("normk:2", "normk:3"))
+
+
 class TestEncoderFixedPoints:
     def test_examples(self):
         assert is_encoder_fixed_point(N7, IntSetPrefix((3,), 5))

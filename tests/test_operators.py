@@ -115,6 +115,14 @@ class TestPrimeFactors:
             with pytest.raises(FactorBoundExceeded, match=f"^cannot factor {n}: .*bound 1048576"):
                 prime_factors(n)
 
+    def test_a_large_prime_sieves_only_past_its_root(self):
+        # Its root is 2,000, so the primes below 2**11 suffice, not all
+        # 82,025 below 2**20.
+        operators._primes_below.cache_clear()
+        factors, peak = _peak_bytes(lambda: prime_factors(3_999_971))
+        assert factors == [3_999_971]
+        assert peak < 64 * 2**10
+
 
 def _peak_bytes(call):
     tracemalloc.start()
