@@ -34,7 +34,8 @@ from .operators import OperatorKind, incremental_oracle
 #: accepted element e: 2*(k-2)*limit one-byte ``CostTable`` cells for
 #: ``normk:<k>`` with k >= 5 (``limit`` quadruples from 16 until it reaches e,
 #: so it is below 4e, and at most 2**20 = 16 * 4**8 under this ceiling; decode
-#: and membership have no ceiling and the same 4e) and as many again for the
+#: and membership have no ceiling and the same 4e, or big-int levels of at
+#: most ``operators._LEVELS_BITS`` bits each) and as many again for the
 #: work space of ``CostTable.add``, big-int masks of about 2e bits for
 #: ``sumfree`` and ``normk:4`` (the pair sums) and none for ``normk:2`` and
 #: ``normk:3``, of sum(A) bits for ``fs`` (the sums of two or more members),

@@ -180,8 +180,10 @@ def prime_factors(n: int) -> list[int]:
 #
 # ``copy()``, an independent oracle over the same set, is answered by the
 # oracles a search branches from (``branching_oracle``): the mask and coprime
-# oracles, and ``_NormLevels`` (``normk``, k >= 5; no ``next_allowed``).  The
-# windowed ``_NormOracle`` serves encode, decode and the membership tests.
+# oracles, and ``_NormLevels`` (``normk``, k >= 5).  Under ``normk`` with
+# k >= 5, decode and the membership tests read ``_NormLevels`` too while
+# their horizon keeps its levels within ``_LEVELS_BITS``; encode, which names
+# no horizon, and larger sweeps read the windowed ``_NormOracle``.
 #
 # Each ``incremental_oracle`` has one render call more, the one
 # ``codec.decode`` makes.  Every oracle but ``normk`` for k >= 5 has
@@ -196,9 +198,10 @@ def prime_factors(n: int) -> list[int]:
 # first element p divides, and the coprime oracle keeps that element.  A
 # ``normk`` table with k >= 5 forbids values below the elements that forbid
 # them (a difference b - a) and keeps no record of which elements a cost used,
-# so ``_NormOracle`` has ``forbidden_in(lo, hi)`` instead, for the decoder's
-# walk over the gaps: ``bytes`` whose i-th byte is 1 when lo + i is forbidden
-# and 0 otherwise (empty when hi < lo).
+# so ``_NormOracle`` and ``_NormLevels`` have ``forbidden_in(lo, hi)``
+# instead, for the decoder's walk over the gaps: ``bytes`` or a ``bytearray``
+# whose i-th byte is 1 when lo + i is forbidden and 0 otherwise (empty when
+# hi < lo).
 #
 # ``forbids``, ``next_allowed`` and ``forbidden_in`` answer only about
 # values strictly above the largest element added: the encoder, the decoder,
@@ -219,9 +222,11 @@ def prime_factors(n: int) -> list[int]:
 # Runs of rejected bits make ``next_allowed`` calls a few values apart with no
 # ``add`` between them, so two oracles keep what their last call read until
 # the set changes: the mask oracles a 256-bit slice of the mask, the
-# ``normk`` oracle for k >= 5 the ``bytes`` window it found a free value in.
-# The coprime oracle keeps one byte per integer from 0 up, which only grow.
-# Both find the next free value with one ``find`` for a zero byte.
+# ``normk`` table oracle for k >= 5 the ``bytes`` window it found a free value
+# in.  The coprime oracle keeps one byte per integer from 0 up, which only
+# grow.  Both find the next free value with one ``find`` for a zero byte.
+# ``_NormLevels`` keeps no window: the decoder's walk, its one caller of
+# ``next_allowed``, adds an element between any two calls.
 
 
 # Width of the slice of a mask that ``next_allowed`` keeps between calls.
@@ -229,6 +234,13 @@ _MASK_WINDOW = 256
 _MASK_WINDOW_ONES = (1 << _MASK_WINDOW) - 1
 # Binary digits to the bytes of ``forbidden_through``.
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _render(mask: int, n: int) -> bytearray:
+    # Bits 0..n-1 of ``mask`` as n bytes 0 or 1.  The sentinel bit n keeps
+    # the n digits, leading zeros included, in ``bin``; read backwards they
+    # run from bit 0 up.
+    return bytearray(bin(mask | 1 << n)[:2:-1], "ascii").translate(_DIGIT_BYTES)
 
 
 class _MaskOracle:
@@ -299,10 +311,7 @@ class _MaskOracle:
         return c + (run ^ (run + 1)).bit_length() - 1
 
     def forbidden_through(self, hi: int) -> bytearray:
-        # The sentinel bit hi keeps the hi digits, leading zeros included, in
-        # ``bin``; read backwards they run from position 1 up.
-        window = (self._mask >> 1) & ((1 << hi) - 1)
-        return bytearray(bin(window | 1 << hi)[:2:-1], "ascii").translate(_DIGIT_BYTES)
+        return _render((self._mask >> 1) & ((1 << hi) - 1), hi)  # from position 1 up
 
 
 class _PairSumOracle(_MaskOracle):
@@ -356,9 +365,20 @@ class _SubsetSumOracle(_MaskOracle):
 # us for 512), and a second window costs those calls again, so a wide first
 # window beats one sized to the last gap.  1,024 cells are faster still on
 # lacunary words, but raised the peak RSS of the ``dynamics`` bench by 0.4
-# MiB.  The mask oracles keep a slice of fixed width, ``_MASK_WINDOW``; the
-# coprime oracle searches its marks to their end.
+# MiB.  ``_NormLevels`` starts its searches at this width too: there a
+# window costs about its width, but on the ``dynamics`` bench's orbit jobs 64
+# cells were no faster than 512 (0-3 % slower).  The mask oracles keep a
+# slice of fixed width, ``_MASK_WINDOW``; the coprime oracle searches its
+# marks to their end.
 _FIRST_WINDOW = 512
+# A sweep told its horizon h takes ``_NormLevels`` when their widest level,
+# 2 * (k - 2) * h bits, fits this, and ``_NormOracle`` otherwise.  A level
+# shift costs about its width, a table call 3-10 us whatever its size.  The
+# decode walk over density-1/10 starts ran 1.2-1.9 times as fast on the
+# levels as on the table up to 2**14 bits, 1.0-1.5 times up to 2**15, and
+# 0.87-0.90 times at k = 16 and 57,344 bits (a 2-core Xeon; CHANGES.md has
+# the grid).
+_LEVELS_BITS = 1 << 15
 
 
 def _forbidding_multipliers(k: int) -> tuple[tuple[int, int], ...]:
@@ -436,14 +456,23 @@ class _NormOracle:
 
 
 class _NormLevels:
-    """``normk:<k>`` for k >= 5 with no window: the k - 1 levels of
-    ``relations._admit`` at a fixed ``unit``, no less than any element.  v is
-    forbidden when level k - 1 - y**2 holds y * v for a multiplier y of
-    ``_NormOracle``.  Ints are immutable, so a copy shares the level list."""
+    """``normk:<k>`` for k >= 5 on the k - 1 levels of ``relations._admit``
+    at ``unit``, the largest of the elements and the unit it was made with.
+    v is forbidden when level k - 1 - y**2 holds y * v for a multiplier y of
+    ``_NormOracle``.  An element above the unit rebases the levels to it; a
+    search made with a bound on its elements never rebases.  Ints are
+    immutable, so a copy shares the level list.
+
+    Level r has no bit past 2r * unit, so every value above (k - 2) * unit
+    is allowed, and ``next_allowed`` reads windows from the value asked
+    about, ``_FIRST_WINDOW`` cells and then twice as many each time,
+    until one holds a free value.  It keeps no window: the decoder's walk
+    adds an element between any two calls.
+    """
 
     __slots__ = ("_levels", "_unit", "_ys")
 
-    def __init__(self, k: int, unit: int) -> None:
+    def __init__(self, k: int, unit: int = 0) -> None:
         self._levels, self._unit = [1 << r * unit for r in range(k - 1)], unit
         self._ys = tuple((y, bound - 1) for y, bound in _forbidding_multipliers(k))
 
@@ -453,9 +482,9 @@ class _NormLevels:
         return twin
 
     def add(self, element: int) -> None:
-        if element > self._unit:
-            raise ValueError(f"element {element} is above the unit {self._unit}")
-        self._levels = _admit(self._levels, element, self._unit, self._unit)
+        unit = max(element, self._unit)
+        self._levels = _admit(self._levels, element, unit, self._unit)
+        self._unit = unit
 
     def forbids(self, value: int) -> bool:
         levels, unit = self._levels, self._unit
@@ -464,6 +493,38 @@ class _NormLevels:
             if levels[r] >> r * unit + y * value & 1:
                 return True
         return False
+
+    def _mask(self, lo: int, n: int) -> int:
+        # Bit i set when lo + i is forbidden, for i < n; n >= 1.  Multiplier
+        # y reads every y-th bit of its level, off the digits of ``bin``: the
+        # sentinel bit keeps them all, and the slice from 3 on, every y-th
+        # digit, runs down from bit y * (n - 1) to bit 0.
+        levels, unit = self._levels, self._unit
+        mask = 0
+        for y, r in self._ys:
+            bits = levels[r] >> r * unit + y * lo
+            if y == 1:
+                mask |= bits & (1 << n) - 1
+            else:
+                span = y * (n - 1) + 1
+                bits &= (1 << span) - 1
+                if bits:
+                    mask |= int(bin(bits | 1 << span)[3::y], 2)
+        return mask
+
+    def forbidden_in(self, lo: int, hi: int) -> bytearray:
+        n = hi - lo + 1
+        return _render(self._mask(lo, n), n) if n > 0 else bytearray()
+
+    def next_allowed(self, c: int) -> int:
+        width = _FIRST_WINDOW
+        while True:
+            run = self._mask(c, width)
+            free = (run ^ (run + 1)).bit_length() - 1  # its lowest zero bit
+            if free < width:
+                return c + free
+            c += width
+            width *= 2
 
 
 # Length of a fresh coprime oracle's marks.  They grow 4-fold while the new
@@ -558,12 +619,15 @@ class _CoprimeOracle:
 def incremental_oracle(op: OperatorKind, horizon: int | None = None):
     """Fresh oracle for one left-to-right sweep under ``op``.
 
-    A sweep that asks about nothing past ``horizon`` may name it, and the
-    ``fs`` oracle then answers only up to it (other oracles ignore it).
+    A sweep that asks about nothing past ``horizon`` may name it: the ``fs``
+    oracle then answers only up to it, and ``normk`` with k >= 5 may take
+    cost levels, as below (other oracles ignore it).
 
     Above the set, ``normk:<k>`` with k <= 4 forbids nothing up to k = 3 and
     the sums of two distinct members at k = 4, which big-int masks hold; from
-    k = 5 on it needs the ``CostTable`` of ``_NormOracle``.
+    k = 5 on it needs cost levels: the big ints of ``_NormLevels`` when the
+    horizon keeps them within ``_LEVELS_BITS``, else the ``CostTable`` of
+    ``_NormOracle``.
     """
     if op.kind == "sumfree":
         return _PairSumOracle()
@@ -572,6 +636,8 @@ def incremental_oracle(op: OperatorKind, horizon: int | None = None):
     if op.kind == "fs":
         return _SubsetSumOracle(horizon)
     if op.k >= 5:
+        if horizon is not None and 2 * (op.k - 2) * horizon <= _LEVELS_BITS:
+            return _NormLevels(op.k)
         return _NormOracle(op.k)
     return _DistinctPairSumOracle() if op.k == 4 else _MaskOracle()
 

@@ -13,10 +13,12 @@ least.  Repeated calls return the identical object contents.
 
 The incremental :class:`CostTable` answers existence queries in O(1) after a
 vectorised update per added element; it backs the windowed ``normk``
-oracle of :mod:`sievecodec.operators`.  Each table owns its work space, so
-tables built in different threads share nothing.  The searches that need no
-window keep big-int masks instead, one per cost level (:func:`_admit`): the
-encoder fixed-point walk, whose branches share them, and
+oracle of :mod:`sievecodec.operators` for encode and for the decode and
+membership sweeps whose horizon is large.  Each table owns its work space, so
+tables built in different threads share nothing.  Other searches keep
+big-int masks instead, one per cost level (:func:`_admit`): the encoder
+fixed-point walk, whose branches share them, the decode and membership
+sweeps of small horizon (``operators._LEVELS_BITS``), and
 :func:`find_anchored_relation`.  Its least possible norm is 3, since
 1 +/- b == 0 needs b == 1, and norm 3 means 1 + b - (b + 1) == 0: so when
 the base holds some b and b + 1 it returns that relation at the largest such
@@ -24,8 +26,10 @@ b and builds nothing.  Otherwise it makes one sweep of the masks and keeps
 nothing once it returns.  This is the one module of the package that uses
 numpy: the table's cells are numpy arrays, and what it hands out is plain
 ints and ``bytes``.  numpy is imported when the first table is allocated, so
-a process that builds none (``sumfree``, ``coprime``, ``normk`` with k <= 4,
-``fs``, the fixed-point walk) never loads it.
+a process that builds none never loads it: one that runs only ``sumfree``,
+``coprime``, ``normk`` with k <= 4 or ``fs``, the fixed-point walk, and
+``normk`` decode, membership and orbit passes within
+``operators._LEVELS_BITS`` (the ``dynamics`` bench's orbit jobs among them).
 """
 
 from __future__ import annotations

@@ -464,6 +464,33 @@ def test_fixed_points_never_import_numpy():
     assert not loaded
 
 
+def test_orbit_commands_never_import_numpy():
+    # A decode pass, membership test or completeness test whose widest cost
+    # level fits ``operators._LEVELS_BITS`` reads big-int levels, not a cost
+    # table: the bench's orbit jobs, and its ``sufficient`` on their limits.
+    rng = random.Random(40)
+    start = f"{','.join(map(str, sorted(rng.sample(range(1, 2001), 200))))} @ 2000"
+    orbits = [["dynamics", "--k", str(k), "--limit", "40", "--split", start] for k in (5, 7, 9)]
+    blocked, _, _ = _run_commands("blocked", orbits)
+    unblocked, loaded, _ = _run_commands("unblocked", orbits)
+    assert blocked == unblocked
+    assert {code for code, _, _ in blocked} == {0}
+    assert not loaded
+    limit = dict(line.split("=", 1) for line in blocked[2][1].splitlines() if "=" in line
+                 and not line.startswith("iterate"))["stabilized"]
+    commands = [["sufficient", "--k", "9", limit],
+                ["decode", "--op", "normk:16", "2,3,7 @ 40"],
+                ["member", "--op", "normk:12", "2,5,11 @ 11"]]
+    blocked, _, _ = _run_commands("blocked", commands)
+    unblocked, loaded, _ = _run_commands("unblocked", commands)
+    assert blocked == unblocked
+    assert [(code, err) for code, _, err in blocked] == [(1, ""), (0, ""), (1, "")]
+    assert not loaded
+    # Past them, at k = 16 and horizon 2,000 (56,000 bits), it builds one.
+    _, loaded, _ = _run_commands("unblocked", [["decode", "--op", "normk:16", start]])
+    assert loaded
+
+
 def test_numpy_is_bound_only_in_relations():
     # The first cost table loads numpy, and only relations binds it: the
     # oracles, the codec, the dynamics and the CLI see only ints and bytes.

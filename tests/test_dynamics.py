@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 import sievecodec.codec as codec
 import sievecodec.dynamics as dynamics
+import sievecodec.operators as operators
 from sievecodec import (
     CandidateCeilingExceeded,
     IntSetPrefix,
@@ -268,6 +269,51 @@ class TestPasses:
                 assert record.stabilized_prefix == last.truncate(dynamics._step(op, last)[2])
         # Bounds 2 and 3 forbid nothing, so there the first pass freezes all.
         assert (short > 0) == (str(op) not in ("normk:2", "normk:3"))
+
+
+class TestLevelsSwitch:
+    """``incremental_oracle`` takes the big-int cost levels for a ``normk``
+    (k >= 5) sweep whose widest level fits ``operators._LEVELS_BITS``, and
+    the cost table otherwise; the choice changes no answer."""
+
+    @pytest.mark.parametrize("k", range(5, 17))
+    def test_both_oracles_answer_alike(self, k, monkeypatch):
+        op, rng = OperatorKind("normk", k), random.Random(f"levels-switch/{k}")
+        starts = [random_prefix(rng, rng.randint(1, 300), 0.1) for _ in range(15)]
+        words = ["".join(rng.choice("01") for _ in range(12)) for _ in range(15)]
+        chosen = set()
+        make = operators.incremental_oracle
+
+        def recorded(*args):
+            oracle = make(*args)
+            chosen.add(type(oracle))
+            return oracle
+
+        monkeypatch.setattr(dynamics, "incremental_oracle", recorded)
+        monkeypatch.setattr(codec, "incremental_oracle", recorded)
+        for prefix in starts + [encode(op, word).accepted for word in words]:
+            answers = []
+            for bits in (0, 1 << 62):
+                monkeypatch.setattr(operators, "_LEVELS_BITS", bits)
+                answers.append((
+                    decode(op, prefix),
+                    is_member(op, prefix),
+                    is_encoder_fixed_point(op, prefix),
+                    find_limit(op, prefix, 20),
+                    completeness_sufficient_condition(k, prefix),
+                ))
+            assert answers[0] == answers[1]
+        assert chosen == {operators._NormOracle, operators._NormLevels}
+
+    @pytest.mark.parametrize("k", [5, 9, 16])
+    def test_levels_exactly_within_the_bound(self, k):
+        op = OperatorKind("normk", k)
+        edge = operators._LEVELS_BITS // (2 * (k - 2))  # the largest horizon on levels
+        for horizon, levels in ((1, True), (edge, True), (edge + 1, False), (10**6, False)):
+            assert (2 * (k - 2) * horizon <= operators._LEVELS_BITS) == levels
+            oracle = operators.incremental_oracle(op, horizon)
+            assert type(oracle) is (operators._NormLevels if levels else operators._NormOracle)
+        assert type(operators.incremental_oracle(op)) is operators._NormOracle
 
 
 class TestEncoderFixedPoints:

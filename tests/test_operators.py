@@ -649,7 +649,7 @@ class TestOracleCopy:
                 check(other, other_elements, max(other_elements) + 1, len(other._marks) - 1)
 
 
-# The unit of the levels below: every element and every value asked about.
+# The unit the levels below are made with.
 _UNIT = 64
 
 
@@ -661,8 +661,9 @@ def _levels(k, elements):
 
 
 class TestNormLevels:
-    """The window-free ``normk`` (k >= 5) levels that a branching search
-    extends answer as the windowed oracle and the reference do."""
+    """The big-int ``normk`` (k >= 5) cost levels, which a branching search
+    extends and a decode walk within ``_LEVELS_BITS`` reads, answer as the
+    windowed oracle and the reference do."""
 
     @given(st.integers(5, 16), st.sets(st.integers(1, _UNIT), max_size=8))
     @settings(max_examples=200, deadline=None)
@@ -697,11 +698,61 @@ class TestNormLevels:
             span = range(max(elements, default=0) + 1, _UNIT + 1)
             assert [oracle.forbids(v) for v in span] == [fresh.forbids(v) for v in span]
 
-    def test_refuses_an_element_above_the_unit(self):
-        oracle = _levels(7, {3, 5})
-        with pytest.raises(ValueError, match="above the unit"):
-            oracle.add(_UNIT + 1)
-        assert oracle.forbids(8) and not oracle.forbids(9)  # 3 + 5; and unchanged
+    @given(st.integers(5, 16), st.sets(st.integers(1, 400), max_size=12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_windows_match_the_table_oracle(self, k, elements, data):
+        # The levels a decode walk makes start at unit 0 and rebase to each
+        # element.  Windows start above the set, and may cross the levels'
+        # reach, (k - 2) * unit, past which every value is allowed, or be
+        # empty.  k >= 8 reads y = 2 and k >= 14 y = 3.
+        levels, table = _NormLevels(k), _NormOracle(k)
+        for e in sorted(elements):
+            levels.add(e)
+            table.add(e)
+        top = max(elements, default=0)
+        reach = (k - 2) * top
+        for _ in range(4):
+            lo = data.draw(st.sampled_from([top + 1, max(top + 1, reach - 30), reach + 1]))
+            lo += data.draw(st.integers(0, 40))
+            hi = lo + data.draw(st.integers(-1, max(40, reach - lo + 40)))
+            window = levels.forbidden_in(lo, hi)
+            assert window == table.forbidden_in(lo, hi)
+            assert len(window) == max(0, hi - lo + 1)
+            assert [levels.forbids(v) for v in range(lo, lo + 40)] == [
+                table.forbids(v) for v in range(lo, lo + 40)]
+            assert levels.next_allowed(lo) == table.next_allowed(lo)
+
+    @pytest.mark.parametrize("k", [5, 9, 16])
+    def test_next_allowed_reads_past_the_first_windows(self, k):
+        # 2, 3, ..., 399 forbid every value up to the sum of their k - 2
+        # largest, so the free value lies past the first window.
+        levels, table = _NormLevels(k), _NormOracle(k)
+        for e in range(2, 400):
+            levels.add(e)
+            table.add(e)
+        found = levels.next_allowed(400)
+        assert found == table.next_allowed(400) == sum(range(400 - (k - 2), 400)) + 1
+        assert found - 400 > _FIRST_WINDOW
+
+    @given(
+        st.integers(5, 16),
+        st.sets(st.integers(1, _UNIT), max_size=8),
+        st.sets(st.integers(_UNIT + 1, 300), min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_an_element_above_the_unit_rebases(self, k, below, past):
+        # Levels made at unit 64 and given elements past it answer as levels
+        # made at unit 0 over the same set.
+        elements = below | past
+        made_at_unit, made_at_zero = _NormLevels(k, _UNIT), _NormLevels(k)
+        for e in sorted(elements):
+            made_at_unit.add(e)
+            made_at_zero.add(e)
+        top = max(elements)
+        assert made_at_unit._unit == made_at_zero._unit == top
+        hi = (k - 2) * top + 20
+        assert made_at_unit.forbidden_in(top + 1, hi) == made_at_zero.forbidden_in(top + 1, hi)
+        assert made_at_unit.next_allowed(top + 1) == made_at_zero.next_allowed(top + 1)
 
     @pytest.mark.parametrize("op", EVERY_OPERATOR, ids=str)
     def test_branching_oracle_takes_the_levels_only_for_norm_tables(self, op):
